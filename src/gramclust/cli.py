@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import scipy
@@ -180,13 +181,14 @@ def run_cluster(args) -> dict:
         threads=args.threads,
     )
     # lower-bound chain: the Gram system of the rounded clustering is
-    # feasible, so ascending from it can only tighten the SDP value and
-    # keeps the certified interval nonempty
+    # feasible, so ascending from it can only tighten the SDP value, to at
+    # least best / R^2 even when the restarts stopped early
     if ball.radius > 0:
         seed_vectors = (gf.vectors[best.sigma] - ball.center) / ball.radius
         polished = ascend_from(a, seed_vectors, _sdp_config(args))
         if polished.value > sol.value:
-            sol = polished
+            # both certificates bound the same SDP; keep the tighter one
+            sol = replace(polished, dual_upper=min(sol.dual_upper, polished.dual_upper))
     mean, stderr = (
         estimate_expectation(trial_values) if len(trial_values) > 1 else (best.value, 0.0)
     )
@@ -207,10 +209,10 @@ def run_cluster(args) -> dict:
         "trial_mean": mean,
         "trial_stderr": stderr,
     }
-    interval = [best.value, r2 * sol.value]
+    interval = [best.value, r2 * sol.dual_upper]
     if interval[0] > interval[1] * (1.0 + 1e-6) + 1e-12:
         raise GramclustError(
-            f"certified interval is empty: {interval}; SDP polish failed"
+            f"certified interval is empty: {interval}; SDP certificate failed"
         )
     report["certified_interval"] = interval
     report["approx_ratio"] = r2 / c_est if c_est > 0 else None

@@ -3,10 +3,19 @@
 The feasible set is a product of unit spheres and the objective is convex
 (A is PSD), so the norm constraints bind at the optimum and we can ascend
 directly on the spheres: the conditional-gradient step x_i <- normalize of
-(A X)_i never decreases a convex objective.  First-order stationary points
-are screened with the dual matrix S = diag(lambda) - A; S >= 0 certifies
-global optimality, and a negative eigenvector of S gives a curvilinear
-ascent direction into a fresh coordinate after rank escalation.
+(A X)_i never decreases a convex objective.  Each step also tries an
+extrapolation past that point along the last displacement and keeps it only
+if the value does not drop below the current one (a monotone safeguard, as
+in monotone accelerated gradient methods); the extrapolation weight adapts
+to how often this succeeds.  One product A X per accepted step serves the
+step, the value, the residual and the multipliers lambda.
+
+First-order stationary points are screened with the dual matrix
+S = diag(lambda) - A; S >= 0 certifies global optimality, and for any
+lambda, sum lambda_i + n max(0, -mu_min(S)) is a certified upper bound
+(``dual_upper``).  A negative eigenvector of S gives a curvilinear ascent
+direction into a fresh coordinate after rank escalation; the starting rank
+~sqrt(2n) suffices generically (Boumal, Voroninski & Bandeira 2016).
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import NotConvergedWarning, NotPSD
 from .matrixcore import SymMatrix, validate_psd
@@ -44,12 +54,19 @@ class SdpSolution:
     restart_index: int = 0
 
 
+# extrapolation weight of the ascent: starts at _BETA_START, grows by
+# _BETA_GROWTH on an accepted step up to _BETA_MAX, halves on a rejected one
+_BETA_START = 0.5
+_BETA_GROWTH = 1.1
+_BETA_MAX = 1.0
+
+
 def _objective(a: np.ndarray, x: np.ndarray) -> float:
     return float(np.sum((a @ x) * x))
 
 
-def _residual(a: np.ndarray, x: np.ndarray) -> float:
-    m = a @ x
+def _residual(m: np.ndarray, x: np.ndarray) -> float:
+    """Riemannian gradient norm at X, given its product M = A X."""
     lam = np.sum(m * x, axis=1, keepdims=True)
     return float(np.linalg.norm(2.0 * (m - lam * x)))
 
@@ -65,56 +82,101 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / norms[:, None]
 
 
-def _ascend(a, x, grad_tol, max_iters):
-    """Conditional-gradient ascent to a first-order stationary point.
+def _plain_step(x, m, diag, tiny):
+    """Conditional-gradient step: each row maximizes the linearization at X.
 
-    Each step replaces every row by the feasible point maximizing the
-    linearization, which never decreases a convex objective.  Rows where
-    the gradient vanishes are free in the linearization; rows with a_ii > 0
-    are flipped (a strict local improvement there), rows with a_ii = 0 do
-    not enter the objective at all and are left alone.
+    Rows where the gradient M = A X vanishes are free in the linearization;
+    rows with a_ii > 0 are flipped (a strict local improvement there), rows
+    with a_ii = 0 do not enter the objective at all and keep their direction
+    on the sphere.
     """
-    iters = 0
+    norms = np.linalg.norm(m, axis=1)
+    dead = norms <= tiny
+    x_new = np.empty_like(x)
+    x_new[~dead] = m[~dead] / norms[~dead][:, None]
+    x_new[dead] = _normalize_rows(x[dead])
+    x_new[dead & (diag > tiny)] *= -1.0
+    return x_new
+
+
+def _ascend(a, x, grad_tol, max_iters):
+    """Safeguarded extrapolated conditional-gradient ascent.
+
+    Each step takes the plain step x_new, which never decreases a convex
+    objective from a point with rows of norm <= 1, then tries the
+    extrapolation y = normalize(x_new + beta (x_new - x_prev)), with x_prev
+    the iterate before X, and keeps y only if f(y) >= f(X), so the value
+    never decreases.  beta grows on an
+    accepted step and halves on a rejected one.  The product A y of an
+    accepted step serves the next step, the value and the stopping
+    residual, so a step costs one product (a rejected one two).  Stops at
+    residual grad_tol / 10.  Returns X, A X and the step count.
+    """
     diag = np.diag(a)
     tiny = 1e-14 * max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
+    m = a @ x
+    value = float(np.sum(m * x))
+    x_prev = x
+    beta = _BETA_START
+    iters = 0
     for _ in range(max_iters):
         iters += 1
-        m = a @ x
-        norms = np.linalg.norm(m, axis=1)
-        dead = norms <= tiny
-        x_new = np.empty_like(x)
-        live = ~dead
-        x_new[live] = m[live] / norms[live][:, None]
-        x_new[dead] = x[dead]
-        for i in np.where(dead & (diag > tiny))[0]:
-            r = np.linalg.norm(x[i])
-            if r > 0:
-                x_new[i] = -x[i] / r
-            else:
-                x_new[i] = 0.0
-                x_new[i, 0] = 1.0
-        moved = float(np.max(np.linalg.norm(x_new - x, axis=1)))
-        x = x_new
-        if moved < 1e-16 or _residual(a, x) <= grad_tol:
+        x_new = _plain_step(x, m, diag, tiny)
+        y = _normalize_rows(x_new + beta * (x_new - x_prev))
+        m_y = a @ y
+        value_y = float(np.sum(m_y * y))
+        x_prev = x
+        if value_y >= value:
+            x, m, value = y, m_y, value_y
+            beta = min(_BETA_MAX, _BETA_GROWTH * beta)
+        else:
+            x, m = x_new, a @ x_new
+            value = float(np.sum(m * x))
+            beta *= 0.5
+        # stopping at grad_tol itself leaves mu_min(S) near -1e-8 ||A||_F,
+        # past the certificate's threshold, and costs rank escalations
+        moved = float(np.max(np.linalg.norm(x - x_prev, axis=1)))
+        if moved < 1e-16 or _residual(m, x) <= 0.1 * grad_tol:
             break
-    return x, iters
+    return x, m, iters
 
 
-def _certificate(a, x):
-    """(min eigval of S, its eigvector, sum of lambda) at a stationary X."""
-    lam = np.sum((a @ x) * x, axis=1)
-    s = np.diag(lam) - a
-    eigs, vecs = np.linalg.eigh(s)
-    return float(eigs[0]), vecs[:, 0], float(np.sum(lam))
+def _certificate(a, lam):
+    """Smallest eigenpair of the dual matrix S = diag(lambda) - A."""
+    eigs, vecs = scipy.linalg.eigh(np.diag(lam) - a, subset_by_index=[0, 0])
+    return float(eigs[0]), vecs[:, 0]
 
 
-def _curvilinear_kick(a, x, u):
+def _solution(a, x, m, iters, grad_tol, restart_index=0):
+    """Assemble the SdpSolution at X from its product M = A X.
+
+    Any multipliers lambda give the dual bound SDP <= sum lambda_i +
+    n max(0, -mu_min(S)); here lambda_i = <(A X)_i, x_i>, whose sum is the
+    value.  Also returns mu_min and its eigenvector for rank escalation.
+    """
+    lam = np.sum(m * x, axis=1)
+    mu_min, u = _certificate(a, lam)
+    value = float(np.sum(lam))
+    residual = _residual(m, x)
+    sol = SdpSolution(
+        value=value,
+        rank=x.shape[1],
+        vectors=x,
+        stationarity_residual=residual,
+        iterations=iters,
+        converged=residual <= grad_tol,
+        dual_upper=value + len(x) * max(0.0, -mu_min),
+        restart_index=restart_index,
+    )
+    return sol, mu_min, u
+
+
+def _curvilinear_kick(a, x, u, base):
     """Second-order escape along x_i(t) = cos(u_i t) x_i + sin(u_i t) e_new.
 
     Requires a fresh zero coordinate appended to every row; f''(0) =
-    -2 u^T S u > 0 so some small t improves the objective.
+    -2 u^T S u > 0 so some small t improves the objective ``base``.
     """
-    base = _objective(a, x)
     x_aug = np.hstack([x, np.zeros((len(x), 1))])
     best = x_aug
     best_val = base
@@ -128,32 +190,25 @@ def _curvilinear_kick(a, x, u):
     return best, best_val > base
 
 
-def _solve_single(a, x0, cfg, grad_tol, value_tol, n):
+def _solve_single(a, x0, cfg, grad_tol, value_tol, restart_index):
+    n = len(a)
+    scale = max(1.0, float(np.linalg.norm(a)))
     x = _normalize_rows(x0)
     iters_total = 0
     value_prev = -math.inf
-    cert_gap = math.inf
     while True:
-        x, iters = _ascend(a, x, grad_tol, cfg.max_iters - iters_total)
+        x, m, iters = _ascend(a, x, grad_tol, cfg.max_iters - iters_total)
         iters_total += iters
-        value = _objective(a, x)
-        mu_min, u, lam_sum = _certificate(a, x)
-        scale = max(1.0, float(np.linalg.norm(a)))
-        cert_gap = max(0.0, lam_sum - value) + n * max(0.0, -mu_min)
+        sol, mu_min, u = _solution(a, x, m, iters_total, grad_tol, restart_index)
         certified = mu_min >= -1e-9 * scale
-        out_of_budget = iters_total >= cfg.max_iters
-        if certified or out_of_budget:
-            break
-        if x.shape[1] >= n:
-            break
+        if certified or iters_total >= cfg.max_iters or x.shape[1] >= n:
+            return sol
         # escalate rank by two and kick off the saddle along u
-        x_kicked, improved = _curvilinear_kick(a, x, u)
-        x = np.hstack([x_kicked, np.zeros((len(x), 1))])
-        x = _normalize_rows(x)
-        if not improved and value - value_prev <= value_tol:
-            break
-        value_prev = value
-    return x, _objective(a, x), iters_total, cert_gap
+        x_kicked, improved = _curvilinear_kick(a, x, u, sol.value)
+        if not improved and sol.value - value_prev <= value_tol:
+            return sol
+        value_prev = sol.value
+        x = _normalize_rows(np.hstack([x_kicked, np.zeros((n, 1))]))
 
 
 def solve_sdp(
@@ -184,19 +239,7 @@ def solve_sdp(
     starts = [rng.standard_normal((n, rank0)) for _ in range(max(cfg.restarts, 1))]
 
     def run_restart(ridx: int) -> SdpSolution:
-        x, value, iters, gap = _solve_single(
-            mat, starts[ridx], cfg, grad_tol, value_tol, n
-        )
-        return SdpSolution(
-            value=value,
-            rank=x.shape[1],
-            vectors=x,
-            stationarity_residual=_residual(mat, x),
-            iterations=iters,
-            converged=True,
-            dual_upper=value + gap,
-            restart_index=ridx,
-        )
+        return _solve_single(mat, starts[ridx], cfg, grad_tol, value_tol, ridx)
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -211,40 +254,17 @@ def solve_sdp(
     # from it if every restart somehow landed below that floor
     trace = float(np.trace(mat))
     if best.value < trace - 1e-9 * max(1.0, fro):
-        x, value, iters, gap = _solve_single(
-            mat, np.eye(n), cfg, grad_tol, value_tol, n
-        )
-        if value > best.value:
-            best = SdpSolution(
-                value=value,
-                rank=x.shape[1],
-                vectors=x,
-                stationarity_residual=_residual(mat, x),
-                iterations=iters,
-                converged=True,
-                dual_upper=value + gap,
-                restart_index=len(starts),
-            )
+        fallback = _solve_single(mat, np.eye(n), cfg, grad_tol, value_tol, len(starts))
+        if fallback.value > best.value:
+            best = fallback
 
-    x = _normalize_rows(best.vectors)
-    value = _objective(mat, x)
-    residual = _residual(mat, x)
-    converged = residual <= grad_tol or fro == 0.0
-    if not converged:
+    if not best.converged:
         warnings.warn(
-            f"SDP ascent stopped at residual {residual:.3e} > {grad_tol:.3e}",
+            f"SDP ascent stopped at residual {best.stationarity_residual:.3e}"
+            f" > {grad_tol:.3e}",
             NotConvergedWarning,
         )
-    return SdpSolution(
-        value=value,
-        rank=x.shape[1],
-        vectors=x,
-        stationarity_residual=residual,
-        iterations=best.iterations,
-        converged=converged,
-        dual_upper=best.dual_upper,
-        restart_index=best.restart_index,
-    )
+    return best
 
 
 def ascend_from(a: SymMatrix, vectors: np.ndarray, cfg: SdpConfig = SdpConfig()) -> SdpSolution:
@@ -259,22 +279,8 @@ def ascend_from(a: SymMatrix, vectors: np.ndarray, cfg: SdpConfig = SdpConfig())
     grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-7 * max(fro, 1e-30)
     # do not pre-normalize: the first ascent step from the interior point
     # already lands on the spheres without decreasing the value
-    x = np.asarray(vectors, dtype=float).copy()
-    x, iters = _ascend(mat, x, grad_tol, cfg.max_iters)
-    x = _normalize_rows(x)  # only a_ii = 0 rows can still be interior
-    mu_min, _, lam_sum = _certificate(mat, x)
-    value = _objective(mat, x)
-    gap = max(0.0, lam_sum - value) + a.dim * max(0.0, -mu_min)
-    residual = _residual(mat, x)
-    return SdpSolution(
-        value=value,
-        rank=x.shape[1],
-        vectors=x,
-        stationarity_residual=residual,
-        iterations=iters,
-        converged=residual <= grad_tol,
-        dual_upper=value + gap,
-    )
+    x, m, iters = _ascend(mat, np.asarray(vectors, dtype=float), grad_tol, cfg.max_iters)
+    return _solution(mat, x, m, iters, grad_tol)[0]
 
 
 def certify_sandwich(

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from gramclust import NotConvergedWarning, SymMatrix, brute_force_clust, random_centered_psd
 from gramclust.cli import build_parser, main, run_analyze_b, run_cluster, run_oracle
 
 ANTIPODAL_DOC = {"A": [[1.0, -1.0], [-1.0, 1.0]], "B": [[1.0, 0.0], [0.0, 1.0]]}
@@ -52,6 +53,23 @@ class TestCluster:
         r1.pop("timestamp")
         r2.pop("timestamp")
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+
+    def test_capped_run_upper_end_is_dual_bound(self, tmp_path):
+        # one ascent step leaves r2 * value below Clust on this instance;
+        # the dual certificate still bounds it
+        a = random_centered_psd(8, np.random.default_rng(0))
+        b = SymMatrix.from_array(np.eye(2))
+        path = write_json(tmp_path, {"A": a.mat.tolist(), "B": b.mat.tolist()})
+        with pytest.warns(NotConvergedWarning):
+            report = run_cluster(parse(
+                ["cluster", path, "--trials", "1", "--sdp-max-iters", "1",
+                 "--sdp-restarts", "1"]
+            ))
+        clust, _ = brute_force_clust(a, b)
+        r2 = report["ball"]["r2"]
+        assert r2 * report["sdp"]["value"] < clust
+        assert report["certified_interval"][1] == r2 * report["sdp"]["dual_upper"]
+        assert report["certified_interval"][1] >= clust
 
     def test_csv_ingestion(self, tmp_path):
         a_path = tmp_path / "a.csv"

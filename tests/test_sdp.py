@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,8 +18,38 @@ from gramclust import (
     random_centered_psd,
     solve_sdp,
 )
+from gramclust.sdp import _ascend, _normalize_rows, _plain_step
 
 ANTIPODAL = SymMatrix.from_array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def ascent_trajectory(mat, x0, steps):
+    """Iterates (X_t, A X_t) of the ascent, t = 0..steps.
+
+    The ascent is deterministic, so the run capped at t steps ends at the
+    t-th iterate of an uncapped run.
+    """
+    return [_ascend(mat, x0, 0.0, t)[:2] for t in range(steps + 1)]
+
+
+def rejected_steps(mat, trajectory):
+    """Steps that fell back to the plain step after a rejected extrapolation."""
+    tiny = 1e-14 * max(1.0, float(np.max(np.abs(mat))))
+    return sum(
+        np.array_equal(x_next, _plain_step(x, m, np.diag(mat), tiny))
+        for (x, m), (x_next, _) in zip(trajectory, trajectory[1:])
+    )
+
+
+def plain_ascent_value(mat, x, tol, max_iters=100_000):
+    """Reference: the unextrapolated conditional-gradient ascent."""
+    for _ in range(max_iters):
+        m = mat @ x
+        lam = np.sum(m * x, axis=1, keepdims=True)
+        if np.linalg.norm(2.0 * (m - lam * x)) <= tol:
+            break
+        x = m / np.linalg.norm(m, axis=1, keepdims=True)
+    return float(np.sum((mat @ x) * x))
 
 
 class TestSolveSdp:
@@ -124,6 +155,63 @@ class TestSolveSdp:
         s2 = solve_sdp(a, rng=21)
         assert s1.value == s2.value
         np.testing.assert_array_equal(s1.vectors, s2.vectors)
+
+
+class TestAscent:
+    @staticmethod
+    def assert_monotone(mat, x0, steps=60):
+        trajectory = ascent_trajectory(mat, x0, steps)
+        values = [float(np.sum((mat @ x) * x)) for x, _ in trajectory]
+        slack = 1e-12 * max(1.0, abs(values[-1]))
+        assert all(b >= a - slack for a, b in zip(values, values[1:]))
+        return trajectory
+
+    def test_value_never_decreases_from_random_start(self):
+        a = random_centered_psd(20, np.random.default_rng(70))
+        x0 = _normalize_rows(np.random.default_rng(71).standard_normal((20, 8)))
+        self.assert_monotone(a.mat, x0)
+
+    def test_value_never_decreases_from_interior_start(self):
+        # ascend_from takes rows of norm <= 1 and does not pre-normalize
+        a = random_centered_psd(20, np.random.default_rng(72))
+        rng = np.random.default_rng(73)
+        x0 = _normalize_rows(rng.standard_normal((20, 3))) * rng.uniform(0.1, 1.0, (20, 1))
+        self.assert_monotone(a.mat, x0)
+        assert float(np.sum((a.mat @ x0) * x0)) <= ascend_from(a, x0).value
+
+    def test_value_never_decreases_with_zero_row(self):
+        # row and column 0 of A vanish, so (A X)_0 = 0: the dead-row branch
+        inner = random_centered_psd(11, np.random.default_rng(73)).mat
+        mat = np.zeros((12, 12))
+        mat[1:, 1:] = inner
+        x0 = _normalize_rows(np.random.default_rng(74).standard_normal((12, 6)))
+        trajectory = self.assert_monotone(mat, x0)
+        x_last = trajectory[-1][0]
+        np.testing.assert_allclose(np.linalg.norm(x_last, axis=1), 1.0, atol=1e-12)
+        sol = solve_sdp(SymMatrix.from_array(mat), rng=74)
+        assert sol.converged
+        assert sol.dual_upper - sol.value <= 1e-7 * sol.value
+
+    def test_threads_match_serial_with_rejected_steps(self):
+        n, seed = 60, 75
+        a = random_centered_psd(n, np.random.default_rng(seed))
+        # the first restart's start, drawn as solve_sdp draws it
+        rank0 = math.isqrt(2 * n - 1) + 2
+        x0 = _normalize_rows(np.random.default_rng(seed).standard_normal((n, rank0)))
+        assert rejected_steps(a.mat, ascent_trajectory(a.mat, x0, 40)) > 0
+        serial = solve_sdp(a, rng=seed)
+        threaded = solve_sdp(a, rng=seed, threads=2)
+        np.testing.assert_array_equal(serial.vectors, threaded.vectors)
+        assert replace(serial, vectors=None) == replace(threaded, vectors=None)
+
+    def test_matches_plain_ascent_reference(self):
+        n = 150
+        a = random_centered_psd(n, np.random.default_rng(76))
+        sol = solve_sdp(a, rng=76)
+        x0 = _normalize_rows(np.random.default_rng(77).standard_normal((n, sol.rank)))
+        ref = plain_ascent_value(a.mat, x0, 1e-10 * np.linalg.norm(a.mat))
+        assert sol.value == pytest.approx(ref, rel=1e-7)
+        assert (sol.dual_upper - sol.value) / sol.value <= 1e-7
 
 
 class TestCertifySandwich:
