@@ -293,6 +293,13 @@ def run_selftest(args) -> int:
     return 4 if failed else 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, with_a: bool = True) -> None:
     p.add_argument("input", nargs="?", help="JSON file with matrices A and B")
     if with_a:
@@ -323,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     cluster = sub.add_parser("cluster", help="full pipeline on (A, B)")
     _add_common(cluster)
-    cluster.add_argument("--trials", type=int, default=100)
-    cluster.add_argument("--sdp-rank0", type=int, default=None)
+    cluster.add_argument("--trials", type=_positive_int, default=100)
+    cluster.add_argument("--sdp-rank0", type=_positive_int, default=None)
     cluster.add_argument("--sdp-grad-tol", type=float, default=None)
     cluster.add_argument("--sdp-max-iters", type=int, default=50_000)
     cluster.add_argument("--sdp-restarts", type=int, default=4)

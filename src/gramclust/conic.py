@@ -7,6 +7,12 @@ and C(B) is the supremum of psi over all measurable partitions, attained
 by such conical ones.  The search below is exact for k <= 3 (closed-form
 moments in dimensions 0..2) and seeded-net/fixed-point based above that.
 
+The fixed-point map z -> moments(cells of B z) runs for all seeds of one
+active subset at once: the seeds form an (S, l, l-1) array, one array step
+advances every live seed, and each seed keeps its own stopping rules and
+best state as masks.  Cells come from closed-form arcs in the plane and
+from a fixed Gaussian pool (chunked over seeds) above it.
+
 Labels are 0-based throughout.
 """
 
@@ -207,124 +213,143 @@ def partition_moments_mc(
     if samples < 1_000:
         raise ValueError("need at least 1e3 samples")
     dim = partition.cone_dim
-    ell = partition.ell
     if dim == 0:
         return PartitionValue(moments=np.zeros((1, 0)), psi=0.0, mc_stderr=0.0)
     pool = gaussian_pool(dim, samples, seed)
-    labels = classify_batch(pool, partition)
-    moments = np.zeros((ell, dim))
-    stderr = 0.0
-    for row, lab in enumerate(partition.active):
-        contrib = pool * (labels == lab)[:, None]
-        moments[row] = contrib.mean(axis=0)
-        var = contrib.var(axis=0)
-        stderr = max(stderr, float(np.sqrt(np.sum(var / samples))))
+    labels = _pool_labels(partition.directions[None], pool)[0]
+    moments, _, stderr = _label_moments(pool, labels, partition.ell)
     psi = psi_value(b, moments, partition.active)
     return PartitionValue(moments=moments, psi=psi, mc_stderr=stderr)
 
 
 # ---------------------------------------------------------------------------
-# closed-form moments for cone dimension <= 2
+# cells of S direction sets at once: w has shape (S, l, d), one set per seed
+
+# score entries per chunk of direction sets in _pool_cells: 1 MB, cache-sized
+_CHUNK_ENTRIES = 1 << 17
 
 
-def _planar_arcs(w: np.ndarray) -> list[tuple[int, float, float]]:
-    """Angular arcs (row, theta_a, theta_b) of each direction's dominance cone.
+def _pool_labels(w: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """(S, P) row index of the winning direction at every pool point.
 
-    Breakpoints can only occur where two scores tie, i.e. perpendicular to
-    some difference w_i - w_j; winners are decided at arc midpoints.
+    Running strict comparisons keep the first maximum, as argmax does, so
+    ties go to the smallest row.
     """
-    m = len(w)
-    if m == 1:
-        return [(0, 0.0, TWO_PI)]
-    cuts = set()
-    for i in range(m):
-        for j in range(i + 1, m):
-            d = w[i] - w[j]
-            phi = math.atan2(d[1], d[0])
-            cuts.add((phi + math.pi / 2.0) % TWO_PI)
-            cuts.add((phi - math.pi / 2.0) % TWO_PI)
-    angles = sorted(cuts)
-    arcs = []
-    for a, bnd in zip(angles, angles[1:] + [angles[0] + TWO_PI]):
-        mid = (a + bnd) / 2.0
-        u = np.array([math.cos(mid), math.sin(mid)])
-        winner = int(np.argmax(w @ u))
-        arcs.append((winner, a, bnd))
-    # merge adjacent arcs with the same winner, including the wrap-around
-    merged: list[tuple[int, float, float]] = []
-    for winner, a, bnd in arcs:
-        if merged and merged[-1][0] == winner and abs(merged[-1][2] - a) < 1e-15:
-            merged[-1] = (winner, merged[-1][1], bnd)
-        else:
-            merged.append((winner, a, bnd))
-    if len(merged) > 1 and merged[0][0] == merged[-1][0]:
-        w0, a0, b0 = merged.pop(0)
-        wl, al, bl = merged.pop()
-        merged.append((wl, al, bl + (b0 - a0)))
-    return merged
+    s, ell, dim = w.shape
+    scores = (w.reshape(s * ell, dim) @ pool.T).reshape(s, ell, len(pool))
+    best = scores[:, 0].copy()
+    dtype = np.min_scalar_type(ell - 1)
+    labels = np.zeros(best.shape, dtype=dtype)
+    for row in range(1, ell):
+        # rows rise, so the maximum moves every point this row wins to it
+        np.maximum(labels, (scores[:, row] > best) * dtype.type(row), out=labels)
+        np.maximum(best, scores[:, row], out=best)
+    return labels
 
 
-def _arc_moment(theta_a: float, theta_b: float) -> np.ndarray:
-    return ARC_CONST * np.array(
-        [math.sin(theta_b) - math.sin(theta_a), math.cos(theta_a) - math.cos(theta_b)]
-    )
+def _onehot(labels: np.ndarray, ell: int) -> np.ndarray:
+    """(..., l, P) cell indicators of (..., P) labels, as floats."""
+    rows = np.arange(ell, dtype=labels.dtype)[:, None]
+    return (labels[..., None, :] == rows).astype(float)
 
 
-def _closed_form_cells(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(moments, masses) of the partition induced by directions w.
+def _label_moments(
+    pool: np.ndarray, labels: np.ndarray, ell: int
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """(moments, masses, mc_stderr) of the cells one label vector cuts from pool.
 
-    Exact for cone dimension 0, 1 (half-lines) and 2 (planar arcs).
+    mc_stderr is the largest per-cell Euclidean aggregate of the
+    per-coordinate standard errors of the moments.
     """
-    m, dim = w.shape
-    if dim == 0:
-        return np.zeros((1, 0)), np.ones(1)
-    if dim == 1:
-        scores = w[:, 0]
-        pos = int(np.argmax(scores))
-        neg = int(np.argmax(-scores))
-        moments = np.zeros((m, 1))
-        masses = np.zeros(m)
-        moments[pos, 0] += HALFLINE_MOMENT
-        moments[neg, 0] -= HALFLINE_MOMENT
-        masses[pos] += 0.5
-        masses[neg] += 0.5
-        return moments, masses
-    if dim == 2:
-        moments = np.zeros((m, 2))
-        masses = np.zeros(m)
-        for row, a, bnd in _planar_arcs(w):
-            moments[row] += _arc_moment(a, bnd)
-            masses[row] += (bnd - a) / TWO_PI
-        return moments, masses
-    raise DimensionMismatch("closed forms only exist for cone dimension <= 2")
+    n = len(pool)
+    cells = _onehot(labels, ell)
+    moments = cells @ pool / n
+    masses = cells.sum(axis=1) / n
+    var = np.maximum(cells @ (pool * pool) / n - moments * moments, 0.0)
+    stderr = float(np.max(np.sqrt(np.sum(var, axis=1) / n)))
+    return moments, masses, stderr
 
 
 def _pool_cells(w: np.ndarray, pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.argmax(pool @ w.T, axis=1)
-    m = len(w)
-    moments = np.zeros((m, w.shape[1]))
-    masses = np.zeros(m)
+    """Monte-Carlo (moments, masses) over pool, in chunks of direction sets."""
+    s, ell, dim = w.shape
     n = len(pool)
-    for row in range(m):
-        mask = idx == row
-        masses[row] = mask.mean()
-        if masses[row] > 0:
-            moments[row] = pool[mask].sum(axis=0) / n
+    step = max(1, _CHUNK_ENTRIES // (ell * n))
+    moments = np.empty((s, ell, dim))
+    masses = np.empty((s, ell))
+    for lo in range(0, s, step):
+        cells = _onehot(_pool_labels(w[lo : lo + step], pool), ell)
+        moments[lo : lo + step] = (cells.reshape(-1, n) @ pool).reshape(-1, ell, dim) / n
+        masses[lo : lo + step] = cells.sum(axis=2) / n
     return moments, masses
 
 
-def _directions_distinct(w: np.ndarray) -> bool:
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
-    m = len(w)
-    for i in range(m):
-        for j in range(i + 1, m):
-            if np.max(np.abs(w[i] - w[j])) <= 1e-13 * scale:
-                return False
-    return True
+def _halfline_cells(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (moments, masses) for cone dimension 1: two half-lines."""
+    s, m, _ = w.shape
+    rows = np.arange(s)
+    pos = np.argmax(w[:, :, 0], axis=1)
+    neg = np.argmax(-w[:, :, 0], axis=1)
+    moments = np.zeros((s, m, 1))
+    masses = np.zeros((s, m))
+    moments[rows, pos, 0] += HALFLINE_MOMENT
+    moments[rows, neg, 0] -= HALFLINE_MOMENT
+    masses[rows, pos] += 0.5
+    masses[rows, neg] += 0.5
+    return moments, masses
+
+
+def _planar_cells(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (moments, masses) for cone dimension 2, from angular arcs.
+
+    Breakpoints can only occur where two scores tie, i.e. perpendicular to
+    some difference w_i - w_j; winners are decided at arc midpoints.  Arc
+    moments add, so arcs of one winner need no merging.
+    """
+    m = w.shape[1]
+    i, j = np.triu_indices(m, 1)
+    d = w[:, i] - w[:, j]
+    phi = np.arctan2(d[:, :, 1], d[:, :, 0])
+    half = math.pi / 2.0
+    starts = np.sort(
+        np.concatenate([(phi + half) % TWO_PI, (phi - half) % TWO_PI], axis=1), axis=1
+    )
+    ends = np.concatenate([starts[:, 1:], starts[:, :1] + TWO_PI], axis=1)
+    mid = (starts + ends) / 2.0
+    scores = w @ np.stack([np.cos(mid), np.sin(mid)], axis=1)
+    arcs = _onehot(np.argmax(scores, axis=1), m)
+    arc_moments = ARC_CONST * np.stack(
+        [np.sin(ends) - np.sin(starts), np.cos(starts) - np.cos(ends)], axis=2
+    )
+    masses = arcs @ ((ends - starts) / TWO_PI)[:, :, None]
+    return arcs @ arc_moments, masses[:, :, 0]
+
+
+def _cells(w: np.ndarray, pool: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    if pool is not None:
+        return _pool_cells(w, pool)
+    if w.shape[2] == 1:
+        return _halfline_cells(w)
+    if w.shape[2] == 2:
+        return _planar_cells(w)
+    raise DimensionMismatch("closed forms only exist for cone dimension <= 2")
+
+
+def _directions_distinct(w: np.ndarray) -> np.ndarray:
+    """(S,) True where no two directions of a set coincide to 1e-13 relative."""
+    scale = np.maximum(1.0, np.max(np.abs(w), axis=(1, 2)))
+    i, j = np.triu_indices(w.shape[1], 1)
+    gaps = np.max(np.abs(w[:, i] - w[:, j]), axis=2)
+    return np.all(gaps > 1e-13 * scale[:, None], axis=1)
+
+
+def _psi(b_sub: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(S,) values sum_ij b_ij <z_i, z_j> of S moment tuples."""
+    return np.sum(b_sub * (z @ z.transpose(0, 2, 1)), axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------
-# fixed-point iteration z -> moments(P(B z))
+# fixed-point iteration z -> moments(P(B z)), all seeds of a subset at once
 
 
 def _fixed_point(
@@ -333,55 +358,47 @@ def _fixed_point(
     fp_tol: float,
     max_iters: int,
     pool: np.ndarray | None = None,
-) -> tuple[np.ndarray, float, float, bool]:
-    """Iterate the self-consistency map, keeping the best live state.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Iterate the self-consistency map from S seeds z0 (S, l, l-1) together.
 
-    Returns (moments, psi, residual, alive).  The map is the
-    conditional-gradient step for the convex functional psi, so psi is
-    non-increasing only under sampling noise; a state is live while every
-    cell keeps Gaussian mass >= EMPTY_CELL_MASS.  alive=False means the
-    candidate degenerated to fewer cells (covered by a smaller subset).
+    Returns per-seed arrays (moments, psi, residual, alive).  The map is
+    the conditional-gradient step for the convex functional psi, so psi is
+    non-increasing only under sampling noise; each seed keeps its best live
+    state.  A seed stops when its directions coincide, a cell's Gaussian
+    mass falls below EMPTY_CELL_MASS, its residual falls below fp_tol, or
+    after max_iters steps.  alive=False means the seed never had a live
+    state (it degenerated to fewer cells, covered by a smaller subset); its
+    moments are then z0 and psi their value.
     """
-
-    def step(z):
-        w = b_sub @ z
-        if not _directions_distinct(w):
-            return None
-        if pool is None:
-            return _closed_form_cells(w)
-        return _pool_cells(w, pool)
-
-    def value(z):
-        return float(np.sum(b_sub * (z @ z.T)))
-
-    z = z0
-    best_z, best_psi = None, -np.inf
-    residual = np.inf
+    z = np.array(z0, dtype=float)
+    best_z = z.copy()
+    best_psi = np.full(len(z), -np.inf)
+    residual = np.full(len(z), np.inf)
+    live = np.arange(len(z))
     for _ in range(max_iters):
-        out = step(z)
-        if out is None:
+        if live.size == 0:
             break
-        z_new, masses = out
-        residual = float(np.max(np.linalg.norm(z_new - z, axis=1)))
-        z = z_new
-        if np.min(masses) < EMPTY_CELL_MASS:
-            break
-        psi = value(z)
-        if psi > best_psi:
-            best_psi, best_z = psi, z.copy()
-        if residual < fp_tol:
-            break
-    if best_z is None:
-        return z0, value(z0), residual, False
-    return best_z, best_psi, residual, True
+        w = b_sub @ z[live]
+        distinct = _directions_distinct(w)
+        live, w = live[distinct], w[distinct]
+        z_new, masses = _cells(w, pool)
+        residual[live] = np.max(np.linalg.norm(z_new - z[live], axis=2), axis=1)
+        z[live] = z_new
+        full = np.min(masses, axis=1) >= EMPTY_CELL_MASS
+        live, z_new = live[full], z_new[full]
+        psi = _psi(b_sub, z_new)
+        better = psi > best_psi[live]
+        best_psi[live[better]] = psi[better]
+        best_z[live[better]] = z_new[better]
+        live = live[~(residual[live] < fp_tol)]
+    alive = np.isfinite(best_psi)
+    best_psi[~alive] = _psi(b_sub, best_z[~alive])
+    return best_z, best_psi, residual, alive
 
 
 def _fp_residual(b_sub: np.ndarray, z: np.ndarray, pool: np.ndarray | None) -> float:
-    w = b_sub @ z
-    if not _directions_distinct(w):
-        return np.inf
-    cells = _closed_form_cells(w) if pool is None else _pool_cells(w, pool)
-    return float(np.max(np.linalg.norm(cells[0] - z, axis=1)))
+    """Largest per-cell displacement of one step of the map from moments z."""
+    return float(_fixed_point(b_sub, z[None], 0.0, 1, pool)[2][0])
 
 
 # pool seed offset shared by the quad search path and the residual check
@@ -453,68 +470,86 @@ def _canonical_label_order(b: np.ndarray) -> np.ndarray:
     return np.array([i for *_, i in sorted(keys)], dtype=int)
 
 
-def _angle_grid_candidates(b_sub: np.ndarray, grid: int, top: int) -> list[np.ndarray]:
+# slot pairs (s, t), s <= t, of the three cyclic cells in the angle grid
+_SLOT_PAIRS = tuple(itertools.combinations_with_replacement(range(3), 2))
+
+
+def _slot_geometry(apertures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bisector angles and moment lengths of three cyclic planar cells."""
+    a1, a2, a3 = apertures
+    beta = np.stack([a1 / 2.0, a1 + a2 / 2.0, a1 + a2 + a3 / 2.0])
+    mag = np.sin(apertures / 2.0)
+    mag *= HALFLINE_MOMENT
+    return beta, mag
+
+
+def _angle_grid(grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """Aperture grid of three cyclic planar cells and its psi terms.
+
+    Returns the apertures (a1, a2, 2pi - a1 - a2) of the valid grid points,
+    shape (3, V), and the terms mag_s mag_t cos(beta_s - beta_t) for the
+    slot pairs in _SLOT_PAIRS, shape (6, V).  The terms do not depend on B,
+    so one grid serves every triple and every assignment of labels to slots.
+    """
+    steps = np.linspace(0.0, TWO_PI, grid + 1)
+    a3 = TWO_PI - steps[:, None] - steps[None, :]
+    keep = a3 >= -1e-12
+    apertures = np.stack([
+        np.broadcast_to(steps[:, None], keep.shape)[keep],
+        np.broadcast_to(steps[None, :], keep.shape)[keep],
+        a3[keep],
+    ])
+    del a3, keep  # the square grid is no longer needed; keep the peak low
+    beta, mag = _slot_geometry(apertures)
+    terms = np.empty((len(_SLOT_PAIRS), apertures.shape[1]))
+    for row, (s, t) in enumerate(_SLOT_PAIRS):
+        np.multiply(mag[s] * mag[t], np.cos(beta[s] - beta[t]), out=terms[row])
+    return apertures, terms
+
+
+def _angle_grid_candidates(
+    b_sub: np.ndarray, grid: tuple[np.ndarray, np.ndarray], top: int
+) -> np.ndarray:
     """Best three-ray planar configurations on an aperture grid.
 
     Cells are parametrized by apertures (a1, a2, 2pi - a1 - a2) in cyclic
     order; all 6 assignments of the three labels to the slots are scanned.
-    Returns moment tuples for the ``top`` best configurations.
+    Returns moment tuples for the ``top`` best configurations, (top, 3, 2).
     """
-    steps = np.linspace(0.0, TWO_PI, grid + 1)
-    a1, a2 = np.meshgrid(steps, steps, indexing="ij")
-    a3 = TWO_PI - a1 - a2
-    valid = a3 >= -1e-12
-    beta = np.stack([a1 / 2.0, a1 + a2 / 2.0, a1 + a2 + a3 / 2.0])
-    mag = np.sin(np.stack([a1, a2, a3]) / 2.0) * HALFLINE_MOMENT
+    apertures, terms = grid
     scored: list[tuple[float, int, np.ndarray]] = []
     order = 0
     for perm in itertools.permutations(range(3)):
         # label perm[s] occupies slot s
-        psi = np.zeros_like(a1)
-        for s in range(3):
-            for t in range(3):
-                psi += (
-                    b_sub[perm[s], perm[t]]
-                    * mag[s]
-                    * mag[t]
-                    * np.cos(beta[s] - beta[t])
-                )
-        psi = np.where(valid, psi, -np.inf)
-        flat = np.argpartition(psi.ravel(), -top)[-top:]
-        for f in flat:
-            i, j = np.unravel_index(f, psi.shape)
-            if not np.isfinite(psi[i, j]):
-                continue
+        coeffs = np.array(
+            [b_sub[perm[s], perm[t]] * (1.0 if s == t else 2.0) for s, t in _SLOT_PAIRS]
+        )
+        psi = coeffs @ terms
+        flat = np.argpartition(psi, -top)[-top:]
+        beta, mag = _slot_geometry(apertures[:, flat])
+        slots = mag[:, :, None] * np.stack([np.cos(beta), np.sin(beta)], axis=2)
+        for col, f in enumerate(flat):
             z = np.zeros((3, 2))
-            for s in range(3):
-                z[perm[s]] = mag[s][i, j] * np.array(
-                    [math.cos(beta[s][i, j]), math.sin(beta[s][i, j])]
-                )
-            scored.append((float(psi[i, j]), order, z))
+            z[list(perm)] = slots[:, col]
+            scored.append((float(psi[f]), order, z))
             order += 1
     scored.sort(key=lambda t: (t[0], t[1]), reverse=True)
-    return [z for _, _, z in scored[:top]]
+    return np.array([z for _, _, z in scored[:top]])
 
 
-def _sobol_moment_seeds(
-    ell: int, count: int, scale: float, seed: int
-) -> list[np.ndarray]:
-    """Low-discrepancy seed tuples (z_1..z_ell) with sum z = 0."""
+def _sobol_moment_seeds(ell: int, count: int, scale: float, seed: int) -> np.ndarray:
+    """Low-discrepancy seed tuples (z_1..z_ell) with sum z = 0, (count, ell, ell-1)."""
     dim = (ell - 1) * (ell - 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         u = qmc.Sobol(d=dim, scramble=True, seed=seed).random(count)
-    seeds = []
-    for row in u:
-        free = (2.0 * row - 1.0).reshape(ell - 1, ell - 1) * scale
-        z = np.vstack([free, -free.sum(axis=0)])
-        seeds.append(z)
-    return seeds
+    free = (2.0 * u - 1.0).reshape(count, ell - 1, ell - 1) * scale
+    return np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1)
 
 
-def _structured_seeds(b_sub: np.ndarray) -> list[np.ndarray]:
+def _structured_seeds(b_sub: np.ndarray) -> np.ndarray:
     """Seeds from the Gram geometry: centered label vectors embedded in the
-    cone dimension, at a few moment-scale radii."""
+    cone dimension, at a few moment-scale radii; (0 or 3, ell, ell-1)."""
     ell = len(b_sub)
     ones = np.ones(ell) / ell
     centered = b_sub - np.outer(ones @ b_sub, np.ones(ell))
@@ -524,9 +559,15 @@ def _structured_seeds(b_sub: np.ndarray) -> list[np.ndarray]:
     coords = vecs[:, idx] * np.sqrt(np.clip(eigs[idx], 0.0, None))
     norm = float(np.max(np.linalg.norm(coords, axis=1)))
     if norm < 1e-12:
-        return []
+        return np.zeros((0, ell, ell - 1))
     base = coords / norm
-    return [base * s for s in (0.12, 0.25, 0.4)]
+    return np.array([base * s for s in (0.12, 0.25, 0.4)])
+
+
+def _ranked(psi: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """Indices of the alive seeds by psi, best first; ties keep seed order."""
+    idx = np.flatnonzero(alive)
+    return idx[np.argsort(-psi[idx], kind="stable")]
 
 
 @dataclass
@@ -547,10 +588,16 @@ def search_cb(
     Exhausts active subsets by size: pairs are closed-form, triples use the
     exact planar-angle parametrization plus net-seeded fixed-point
     refinement, and quadruples use Monte-Carlo moments with net and
-    geometry seeds.  For k <= 3 the returned psi is within cfg.epsilon of
-    C(B); for k >= 4 it is a lower bound with no optimality claim
-    (heuristic flag set).  Candidates reduce by (psi, index) lexicographic
-    max, so the result is deterministic for a fixed seed.
+    geometry seeds.  All seeds of a subset advance together through one
+    batched fixed-point iteration: the angle-grid, geometry and Sobol seeds
+    of a triple, then its best state alone for a long polish; for a
+    quadruple, all seeds on a 4096-point pool, the best 8 on a 32768-point
+    pool, and the best 2 measured once on the final cfg.mc_samples pool,
+    whose one classification gives the moments, the masses and mc_stderr.
+    For k <= 3 the returned psi is within cfg.epsilon of C(B); for k >= 4
+    it is a lower bound with no optimality claim (heuristic flag set).
+    Candidates reduce by (psi, index) lexicographic max, so the result is
+    deterministic for a fixed seed.
     """
     if not validate_psd(b):
         raise NotPSD("hypothesis matrix is not PSD")
@@ -604,76 +651,65 @@ def search_cb(
         )
 
     # l = 3: exact planar machinery
-    polish_iters = max(cfg.max_iters, 2000)
-    for triple in itertools.combinations(range(k), 3):
-        b_sub = bc[np.ix_(triple, triple)]
-        seeds = _angle_grid_candidates(b_sub, grid=angle_grid, top=6)
-        seeds += _structured_seeds(b_sub)
-        seeds += _sobol_moment_seeds(3, min(net_points, 128), 0.45, cfg.seed + 11)
-        local_best: _Candidate | None = None
-        for z0 in seeds:
-            z, psi, _, alive = _fixed_point(b_sub, z0, cfg.fp_tol, cfg.max_iters)
-            if not alive:
+    if k >= 3:
+        polish_iters = max(cfg.max_iters, 2000)
+        grid = _angle_grid(angle_grid)
+        sobol3 = _sobol_moment_seeds(3, min(net_points, 128), 0.45, cfg.seed + 11)
+        for triple in itertools.combinations(range(k), 3):
+            b_sub = bc[np.ix_(triple, triple)]
+            seeds = np.concatenate([
+                _angle_grid_candidates(b_sub, grid, top=6),
+                _structured_seeds(b_sub),
+                sobol3,
+            ])
+            z, psi, _, alive = _fixed_point(b_sub, seeds, cfg.fp_tol, cfg.max_iters)
+            if not alive.any():
                 continue
-            if local_best is None or psi > local_best.psi:
-                local_best = _Candidate(psi, 0, triple, z, np.inf, 0.0)
-        if local_best is not None:
+            best_seed = _ranked(psi, alive)[:1]
             z, psi, res, alive = _fixed_point(
-                b_sub, local_best.moments, cfg.fp_tol, polish_iters
+                b_sub, z[best_seed], cfg.fp_tol, polish_iters
             )
-            if alive:
-                candidates.append(
-                    _Candidate(psi, next(counter), triple, z, res, 0.0)
-                )
+            if alive[0]:
+                candidates.append(_Candidate(
+                    float(psi[0]), next(counter), triple, z[0], float(res[0]), 0.0
+                ))
+        del grid  # free the grid before the Monte-Carlo pools below
 
     # l >= 4: Monte-Carlo moments; net + geometry + random seeds
     if k >= 4:
         coarse = gaussian_pool(3, 4096, cfg.seed + 101)
         medium = gaussian_pool(3, 32768, cfg.seed + 102)
-        final_pool_n = max(cfg.mc_samples, 1000)
+        final_pool = gaussian_pool(
+            3, max(cfg.mc_samples, 1000), cfg.seed + _FINAL_POOL_OFFSET
+        )
+        free = np.random.default_rng(cfg.seed + 17).normal(scale=0.2, size=(24, 3, 3))
+        other_seeds = np.concatenate([
+            _sobol_moment_seeds(4, net_points, 0.4, cfg.seed + 13),
+            np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1),
+        ])
         for quad in itertools.combinations(range(k), 4):
             b_sub = bc[np.ix_(quad, quad)]
-            seeds = _structured_seeds(b_sub)
-            seeds += _sobol_moment_seeds(4, net_points, 0.4, cfg.seed + 13)
-            rng = np.random.default_rng(cfg.seed + 17)
-            for _ in range(24):
-                free = rng.normal(scale=0.2, size=(3, 3))
-                seeds.append(np.vstack([free, -free.sum(axis=0)]))
-            scored = []
-            for z0 in seeds:
-                z, psi, _, alive = _fixed_point(
-                    b_sub, z0, max(cfg.fp_tol, 2e-3), 25, pool=coarse
-                )
-                if alive:
-                    scored.append((psi, z))
-            scored.sort(key=lambda t: t[0], reverse=True)
-            refined = []
-            for psi, z in scored[:8]:
-                z, psi, _, alive = _fixed_point(
-                    b_sub, z, max(cfg.fp_tol, 5e-4), cfg.max_iters, pool=medium
-                )
-                if alive:
-                    refined.append((psi, z))
-            refined.sort(key=lambda t: t[0], reverse=True)
-            final_pool = gaussian_pool(3, final_pool_n, cfg.seed + _FINAL_POOL_OFFSET)
-            for psi, z in refined[:2]:
-                if not _directions_distinct(b_sub @ z):
+            seeds = np.concatenate([_structured_seeds(b_sub), other_seeds])
+            z, psi, _, alive = _fixed_point(
+                b_sub, seeds, max(cfg.fp_tol, 2e-3), 25, pool=coarse
+            )
+            z, psi, _, alive = _fixed_point(
+                b_sub, z[_ranked(psi, alive)[:8]], max(cfg.fp_tol, 5e-4),
+                cfg.max_iters, pool=medium,
+            )
+            for z_best in z[_ranked(psi, alive)[:2]]:
+                w = b_sub @ z_best
+                if not _directions_distinct(w[None])[0]:
                     continue
-                part = ConicalPartition(
-                    k=k, active=tuple(range(4)), directions=b_sub @ z
-                )
-                pv = partition_moments_mc(
-                    part, SymMatrix(b_sub), final_pool_n, cfg.seed + _FINAL_POOL_OFFSET
-                )
-                masses = _pool_cells(b_sub @ z, final_pool)[1]
+                # one classification of the final pool gives moments and masses
+                labels = _pool_labels(w[None], final_pool)[0]
+                moments, masses, stderr = _label_moments(final_pool, labels, 4)
                 if np.min(masses) < EMPTY_CELL_MASS:
                     continue
-                res = _fp_residual(b_sub, pv.moments, final_pool)
-                candidates.append(
-                    _Candidate(
-                        pv.psi, next(counter), quad, pv.moments, res, pv.mc_stderr
-                    )
-                )
+                candidates.append(_Candidate(
+                    float(_psi(b_sub, moments[None])[0]), next(counter), quad, moments,
+                    _fp_residual(b_sub, moments, final_pool), stderr,
+                ))
 
     best = max(candidates, key=lambda c: (c.psi, c.index))
 

@@ -8,6 +8,7 @@ Gram vectors by :func:`gram_factorize`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -50,6 +51,12 @@ class SymMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
+    @cached_property
+    def eig_bounds(self) -> tuple[float, float]:
+        """(smallest eigenvalue, spectral norm), from one eigendecomposition."""
+        eigs = np.linalg.eigvalsh(self.mat)
+        return float(eigs[0]), float(np.max(np.abs(eigs)))
+
     def entry_abs_sum(self) -> float:
         return float(np.sum(np.abs(self.mat)))
 
@@ -88,10 +95,12 @@ class GramFactor:
 
 
 def validate_psd(m: SymMatrix, tol: float = PSD_TOL) -> bool:
-    """True iff the smallest eigenvalue is >= -tol * max(1, spectral norm)."""
-    eigs = np.linalg.eigvalsh(m.mat)
-    spectral = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    return bool(eigs[0] >= -tol * max(1.0, spectral))
+    """True iff the smallest eigenvalue is >= -tol * max(1, spectral norm).
+
+    The eigenvalues are computed once per matrix (``SymMatrix.eig_bounds``).
+    """
+    smallest, spectral = m.eig_bounds
+    return smallest >= -tol * max(1.0, spectral)
 
 
 def validate_centered(m: SymMatrix, tol: float = CENTERED_TOL) -> bool:

@@ -125,6 +125,22 @@ class TestValidationErrors:
     def test_missing_matrix_exit_2(self, tmp_path):
         assert main(["cluster", write_json(tmp_path, {"B": [[1.0]]})]) == 2
 
+    @staticmethod
+    def exit_code(argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code
+
+    def test_nonpositive_trials_exit_2(self, tmp_path):
+        path = write_json(tmp_path, ANTIPODAL_DOC)
+        for value in ("0", "-1"):
+            assert self.exit_code(["cluster", path, "--trials", value]) == 2
+
+    def test_nonpositive_sdp_rank0_exit_2(self, tmp_path):
+        path = write_json(tmp_path, ANTIPODAL_DOC)
+        for value in ("0", "-1"):
+            assert self.exit_code(["cluster", path, "--sdp-rank0", value]) == 2
+
 
 class TestAnalyzeB:
     def test_bc1_ratio(self, tmp_path):

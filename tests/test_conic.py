@@ -21,6 +21,8 @@ from gramclust import (
     radius_squared,
     search_cb,
 )
+from gramclust import conic
+from gramclust.conic import classify_batch, clear_search_cache, gaussian_pool
 
 TWO_PI = 2.0 * math.pi
 
@@ -126,6 +128,110 @@ class TestPartitionMomentsMc:
             partition_moments_mc(
                 halfline_partition(), SymMatrix.from_array(np.eye(2)), 10, seed=0
             )
+
+
+    def test_matches_per_cell_loop(self):
+        w = np.array([[1.0, 0.2, -0.3], [-0.4, 0.9, 0.1], [0.0, -1.0, 0.5], [-0.6, 0.1, -0.8]])
+        part = ConicalPartition(k=5, active=(0, 1, 3, 4), directions=w)
+        b = SymMatrix.from_array(np.eye(5))
+        pv = partition_moments_mc(part, b, 20_000, seed=4)
+        # oracle: per-cell means and variances over the same pool
+        pool = gaussian_pool(3, 20_000, 4)
+        labels = classify_batch(pool, part)
+        stderr = 0.0
+        for row, lab in enumerate(part.active):
+            contrib = pool * (labels == lab)[:, None]
+            np.testing.assert_allclose(pv.moments[row], contrib.mean(axis=0), atol=1e-15)
+            stderr = max(stderr, math.sqrt(np.sum(contrib.var(axis=0) / len(pool))))
+        assert pv.mc_stderr == pytest.approx(stderr, rel=1e-9)
+
+
+def planar_reference(w):
+    """Scalar arcs: winners at arc midpoints, moments summed with
+    cone_moment_closed_2d over the winning arcs."""
+    m = len(w)
+    cuts = set()
+    for i in range(m):
+        for j in range(i + 1, m):
+            phi = math.atan2(w[i, 1] - w[j, 1], w[i, 0] - w[j, 0])
+            cuts.add((phi + math.pi / 2.0) % TWO_PI)
+            cuts.add((phi - math.pi / 2.0) % TWO_PI)
+    angles = sorted(cuts)
+    moments = np.zeros((m, 2))
+    masses = np.zeros(m)
+    for a, b in zip(angles, angles[1:] + [angles[0] + TWO_PI]):
+        mid = (a + b) / 2.0
+        u = np.array([math.cos(mid), math.sin(mid)])
+        row = int(np.argmax(w @ u))
+        moments[row] += cone_moment_closed_2d(b - a, u)
+        masses[row] += (b - a) / TWO_PI
+    return moments, masses
+
+
+def fixed_point_reference(b_sub, z0, fp_tol, max_iters, pool):
+    """One seed, one step at a time; returns (alive, best psi)."""
+    z, best_psi, alive = z0, -np.inf, False
+    ell = len(z0)
+    for _ in range(max_iters):
+        w = b_sub @ z
+        scale = max(1.0, float(np.max(np.abs(w))))
+        if any(
+            np.max(np.abs(w[i] - w[j])) <= 1e-13 * scale
+            for i in range(ell) for j in range(i + 1, ell)
+        ):
+            break
+        idx = np.argmax(pool @ w.T, axis=1)
+        z_new = np.array([pool[idx == r].sum(axis=0) / len(pool) for r in range(ell)])
+        masses = np.array([np.mean(idx == r) for r in range(ell)])
+        residual = float(np.max(np.linalg.norm(z_new - z, axis=1)))
+        z = z_new
+        if masses.min() < conic.EMPTY_CELL_MASS:
+            break
+        psi = float(np.sum(b_sub * (z @ z.T)))
+        if psi > best_psi:
+            best_psi, alive = psi, True
+        if residual < fp_tol:
+            break
+    return alive, best_psi
+
+
+class TestBatchedKernels:
+    def test_planar_cells_match_scalar_arcs(self):
+        rng = np.random.default_rng(12)
+        w = rng.standard_normal((40, 4, 2))
+        # a dominated direction (inside the hull of the others: zero mass)
+        w[0, 3] = w[0, :3].mean(axis=0)
+        # two nearly coincident directions, both hull vertices
+        w[1] = [[1.0, 0.0], [1.0, 1e-9], [-1.0, 1.0], [-1.0, -1.0]]
+        moments, masses = conic._planar_cells(w)
+        for s in range(len(w)):
+            ref_moments, ref_masses = planar_reference(w[s])
+            np.testing.assert_allclose(moments[s], ref_moments, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(masses[s], ref_masses, rtol=0, atol=1e-14)
+        assert masses[0, 3] == 0.0
+        assert masses[1, 0] > 0.0 and masses[1, 1] > 0.0
+        np.testing.assert_allclose(masses.sum(axis=1), 1.0, atol=1e-14)
+
+    @pytest.mark.parametrize("fp_tol", [2e-3, 0.0])
+    def test_pool_fixed_point_matches_single_seed_loop(self, fp_tol):
+        rng = np.random.default_rng(5)
+        f = rng.standard_normal((4, 4))
+        b_sub = f @ f.T
+        pool = gaussian_pool(3, 4096, 101)
+        free = rng.normal(scale=0.3, size=(30, 3, 3))
+        free[0] = 0.0  # coincident directions
+        seeds = np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1)
+        # directions whose fourth is the mean of the others: an empty cell
+        w = rng.standard_normal((2, 4, 3))
+        w[:, 3] = w[:, :3].mean(axis=1)
+        seeds[1:3] = np.linalg.solve(b_sub, w)
+        _, psi, _, alive = conic._fixed_point(b_sub, seeds, fp_tol, 25, pool=pool)
+        for s in range(len(seeds)):
+            ref_alive, ref_psi = fixed_point_reference(b_sub, seeds[s], fp_tol, 25, pool)
+            assert alive[s] == ref_alive
+            if ref_alive:
+                assert psi[s] == pytest.approx(ref_psi, rel=0, abs=1e-12)
+        assert not alive[:3].any() and alive[3:].all()
 
 
 class TestPsiValue:
@@ -242,12 +348,22 @@ class TestSearchCb:
         b = SymMatrix.from_array(f @ f.T)
         cfg = SearchConfig(seed=3)
         first = search_cb(b, cfg)
-        from gramclust.conic import clear_search_cache
-
         clear_search_cache()
         second = search_cb(b, cfg)
+        assert second is not first
         assert first[0] == second[0]
+        assert first[1].active == second[1].active
+        np.testing.assert_array_equal(first[1].directions, second[1].directions)
+        for name in ("psi", "mc_stderr", "heuristic"):
+            assert getattr(first[2], name) == getattr(second[2], name)
         np.testing.assert_array_equal(first[2].moments, second[2].moments)
+
+    def test_identity4_propeller(self):
+        # C(I_4) = C(I_3) = 9/(8 pi): the fourth cell does not help
+        # (Heilman, Jagannath & Naor, arXiv:1112.2993)
+        c_est, part, _ = search_cb(SymMatrix.from_array(np.eye(4)))
+        assert c_est == pytest.approx(9.0 / (8.0 * math.pi), rel=1e-9)
+        assert len(part.active) == 3
 
     def test_heuristic_flag(self):
         rng = np.random.default_rng(8)

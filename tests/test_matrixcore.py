@@ -34,6 +34,17 @@ class TestValidatePsd:
         assert validate_psd(m, 1e-9)  # -1e-4 >= -1e-9 * 1e6
         assert not validate_psd(m, 1e-12)
 
+    def test_eigenvalues_computed_once_per_matrix(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(
+            np.linalg, "eigvalsh", lambda mat: calls.append(1) or eigvalsh(mat)
+        )
+        m = sym(np.diag([1e6, -1e-4]))
+        assert validate_psd(m, 1e-9)
+        assert not validate_psd(m, 1e-12)  # a different tol still applies
+        assert len(calls) == 1
+
 
 class TestValidateCentered:
     def test_row_sums_zero(self):
