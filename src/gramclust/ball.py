@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .errors import Infeasible, NotPSD
 from .matrixcore import GramFactor, SymMatrix, gram_factorize, validate_psd
@@ -101,6 +100,57 @@ def _support_indices(vectors: np.ndarray, center: np.ndarray, radius: float) -> 
     return [i for i in range(len(vectors)) if abs(dists[i] - radius) <= tol]
 
 
+def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin ||a x - b|| over x >= 0, for a of full column rank.
+
+    The unconstrained minimizer is then unique, so when it is nonnegative
+    it is the answer; otherwise Lawson & Hanson's active-set loop (Solving
+    Least Squares Problems, 1974, ch. 23) finds it.
+    """
+    x = np.linalg.lstsq(a, b, rcond=None)[0]
+    if np.all(x >= 0.0):
+        return x
+    return _lawson_hanson(a, b)
+
+
+def _lawson_hanson(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Active-set NNLS: grow the passive set by the steepest-descent
+    coordinate while the gradient allows descent, stepping back to the
+    feasible boundary whenever a passive least-squares solve goes
+    nonpositive.  Iterations are capped at 3n, as in scipy.optimize.nnls.
+    """
+    n = a.shape[1]
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    rhs = np.column_stack([b, a])
+    for _ in range(3 * n):
+        # x solves the passive least squares, so minus the gradient of
+        # ||a x - b||^2 / 2 is a^T r with r the residual of b off the passive
+        # span; projecting the columns off that span too keeps the tiny
+        # gradients of nearly dependent columns above rounding noise
+        cols = a[:, passive]
+        perp = rhs - cols @ np.linalg.lstsq(cols, rhs, rcond=None)[0]
+        descent = perp[:, 1:].T @ perp[:, 0]
+        descent[passive] = 0.0
+        j = int(np.argmax(descent))
+        if descent[j] <= 0.0:
+            break
+        passive[j] = True
+        while True:
+            z = np.zeros(n)
+            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            blocked = passive & (z <= 0.0)
+            if not blocked.any():
+                break
+            # step from x toward z until the first passive entry reaches 0
+            ratios = x[blocked] / (x[blocked] - z[blocked])
+            x = x + float(np.min(ratios)) * (z - x)
+            x[np.flatnonzero(blocked)[np.argmin(ratios)]] = 0.0
+            passive &= x > 0.0
+        x = z
+    return x
+
+
 def _min_norm_simplex_weights(
     vectors: np.ndarray, center: np.ndarray, support: list[int], radius: float
 ) -> np.ndarray:
@@ -108,7 +158,8 @@ def _min_norm_simplex_weights(
 
     Solved as Tikhonov-regularized NNLS: the tiny ridge term selects the
     minimum-Euclidean-norm point of the (possibly non-unique) feasible set
-    without perturbing it beyond ~1e-12.
+    without perturbing it beyond ~1e-12, and makes the problem strictly
+    convex, so one least-squares solve usually settles it.
     """
     k = len(vectors)
     s = len(support)
@@ -117,7 +168,7 @@ def _min_norm_simplex_weights(
     ridge = 1e-6
     a = np.vstack([sub, np.ones((1, s)), ridge * np.eye(s)])
     b = np.concatenate([np.zeros(sub.shape[0]), [1.0], np.zeros(s)])
-    p_sub, _ = nnls(a, b)
+    p_sub = _nnls(a, b)
     p = np.zeros(k)
     p[support] = p_sub
     # feasibility check at 10x ball tolerance; failure means the ball

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import sys
@@ -52,34 +53,38 @@ def _ingest(raw, name: str) -> SymMatrix:
     return SymMatrix(arr)
 
 
-def _load_csv(path: str, name: str) -> np.ndarray:
+def _load_csv(path: str, name: str) -> tuple[np.ndarray, bytes]:
+    """The matrix in a CSV file, and the file's bytes."""
     try:
-        return np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        return np.loadtxt(io.BytesIO(raw), delimiter=",", dtype=float, ndmin=2), raw
     except (OSError, ValueError) as exc:
         raise ParseError(f"could not read {name} from {path}: {exc}") from None
 
 
 def _load_inputs(args, need_a: bool = True):
-    """A and B from a JSON document or a pair of CSV files."""
+    """A and B from a JSON document or a pair of CSV files, and the sha256
+    of the input bytes as read (the JSON file, or the CSV files in order)."""
     if args.input is not None:
         try:
-            with open(args.input) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+            with open(args.input, "rb") as fh:
+                raw = fh.read()
+            doc = json.loads(raw)
+        except (OSError, ValueError) as exc:
             raise ParseError(f"could not parse {args.input}: {exc}") from None
-        if "B" not in doc or (need_a and "A" not in doc):
+        if not isinstance(doc, dict) or "B" not in doc or (need_a and "A" not in doc):
             raise ParseError('input JSON must contain "A" and "B" matrices')
         a = _ingest(doc["A"], "A") if need_a and "A" in doc else None
         b = _ingest(doc["B"], "B")
-        raw = json.dumps(doc, sort_keys=True).encode()
     else:
         if args.b is None or (need_a and args.a is None):
             raise ParseError("provide a JSON input file or --a/--b CSV paths")
-        a = _ingest(_load_csv(args.a, "A"), "A") if need_a else None
-        b = _ingest(_load_csv(args.b, "B"), "B")
-        raw = b"".join(
-            open(p, "rb").read() for p in ([args.a, args.b] if need_a else [args.b])
-        )
+        a_mat, a_raw = _load_csv(args.a, "A") if need_a else (None, b"")
+        b_mat, b_raw = _load_csv(args.b, "B")
+        a = _ingest(a_mat, "A") if need_a else None
+        b = _ingest(b_mat, "B")
+        raw = a_raw + b_raw
     return a, b, hashlib.sha256(raw).hexdigest()
 
 
@@ -311,7 +316,7 @@ def _add_common(p: argparse.ArgumentParser, with_a: bool = True) -> None:
                    help="target accuracy for C(B) (default 1e-3 * R^2)")
     p.add_argument("--net-delta-override", type=float, default=None)
     p.add_argument("--fp-tol", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=200,
+    p.add_argument("--max-iters", type=_positive_int, default=200,
                    help="fixed-point iteration cap in the C(B) search")
     p.add_argument("--threads", type=int,
                    default=int(os.environ.get("GRAMCLUST_THREADS", "1")))

@@ -20,12 +20,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .ball import radius_squared
 from .errors import DegenerateB, DimensionMismatch, NotPSD
@@ -182,6 +180,103 @@ def psi_value(b: SymMatrix, moments, active: tuple[int, ...] | None = None) -> f
 # fixed-seed low-discrepancy Gaussian streams
 
 
+# Joe & Kuo (2008) primitive polynomials and initial direction numbers
+# m_1..m_s for Sobol dimensions 2..63; dimension 1 is van der Corput.
+_JOE_KUO = (
+    (3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)),
+    (19, (1, 1, 3, 3)), (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)),
+    (41, (1, 1, 5, 5, 5)), (47, (1, 1, 7, 11, 19)), (55, (1, 1, 5, 1, 1)),
+    (59, (1, 1, 1, 3, 11)), (61, (1, 3, 5, 5, 31)), (67, (1, 3, 3, 9, 7, 49)),
+    (91, (1, 1, 1, 15, 21, 21)), (97, (1, 3, 1, 13, 27, 49)),
+    (103, (1, 1, 1, 15, 7, 5)), (109, (1, 3, 1, 15, 13, 25)),
+    (115, (1, 1, 5, 5, 19, 61)), (131, (1, 3, 7, 11, 23, 15, 103)),
+    (137, (1, 3, 7, 13, 13, 15, 69)), (143, (1, 1, 3, 13, 7, 35, 63)),
+    (145, (1, 3, 5, 9, 1, 25, 53)), (157, (1, 3, 1, 13, 9, 35, 107)),
+    (167, (1, 3, 1, 5, 27, 61, 31)), (171, (1, 1, 5, 11, 19, 41, 61)),
+    (185, (1, 3, 5, 3, 3, 13, 69)), (191, (1, 1, 7, 13, 1, 19, 1)),
+    (193, (1, 3, 7, 5, 13, 19, 59)), (203, (1, 1, 3, 9, 25, 29, 41)),
+    (211, (1, 3, 5, 13, 23, 1, 55)), (213, (1, 3, 7, 3, 13, 59, 17)),
+    (229, (1, 3, 1, 3, 5, 53, 69)), (239, (1, 1, 5, 5, 23, 33, 13)),
+    (241, (1, 1, 7, 7, 1, 61, 123)), (247, (1, 1, 7, 9, 13, 61, 49)),
+    (253, (1, 3, 3, 5, 3, 55, 33)), (285, (1, 3, 1, 15, 31, 13, 49, 245)),
+    (299, (1, 3, 5, 15, 31, 59, 63, 97)),
+    (301, (1, 3, 1, 11, 11, 11, 77, 249)), (333, (1, 3, 1, 11, 27, 43, 71, 9)),
+    (351, (1, 1, 7, 15, 21, 11, 81, 45)), (355, (1, 3, 7, 3, 25, 31, 65, 79)),
+    (357, (1, 3, 1, 1, 19, 11, 3, 205)), (361, (1, 1, 5, 9, 19, 21, 29, 157)),
+    (369, (1, 3, 7, 11, 1, 33, 89, 185)), (391, (1, 3, 3, 3, 15, 9, 79, 71)),
+    (397, (1, 3, 7, 11, 15, 39, 119, 27)),
+    (425, (1, 1, 3, 1, 11, 31, 97, 225)), (451, (1, 1, 1, 3, 23, 43, 57, 177)),
+    (463, (1, 3, 7, 7, 17, 17, 37, 71)), (487, (1, 3, 1, 5, 27, 63, 123, 213)),
+    (501, (1, 1, 3, 5, 11, 43, 53, 133)),
+    (529, (1, 3, 5, 5, 29, 17, 47, 173, 479)),
+    (539, (1, 3, 3, 11, 3, 1, 109, 9, 69)),
+    (545, (1, 1, 1, 5, 17, 39, 23, 5, 343)),
+    (557, (1, 3, 1, 5, 25, 15, 31, 103, 499)),
+    (563, (1, 1, 1, 11, 11, 17, 63, 105, 183)),
+    (601, (1, 1, 5, 11, 9, 29, 97, 231, 363)),
+    (607, (1, 1, 5, 15, 19, 45, 41, 7, 383)),
+    (617, (1, 3, 7, 7, 31, 19, 83, 137, 221)),
+    (623, (1, 1, 1, 3, 23, 15, 111, 223, 83)),
+    (631, (1, 1, 5, 13, 31, 15, 55, 25, 161)),
+)
+SOBOL_MAX_DIM = len(_JOE_KUO) + 1
+_SOBOL_BITS = 30
+# bit weights, most significant first: _MSB[c] = 2^(29 - c)
+_MSB = np.int64(1) << np.arange(_SOBOL_BITS - 1, -1, -1)
+
+
+def _sobol_directions(dim: int) -> np.ndarray:
+    """Unscrambled direction numbers as 30-bit integers, (dim, 30)."""
+    v = np.ones((dim, _SOBOL_BITS), dtype=np.int64)
+    for d in range(1, dim):
+        poly, init = _JOE_KUO[d - 1]
+        deg = len(init)
+        row = list(init)
+        for j in range(deg, _SOBOL_BITS):
+            new = row[j - deg]
+            for t in range(1, deg + 1):
+                if (poly >> (deg - t)) & 1:
+                    new ^= row[j - t] << t
+            row.append(new)
+        v[d] = row
+    return v * _MSB
+
+
+def _sobol(dim: int, count: int, seed: int) -> np.ndarray:
+    """Scrambled Sobol points in [0, 1)^dim, shape (count, dim).
+
+    Equal bit for bit to scipy.stats.qmc.Sobol(dim, scramble=True,
+    seed=seed).random(count): one default_rng(seed) stream draws the
+    digital shift, then a random lower-triangular bit matrix per dimension
+    (unit diagonal) that scrambles the direction numbers (LMS + shift).
+    Point i is the shift XOR the scrambled direction numbers at the set
+    bits of its Gray code i ^ (i >> 1), so consecutive points differ by
+    the direction number at the lowest set bit of i.
+    """
+    if not 1 <= dim <= SOBOL_MAX_DIM:
+        raise ValueError(
+            f"Sobol dimension must lie in [1, {SOBOL_MAX_DIM}], got {dim}"
+        )
+    rng = np.random.default_rng(seed)
+    shift_bits = rng.integers(2, size=(dim, _SOBOL_BITS), dtype=np.uint32)
+    ltm = np.tril(
+        rng.integers(2, size=(dim, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32)
+    )
+    ltm[:, np.arange(_SOBOL_BITS), np.arange(_SOBOL_BITS)] = 1
+    shift = (shift_bits @ _MSB[::-1]).astype(np.uint32)
+    # over GF(2), scrambled bit p of v[d, j] = <row p of ltm[d], bits of v[d, j]>
+    v_bits = (_sobol_directions(dim)[:, :, None] & _MSB) != 0  # (dim, j, c)
+    parity = np.einsum("dpc,djc->djp", ltm, v_bits.astype(np.uint32)) & 1
+    sv = (parity @ _MSB).astype(np.uint32)  # (dim, 30)
+    points = np.empty((count, dim), dtype=np.uint32)
+    if count:
+        points[0] = shift
+        i = np.arange(1, count)
+        lowest = np.frexp((i & -i).astype(float))[1] - 1
+        points[1:] = shift ^ np.bitwise_xor.accumulate(sv[:, lowest].T, axis=0)
+    return points * 2.0 ** -_SOBOL_BITS
+
+
 _POOL_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
 
 
@@ -190,9 +285,7 @@ def gaussian_pool(dim: int, count: int, seed: int) -> np.ndarray:
     key = (dim, count, seed)
     pool = _POOL_CACHE.get(key)
     if pool is None:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # Sobol balance warning for non-2^m counts
-            u = qmc.Sobol(d=dim, scramble=True, seed=seed).random(count)
+        u = _sobol(dim, count, seed)
         pool = ndtri(np.clip(u, 1e-15, 1.0 - 1e-15))
         pool.flags.writeable = False
         _POOL_CACHE[key] = pool
@@ -540,9 +633,7 @@ def _angle_grid_candidates(
 def _sobol_moment_seeds(ell: int, count: int, scale: float, seed: int) -> np.ndarray:
     """Low-discrepancy seed tuples (z_1..z_ell) with sum z = 0, (count, ell, ell-1)."""
     dim = (ell - 1) * (ell - 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        u = qmc.Sobol(d=dim, scramble=True, seed=seed).random(count)
+    u = _sobol(dim, count, seed)
     free = (2.0 * u - 1.0).reshape(count, ell - 1, ell - 1) * scale
     return np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1)
 

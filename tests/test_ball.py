@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
+import gramclust.ball as ball_mod
 from gramclust import (
     GramFactor,
     SymMatrix,
@@ -141,6 +143,102 @@ class TestSupportWeights:
         pts = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
         ball = min_enclosing_ball(factor(pts))
         np.testing.assert_allclose(ball.weights, np.full(4, 0.25), atol=1e-5)
+
+
+def scipy_nnls(a, b):
+    return nnls(a, b)[0]
+
+
+def lawson_hanson_spy(monkeypatch):
+    """Count the calls that reach the active-set fallback."""
+    calls = []
+    inner = ball_mod._lawson_hanson
+
+    def spy(a, b):
+        calls.append(a.shape)
+        return inner(a, b)
+
+    monkeypatch.setattr(ball_mod, "_lawson_hanson", spy)
+    return calls
+
+
+def ball_systems(rng):
+    """Gram vectors of random B: generic, rank-deficient, with repeated
+    vectors, and on a sphere (every vector on the boundary, so the support
+    is affinely dependent)."""
+    for trial in range(240):
+        k = int(rng.integers(2, 10))
+        if trial % 2:
+            d = int(rng.integers(2, 4))
+            v = rng.standard_normal((k + d, d))
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+        else:
+            v = rng.standard_normal((k, int(rng.integers(1, k + 1))))
+        if trial % 3 == 0:
+            v = np.vstack([v, v[:2]])
+        yield v
+
+
+class TestNnls:
+    def test_matches_scipy_on_ball_systems(self, monkeypatch):
+        calls = lawson_hanson_spy(monkeypatch)
+        for v in ball_systems(np.random.default_rng(7)):
+            gf = gram_factorize(SymMatrix.from_array(v @ v.T))
+            ours = min_enclosing_ball(gf)
+            with monkeypatch.context() as m:
+                m.setattr(ball_mod, "_nnls", scipy_nnls)
+                ref = min_enclosing_ball(gf)
+            assert ours.radius == ref.radius
+            assert ours.support == ref.support
+            np.testing.assert_allclose(ours.weights, ref.weights, rtol=0, atol=1e-9)
+        assert len(calls) > 20  # the sphere systems exercise the fallback
+
+    def test_fallback_on_negative_least_squares_weights(self, monkeypatch):
+        # four unit vectors, all on the ball's boundary; 140 and -40 degrees
+        # are antipodal, so the minimum-norm weights put 1/2 on each of them,
+        # while the unconstrained minimizer goes negative elsewhere
+        angles = np.radians([0.0, 40.0, 140.0, -40.0])
+        v = np.column_stack([np.cos(angles), np.sin(angles)])
+        gf = gram_factorize(SymMatrix.from_array(v @ v.T))
+        calls = lawson_hanson_spy(monkeypatch)
+        ball = min_enclosing_ball(gf)
+        assert len(calls) == 1
+        assert ball.support == (0, 1, 2, 3)
+        np.testing.assert_allclose(ball.weights, [0.0, 0.0, 0.5, 0.5], atol=1e-9)
+        monkeypatch.setattr(ball_mod, "_nnls", scipy_nnls)
+        np.testing.assert_allclose(
+            ball.weights, min_enclosing_ball(gf).weights, rtol=0, atol=1e-9
+        )
+
+    def test_fallback_resolves_tiny_gradient(self, monkeypatch):
+        # eight unit vectors, all on the boundary: the last weight is about
+        # 5e-5 and its gradient about 1e-17, below the rounding noise of a
+        # plain a^T (b - a x); the projected gradient still sees it
+        v = np.array([
+            [-0.0797, 0.8913, -0.4464], [0.0572, -0.9965, -0.0602],
+            [0.1031, 0.7773, -0.6206], [-0.3999, -0.8424, -0.3611],
+            [0.6914, -0.5121, -0.5096], [0.0444, -0.6235, 0.7806],
+            [-0.6720, 0.7113, -0.2060], [-0.5692, -0.7598, -0.3142],
+        ])
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        gf = gram_factorize(SymMatrix.from_array(v @ v.T))
+        calls = lawson_hanson_spy(monkeypatch)
+        ours = min_enclosing_ball(gf)
+        assert len(calls) == 1
+        monkeypatch.setattr(ball_mod, "_nnls", scipy_nnls)
+        ref = min_enclosing_ball(gf)
+        assert ref.weights[7] > 1e-5
+        np.testing.assert_allclose(ours.weights, ref.weights, rtol=0, atol=1e-9)
+
+    def test_lawson_hanson_matches_scipy(self):
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            m, n = int(rng.integers(2, 10)), int(rng.integers(1, 8))
+            a = np.vstack([rng.standard_normal((m, n)), 1e-3 * np.eye(n)])
+            b = np.concatenate([rng.standard_normal(m), np.zeros(n)])
+            x = ball_mod._lawson_hanson(a, b)
+            assert np.all(x >= 0.0)
+            np.testing.assert_allclose(x, scipy_nnls(a, b), rtol=0, atol=1e-9)
 
 
 class TestRadiusSquared:

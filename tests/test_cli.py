@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -80,6 +81,15 @@ class TestCluster:
             parse(["cluster", "--a", str(a_path), "--b", str(b_path)])
         )
         assert report["rounding"]["best_value"] == pytest.approx(2.0)
+        digest = hashlib.sha256(a_path.read_bytes() + b_path.read_bytes()).hexdigest()
+        assert report["inputs"]["sha256"] == digest
+
+    def test_sha256_covers_raw_json_bytes(self, tmp_path):
+        path = tmp_path / "spaced.json"
+        path.write_text(json.dumps(ANTIPODAL_DOC, indent=3) + "\n")
+        report = run_cluster(parse(["cluster", str(path), "--trials", "4"]))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert report["inputs"]["sha256"] == digest
 
     def test_hardness_block_optional(self, tmp_path):
         path = write_json(tmp_path, ANTIPODAL_DOC)
@@ -125,6 +135,10 @@ class TestValidationErrors:
     def test_missing_matrix_exit_2(self, tmp_path):
         assert main(["cluster", write_json(tmp_path, {"B": [[1.0]]})]) == 2
 
+    def test_non_object_json_exit_2(self, tmp_path):
+        for doc in (3, [[1.0]]):
+            assert main(["analyze-b", write_json(tmp_path, doc)]) == 2
+
     @staticmethod
     def exit_code(argv):
         with pytest.raises(SystemExit) as exc:
@@ -140,6 +154,14 @@ class TestValidationErrors:
         path = write_json(tmp_path, ANTIPODAL_DOC)
         for value in ("0", "-1"):
             assert self.exit_code(["cluster", path, "--sdp-rank0", value]) == 2
+
+    def test_nonpositive_max_iters_exit_2(self, tmp_path):
+        # 0 fixed-point steps would leave no 3-cell candidate and report a
+        # wrong exact C(B)
+        path = write_json(tmp_path, ANTIPODAL_DOC)
+        for value in ("0", "-1"):
+            assert self.exit_code(["cluster", path, "--max-iters", value]) == 2
+            assert self.exit_code(["analyze-b", path, "--max-iters", value]) == 2
 
 
 class TestAnalyzeB:
@@ -174,6 +196,20 @@ class TestOracleCommand:
         }
         report = run_oracle(parse(["oracle", write_json(tmp_path, doc), "--grid", "240"]))
         assert report["c3_grid"] == pytest.approx(9.0 / (8.0 * math.pi), abs=1e-3)
+
+
+class TestImports:
+    def test_cli_import_skips_scipy_stats_and_optimize(self):
+        code = (
+            "import sys, gramclust.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'optimize'])))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSelftest:

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.stats import qmc
 
 from gramclust import (
     ConicalPartition,
@@ -232,6 +234,51 @@ class TestBatchedKernels:
             if ref_alive:
                 assert psi[s] == pytest.approx(ref_psi, rel=0, abs=1e-12)
         assert not alive[:3].any() and alive[3:].all()
+
+
+def scipy_sobol(dim, count, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # balance warning for non-2^m counts
+        return qmc.Sobol(d=dim, scramble=True, seed=seed).random(count)
+
+
+class TestSobol:
+    @pytest.mark.parametrize(
+        "dim, count, seed",
+        [
+            (3, 4096, 101),  # search_cb pools at seed 0
+            (3, 32768, 102),
+            (3, 200_000, 103),
+            (1, 200_000, 0),  # partition_moments_mc default pools
+            (2, 200_000, 0),
+            (3, 200_000, 0),
+            (4, 64, 11),  # triple seeds, min(net_points, 128)
+            (4, 128, 11),
+            (9, 512, 13),  # quadruple seeds, net_points <= 512
+        ],
+    )
+    def test_matches_scipy_on_search_streams(self, dim, count, seed):
+        ours = conic._sobol(dim, count, seed)
+        np.testing.assert_array_equal(ours, scipy_sobol(dim, count, seed))
+
+    def test_every_net_size_is_a_prefix(self):
+        # net_points ranges over 64..512; each count reads a prefix
+        for dim, seed, top in ((4, 11, 128), (9, 13, 512)):
+            ref = scipy_sobol(dim, top, seed)
+            for count in range(64, top + 1):
+                np.testing.assert_array_equal(conic._sobol(dim, count, seed), ref[:count])
+
+    @pytest.mark.parametrize("dim", [1, 10, 33, 63])
+    @pytest.mark.parametrize("count", [1, 2, 3, 1000])
+    def test_matches_scipy_across_dims(self, dim, count):
+        seed = 1000 * dim + count
+        ours = conic._sobol(dim, count, seed)
+        np.testing.assert_array_equal(ours, scipy_sobol(dim, count, seed))
+
+    @pytest.mark.parametrize("dim", [0, 64, 100])
+    def test_dimension_outside_table_rejected(self, dim):
+        with pytest.raises(ValueError, match="63"):
+            conic._sobol(dim, 8, 0)
 
 
 class TestPsiValue:
