@@ -4,15 +4,15 @@ Given a centered PSD data matrix A and a PSD hypothesis matrix B, the
 pipeline computes the geometric constants R(B)^2 and C(B), solves the
 sphere-constrained relaxation of the clustering objective, and rounds the
 relaxation to an explicit assignment whose certified value interval is
-[best rounded value, R(B)^2 * SDP value].
+[best rounded value, R(B)^2 * SDP value].  ``cluster`` runs the whole
+pipeline and ``analyze_b`` the part that reads B alone.
 """
 
-from .ball import EnclosingBall, min_enclosing_ball, radius_squared, support_weights
+from .ball import EnclosingBall, min_enclosing_ball, radius_squared
 from .conic import (
     ConicalPartition,
     PartitionValue,
     SearchConfig,
-    classify,
     cone_moment_closed_2d,
     formula_bc,
     partition_moments_mc,
@@ -48,7 +48,8 @@ from .matrixcore import (
     validate_centered,
     validate_psd,
 )
-from .oracle import brute_force_c3, brute_force_clust, verify_example_section6
+from .oracle import brute_force_c3, brute_force_clust
+from .pipeline import analyze_b, cluster
 from .rounding import (
     Clustering,
     clustering_value,
@@ -69,12 +70,10 @@ __all__ = [
     "random_centered_psd",
     "EnclosingBall",
     "min_enclosing_ball",
-    "support_weights",
     "radius_squared",
     "ConicalPartition",
     "PartitionValue",
     "SearchConfig",
-    "classify",
     "cone_moment_closed_2d",
     "partition_moments_mc",
     "psi_value",
@@ -92,7 +91,8 @@ __all__ = [
     "estimate_expectation",
     "brute_force_clust",
     "brute_force_c3",
-    "verify_example_section6",
+    "analyze_b",
+    "cluster",
     "LabelDistribution",
     "OrthonormalBasis",
     "build_mu",

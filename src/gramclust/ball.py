@@ -216,16 +216,6 @@ def min_enclosing_ball(gram: GramFactor) -> EnclosingBall:
     )
 
 
-def support_weights(ball: EnclosingBall, gram: GramFactor) -> np.ndarray:
-    """Recompute the boundary convex-combination weights for a solved ball.
-
-    Returns the minimum-norm solution when the support is affinely
-    dependent (the existence Fact does not give uniqueness).
-    """
-    support = _support_indices(gram.vectors, ball.center, ball.radius)
-    return _min_norm_simplex_weights(gram.vectors, ball.center, support, ball.radius)
-
-
 def radius_squared(b: SymMatrix, tol: float = 1e-9) -> float:
     """R(B)^2 straight from the hypothesis matrix."""
     if not validate_psd(b, tol):

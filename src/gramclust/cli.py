@@ -15,21 +15,17 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, pipeline
 from .acceptance import run_suite
-from .ball import min_enclosing_ball
-from .conic import SearchConfig, search_cb
-from .errors import DegenerateB, GramclustError, NotCentered, NotPSD, ParseError
-from .hardness import build_mu, dictatorship_objective
-from .matrixcore import SymMatrix, gram_factorize, validate_centered, validate_psd
+from .conic import SearchConfig
+from .errors import GramclustError, NotCentered, NotPSD, ParseError
+from .matrixcore import SymMatrix
 from .oracle import brute_force_c3, brute_force_clust
-from .rounding import estimate_expectation, round_best_of
-from .sdp import SdpConfig, ascend_from, solve_sdp
+from .sdp import SdpConfig
 
 ASYMMETRY_CUTOFF = 1e-9
 
@@ -140,129 +136,19 @@ def _base_report(args, digest: str, a: SymMatrix | None, b: SymMatrix) -> dict:
 
 def run_cluster(args) -> dict:
     a, b, digest = _load_inputs(args)
-    if not validate_psd(a):
-        raise NotPSD("A is not positive semidefinite (within 1e-9)")
-    if not validate_centered(a):
-        raise NotCentered("A is not centered: entries must sum to zero")
-    if not validate_psd(b):
-        raise NotPSD("B is not positive semidefinite (within 1e-9)")
-
     report = _base_report(args, digest, a, b)
-    gf = gram_factorize(b)
-    ball = min_enclosing_ball(gf)
-    r2 = ball.radius ** 2
-    report["ball"] = {
-        "r2": r2,
-        "center": ball.center.tolist(),
-        "support": list(ball.support),
-        "weights": ball.weights.tolist(),
-        # non-unique when the support is affinely dependent
-        "weights_rule": "minimum-norm",
-    }
-
-    try:
-        c_est, partition, value = search_cb(b, _search_config(args))
-    except DegenerateB:
-        # all Gram vectors coincide: every clustering of a centered matrix
-        # has value 0, so report the trivial certified answer
-        sigma = [0] * a.dim
-        report["degenerate"] = True
-        report["rounding"] = {"best_value": 0.0, "sigma": sigma, "trials": 0}
-        report["certified_interval"] = [0.0, 0.0]
-        return report
-
-    report["degenerate"] = False
-    report["cb"] = {
-        "c_estimate": c_est,
-        "active": list(partition.active),
-        "directions": partition.directions.tolist(),
-        "heuristic": value.heuristic,
-        "mc_stderr": value.mc_stderr,
-    }
-
-    sol = solve_sdp(a, _sdp_config(args), rng=args.seed, threads=args.threads)
-    best, trial_values = round_best_of(
-        a, b, sol.vectors, partition, trials=args.trials, seed=args.seed,
-        threads=args.threads,
-    )
-    # lower-bound chain: the Gram system of the rounded clustering is
-    # feasible, so ascending from it can only tighten the SDP value, to at
-    # least best / R^2 even when the restarts stopped early
-    if ball.radius > 0:
-        seed_vectors = (gf.vectors[best.sigma] - ball.center) / ball.radius
-        polished = ascend_from(a, seed_vectors, _sdp_config(args))
-        if polished.value > sol.value:
-            # both certificates bound the same SDP; keep the tighter one
-            sol = replace(polished, dual_upper=min(sol.dual_upper, polished.dual_upper))
-    mean, stderr = (
-        estimate_expectation(trial_values) if len(trial_values) > 1 else (best.value, 0.0)
-    )
-
-    report["sdp"] = {
-        "value": sol.value,
-        "rank": sol.rank,
-        "stationarity_residual": sol.stationarity_residual,
-        "iterations": sol.iterations,
-        "converged": sol.converged,
-        "dual_upper": sol.dual_upper,
-    }
-    report["rounding"] = {
-        "best_value": best.value,
-        "sigma": best.sigma.tolist(),
-        "trial_index": best.trial_index,
-        "trials": args.trials,
-        "trial_mean": mean,
-        "trial_stderr": stderr,
-    }
-    interval = [best.value, r2 * sol.dual_upper]
-    if interval[0] > interval[1] * (1.0 + 1e-6) + 1e-12:
-        raise GramclustError(
-            f"certified interval is empty: {interval}; SDP certificate failed"
-        )
-    report["certified_interval"] = interval
-    report["approx_ratio"] = r2 / c_est if c_est > 0 else None
-    if args.with_hardness:
-        report["hardness"] = _hardness_block(b, ball, args.mu_epsilon)
+    report.update(pipeline.cluster(
+        a, b, _search_config(args), _sdp_config(args), trials=args.trials,
+        seed=args.seed, threads=args.threads,
+        mu_epsilon=args.mu_epsilon if args.with_hardness else None,
+    ))
     return report
-
-
-def _hardness_block(b: SymMatrix, ball, epsilon: float) -> dict:
-    dist = build_mu(ball, epsilon)
-    return {
-        "epsilon": epsilon,
-        "beta": dist.beta,
-        "p": dist.p.tolist(),
-        "mu": dist.mu.tolist(),
-        "dictatorship_objective": dictatorship_objective(b, dist),
-    }
 
 
 def run_analyze_b(args) -> dict:
     _, b, digest = _load_inputs(args, need_a=False)
-    if not validate_psd(b):
-        raise NotPSD("B is not positive semidefinite (within 1e-9)")
     report = _base_report(args, digest, None, b)
-    gf = gram_factorize(b)
-    ball = min_enclosing_ball(gf)
-    r2 = ball.radius ** 2
-    report["r2"] = r2
-    try:
-        c_est, partition, value = search_cb(b, _search_config(args))
-    except DegenerateB:
-        report["degenerate"] = True
-        report["c_estimate"] = 0.0
-        report["ratio"] = None
-        return report
-    report["degenerate"] = False
-    report["c_estimate"] = c_est
-    report["ratio"] = r2 / c_est if c_est > 0 else None
-    report["partition"] = {
-        "active": list(partition.active),
-        "directions": partition.directions.tolist(),
-        "heuristic": value.heuristic,
-        "mc_stderr": value.mc_stderr,
-    }
-    report["hardness"] = _hardness_block(b, ball, args.mu_epsilon)
+    report.update(pipeline.analyze_b(b, _search_config(args), args.mu_epsilon))
     return report
 
 
@@ -298,31 +184,43 @@ def run_selftest(args) -> int:
     return 4 if failed else 0
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0.0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be above 0, got {value}")
     return value
 
 
-def _add_common(p: argparse.ArgumentParser, with_a: bool = True) -> None:
+def _add_inputs(p: argparse.ArgumentParser, with_a: bool = True) -> None:
     p.add_argument("input", nargs="?", help="JSON file with matrices A and B")
     if with_a:
         p.add_argument("--a", help="CSV file with matrix A")
     p.add_argument("--b", help="CSV file with matrix B")
     p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", help="write the JSON report here instead of stdout")
+
+
+def _add_b_options(p: argparse.ArgumentParser) -> None:
+    """Flags of the part that reads B alone: the C(B) search and the
+    hardness gadget."""
     p.add_argument("--mc-samples", type=int, default=200_000)
     p.add_argument("--epsilon", type=float, default=None,
                    help="target accuracy for C(B) (default 1e-3 * R^2)")
     p.add_argument("--net-delta-override", type=float, default=None)
     p.add_argument("--fp-tol", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=_positive_int, default=200,
+    p.add_argument("--max-iters", type=_int_at_least(1), default=200,
                    help="fixed-point iteration cap in the C(B) search")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("GRAMCLUST_THREADS", "1")))
-    p.add_argument("--out", help="write the JSON report here instead of stdout")
-    p.add_argument("--format", choices=["json"], default="json")
-    p.add_argument("--mu-epsilon", type=float, default=1e-4,
+    p.add_argument("--mu-epsilon", type=_positive_float, default=1e-4,
                    help="epsilon for the perturbed support distribution")
 
 
@@ -334,9 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     cluster = sub.add_parser("cluster", help="full pipeline on (A, B)")
-    _add_common(cluster)
-    cluster.add_argument("--trials", type=_positive_int, default=100)
-    cluster.add_argument("--sdp-rank0", type=_positive_int, default=None)
+    _add_inputs(cluster)
+    _add_b_options(cluster)
+    cluster.add_argument("--threads", type=int,
+                         default=int(os.environ.get("GRAMCLUST_THREADS", "1")))
+    cluster.add_argument("--trials", type=_int_at_least(1), default=100)
+    cluster.add_argument("--sdp-rank0", type=_int_at_least(1), default=None)
     cluster.add_argument("--sdp-grad-tol", type=float, default=None)
     cluster.add_argument("--sdp-max-iters", type=int, default=50_000)
     cluster.add_argument("--sdp-restarts", type=int, default=4)
@@ -345,12 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.set_defaults(fn=lambda a: (_emit(run_cluster(a), a), 0)[1])
 
     analyze = sub.add_parser("analyze-b", help="per-B constants and gadgets")
-    _add_common(analyze, with_a=False)
+    _add_inputs(analyze, with_a=False)
+    _add_b_options(analyze)
     analyze.set_defaults(fn=lambda a: (_emit(run_analyze_b(a), a), 0)[1])
 
     oracle = sub.add_parser("oracle", help="exact desk-scale ground truth")
-    _add_common(oracle)
-    oracle.add_argument("--grid", type=int, default=360)
+    _add_inputs(oracle)
+    oracle.add_argument("--grid", type=_int_at_least(180), default=360)
     oracle.add_argument("--max-states", type=int, default=50_000_000)
     oracle.set_defaults(fn=lambda a: (_emit(run_oracle(a), a), 0)[1])
 

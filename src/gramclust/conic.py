@@ -119,24 +119,12 @@ class PartitionValue:
     heuristic: bool = False
 
 
-def classify(x, partition: ConicalPartition) -> int:
-    """Active label whose direction maximizes <x_{1..l-1}, w_j>.
+def classify_batch(points: np.ndarray, partition: ConicalPartition) -> np.ndarray:
+    """Active label whose direction maximizes <x_{1..l-1}, w_j>, for each
+    row x of ``points``.
 
     Ties go to the smallest active label (a measure-zero event).
     """
-    if partition.ell == 1:
-        return partition.active[0]
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size < partition.cone_dim:
-        raise DimensionMismatch(
-            f"point has {x.size} coordinates, partition reads {partition.cone_dim}"
-        )
-    scores = partition.directions @ x[: partition.cone_dim]
-    return partition.active[int(np.argmax(scores))]
-
-
-def classify_batch(points: np.ndarray, partition: ConicalPartition) -> np.ndarray:
-    """Vectorized classify; rows of ``points`` are sample points."""
     if partition.ell == 1:
         return np.full(len(points), partition.active[0], dtype=int)
     scores = points[:, : partition.cone_dim] @ partition.directions.T

@@ -16,7 +16,7 @@ import numpy as np
 
 from .ball import EnclosingBall
 from .errors import DegenerateB, ZeroMass
-from .matrixcore import SymMatrix, gram_factorize
+from .matrixcore import SymMatrix
 
 BETA_CAP = 0.125  # the perturbation lemma's chain needs beta < 1/7
 
@@ -46,12 +46,13 @@ class OrthonormalBasis:
     table: np.ndarray = field(repr=False)
 
 
-def _spread(b: SymMatrix, weights: np.ndarray) -> float:
-    """weights-weighted spread sum_i w_i ||v_i - sum_j w_j v_j||^2.
+def _spread(b: np.ndarray, weights: np.ndarray) -> float:
+    """weights-weighted spread sum_i w_i ||v_i - sum_j w_j v_j||^2 of the
+    Gram vectors of b.
 
-    Equals sum_i w_i b_ii - w^T B w, so no factorization is needed.
+    Equals sum_i w_i b_ii - w^T b w, so no factorization is needed.
     """
-    return float(weights @ np.diag(b.mat) - weights @ b.mat @ weights)
+    return float(weights @ np.diag(b) - weights @ b @ weights)
 
 
 def build_mu(ball: EnclosingBall, epsilon: float) -> LabelDistribution:
@@ -69,8 +70,7 @@ def build_mu(ball: EnclosingBall, epsilon: float) -> LabelDistribution:
     k = ball.gram.k
     beta = min(BETA_CAP, epsilon / (7.0 * r2))
     mu = (1.0 - beta) * ball.weights + beta / k
-    b = SymMatrix(ball.gram.gram())
-    spread = _spread(b, mu)
+    spread = _spread(ball.gram.gram(), mu)
     assert spread >= r2 - epsilon - 1e-12 * max(1.0, r2), (
         f"perturbed spread {spread} fell below {r2} - {epsilon}"
     )
@@ -110,8 +110,4 @@ def dictatorship_objective(b: SymMatrix, dist: LabelDistribution) -> float:
     mu-mean; at beta = 0 this is exactly R(B)^2 because p is supported on
     the boundary.
     """
-    gf = gram_factorize(b)
-    mu = dist.mu
-    mean = mu @ gf.vectors
-    diffs = gf.vectors - mean
-    return float(mu @ np.einsum("ij,ij->i", diffs, diffs))
+    return _spread(b.mat, dist.mu)

@@ -71,24 +71,12 @@ class SymMatrix:
 class GramFactor:
     """Vectors v_0..v_{k-1} whose pairwise inner products reproduce B.
 
-    ``ambient_dim`` equals the numerical rank of B; callers that need
-    length-k vectors use :meth:`padded`.
+    ``ambient_dim`` equals the numerical rank of B.
     """
 
     k: int
     ambient_dim: int
     vectors: np.ndarray = field(repr=False)  # shape (k, ambient_dim)
-
-    def padded(self, target_dim: int | None = None) -> np.ndarray:
-        """Vectors zero-padded to ``target_dim`` (default k) coordinates."""
-        d = self.k if target_dim is None else target_dim
-        if d < self.ambient_dim:
-            raise DimensionMismatch(
-                f"cannot pad width-{self.ambient_dim} vectors down to {d}"
-            )
-        out = np.zeros((self.k, d))
-        out[:, : self.ambient_dim] = self.vectors
-        return out
 
     def gram(self) -> np.ndarray:
         return self.vectors @ self.vectors.T

@@ -14,8 +14,6 @@ import math
 
 import numpy as np
 
-from .ball import radius_squared
-from .conic import SearchConfig, formula_bc, search_cb
 from .errors import NotPSD, TooLarge
 from .matrixcore import SymMatrix, validate_psd
 from .rounding import clustering_value
@@ -149,41 +147,3 @@ def brute_force_c3(b: SymMatrix, grid: int = 360) -> float:
         if not improved:
             step /= 2.0
     return best_val
-
-
-def verify_example_section6(
-    c_list, cfg: SearchConfig = SearchConfig(), rel_tol: float = 0.01
-) -> dict:
-    """Compare pipeline R^2, C, and ratio against the diag(1,1,c) closed
-    forms for each c; pass iff every relative error is within rel_tol."""
-    rows = []
-    all_ok = True
-    for c in c_list:
-        if c <= 0:
-            raise ValueError("c must be positive")
-        b = SymMatrix.from_array(np.diag([1.0, 1.0, float(c)]))
-        r2_ref, c_ref, ratio_ref = formula_bc(float(c))
-        r2 = radius_squared(b)
-        c_est, _, _ = search_cb(b, cfg)
-        ratio = r2 / c_est
-        errs = (
-            abs(r2 - r2_ref) / r2_ref,
-            abs(c_est - c_ref) / c_ref,
-            abs(ratio - ratio_ref) / ratio_ref,
-        )
-        ok = max(errs) <= rel_tol
-        all_ok &= ok
-        rows.append(
-            {
-                "c": float(c),
-                "r2": r2,
-                "r2_expected": r2_ref,
-                "c_of_b": c_est,
-                "c_expected": c_ref,
-                "ratio": ratio,
-                "ratio_expected": ratio_ref,
-                "max_rel_err": max(errs),
-                "ok": ok,
-            }
-        )
-    return {"passed": bool(all_ok), "rows": rows}

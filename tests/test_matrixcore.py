@@ -81,12 +81,6 @@ class TestGramFactorize:
         with pytest.raises(NotPSD):
             gram_factorize(sym([[0, 1], [1, 0]]))
 
-    def test_padding(self):
-        gf = gram_factorize(sym([[1, 1], [1, 1]]))
-        padded = gf.padded()
-        assert padded.shape == (2, 2)
-        np.testing.assert_allclose(padded @ padded.T, [[1, 1], [1, 1]], atol=1e-12)
-
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 6), st.integers(1, 6), st.integers(0, 10_000))
     def test_roundtrip_random_psd(self, k, rank, seed):

@@ -12,9 +12,9 @@ from gramclust import (
     brute_force_clust,
     clustering_value,
     formula_bc,
+    radius_squared,
     random_centered_psd,
     search_cb,
-    verify_example_section6,
 )
 
 ANTIPODAL = SymMatrix.from_array([[1.0, -1.0], [-1.0, 1.0]])
@@ -134,12 +134,18 @@ class TestBruteForceC3:
 
 class TestVerifySection6:
     def test_reference_values(self):
-        report = verify_example_section6([0.25, 1.0, 2.0])
-        assert report["passed"]
-        ratios = {row["c"]: row["ratio_expected"] for row in report["rows"]}
-        assert ratios[1.0] == pytest.approx(16.0 * math.pi / 27.0)
-        assert ratios[2.0] == pytest.approx(72.0 * math.pi / 125.0)
-        assert ratios[0.25] == pytest.approx(math.pi * 1.25 ** 2 / 3.0)
+        # Pipeline R^2, C(B) and ratio on diag(1, 1, c) against the closed forms.
+        for c in (0.25, 1.0, 2.0):
+            b = SymMatrix.from_array(np.diag([1.0, 1.0, c]))
+            r2_ref, c_ref, ratio_ref = formula_bc(c)
+            r2 = radius_squared(b)
+            c_est, _, _ = search_cb(b)
+            assert r2 == pytest.approx(r2_ref, rel=0.01)
+            assert c_est == pytest.approx(c_ref, rel=0.01)
+            assert r2 / c_est == pytest.approx(ratio_ref, rel=0.01)
+        assert formula_bc(1.0)[2] == pytest.approx(16.0 * math.pi / 27.0)
+        assert formula_bc(2.0)[2] == pytest.approx(72.0 * math.pi / 125.0)
+        assert formula_bc(0.25)[2] == pytest.approx(math.pi * 1.25 ** 2 / 3.0)
 
     def test_formula_consistency(self):
         for c in (0.3, 0.5, 0.7, 4.0):
