@@ -88,7 +88,6 @@ def _search_config(args) -> SearchConfig:
     return SearchConfig(
         epsilon=args.epsilon,
         net_delta_override=args.net_delta_override,
-        mc_samples=args.mc_samples,
         fp_tol=args.fp_tol,
         max_iters=args.max_iters,
         seed=args.seed,
@@ -213,7 +212,6 @@ def _add_inputs(p: argparse.ArgumentParser, with_a: bool = True) -> None:
 def _add_b_options(p: argparse.ArgumentParser) -> None:
     """Flags of the part that reads B alone: the C(B) search and the
     hardness gadget."""
-    p.add_argument("--mc-samples", type=int, default=200_000)
     p.add_argument("--epsilon", type=float, default=None,
                    help="target accuracy for C(B) (default 1e-3 * R^2)")
     p.add_argument("--net-delta-override", type=float, default=None)

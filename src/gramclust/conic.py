@@ -10,8 +10,11 @@ moments in dimensions 0..2) and seeded-net/fixed-point based above that.
 The fixed-point map z -> moments(cells of B z) runs for all seeds of one
 active subset at once: the seeds form an (S, l, l-1) array, one array step
 advances every live seed, and each seed keeps its own stopping rules and
-best state as masks.  Cells come from closed-form arcs in the plane and
-from a fixed Gaussian pool (chunked over seeds) above it.
+best state as masks.  Cell moments are exact up to cone dimension 3: two
+half-lines, closed-form arcs in the plane, and spherical triangles in
+dimension 3 by the divergence identity.  A fixed Gaussian pool (chunked
+over seeds) serves only partition_moments_mc and residuals in dimension 4
+and up, which no search reaches.
 
 Labels are 0-based throughout.
 """
@@ -32,6 +35,7 @@ from .matrixcore import SymMatrix, validate_psd
 TWO_PI = 2.0 * math.pi
 HALFLINE_MOMENT = 1.0 / math.sqrt(TWO_PI)  # int_0^inf x dgamma_1
 ARC_CONST = 1.0 / (2.0 * math.sqrt(TWO_PI))
+SPHERE_CONST = TWO_PI ** -1.5
 EMPTY_CELL_MASS = 1e-6
 DEFAULT_MC_SAMPLES = 200_000
 
@@ -42,7 +46,6 @@ class SearchConfig:
 
     epsilon: float | None = None  # default 1e-3 * R(B)^2, resolved at run time
     net_delta_override: float | None = None
-    mc_samples: int = DEFAULT_MC_SAMPLES
     fp_tol: float = 1e-6
     max_iters: int = 200
     seed: int = 0
@@ -51,7 +54,6 @@ class SearchConfig:
         return (
             self.epsilon,
             self.net_delta_override,
-            self.mc_samples,
             self.fp_tol,
             self.max_iters,
             self.seed,
@@ -406,6 +408,54 @@ def _planar_cells(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return arcs @ arc_moments, masses[:, :, 0]
 
 
+# four directions in dimension 3: facet f of cell i lies on the plane where
+# w_i and w_{_OTHERS[i, f]} tie; (_G[f], _H[f]) are the cell's other facets
+_OTHERS = np.array([[j for j in range(4) if j != i] for i in range(4)])
+_G = np.array([1, 0, 0])
+_H = np.array([2, 2, 1])
+
+
+def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of coordinate-first arrays of 3-vectors."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _spherical_cells(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (moments, masses) for four directions in cone dimension 3.
+
+    Cell i is the cone {x : n_f . x >= 0} of the three inward unit normals
+    n_f = (w_i - w_j)/|w_i - w_j|, and its facet on the plane of n_f is a
+    sector of angle L_f = pi - (angle at n_f of the spherical triangle
+    n_f, n_g, n_h), whose tangent is |det n| / (G_gh - G_fg G_fh) for the
+    Gram matrix G of the normals.  The divergence identity
+    int_K x dgamma = sum_F gamma_2(F) n_F, with gamma_2 = L/(2pi) for a
+    sector, gives z_i = (2pi)^{-3/2} sum_f L_f n_f.  By Gauss-Bonnet the
+    cell's solid angle is 2pi minus the perimeter of that triangle.  Every
+    angle is an atan2, accurate near 0 and pi where arccos is not.  A cell
+    whose sectors all have angle 0 (a direction inside the hull of the
+    others) has mass exactly 0.
+    """
+    # coordinate-first (3, S, cell, facet): each dot product is three products
+    n = np.moveaxis(w[:, :, None, :] - w[:, _OTHERS, :], 3, 0)
+    n = n / np.sqrt(_dot3(n, n))
+    ng, nh = n[..., _G], n[..., _H]
+    cross = np.stack([  # normal to the two facets other than f
+        ng[1] * nh[2] - ng[2] * nh[1],
+        ng[2] * nh[0] - ng[0] * nh[2],
+        ng[0] * nh[1] - ng[1] * nh[0],
+    ])
+    det = np.abs(_dot3(n[..., 0], cross[..., 0]))
+    g_gh = _dot3(ng, nh)
+    turn = g_gh - _dot3(n, ng) * _dot3(n, nh)
+    sectors = np.maximum(0.0, math.pi - np.arctan2(det[..., None], turn))
+    moments = SPHERE_CONST * np.einsum("sif,csif->sic", sectors, n)
+    sides = np.arctan2(np.sqrt(_dot3(cross, cross)), g_gh)
+    perimeter = sides[..., 0] + sides[..., 1] + sides[..., 2]
+    masses = np.maximum(0.0, TWO_PI - perimeter) / (2.0 * TWO_PI)
+    masses[sectors[..., 0] + sectors[..., 1] + sectors[..., 2] == 0.0] = 0.0
+    return moments, masses
+
+
 def _cells(w: np.ndarray, pool: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     if pool is not None:
         return _pool_cells(w, pool)
@@ -413,7 +463,9 @@ def _cells(w: np.ndarray, pool: np.ndarray | None) -> tuple[np.ndarray, np.ndarr
         return _halfline_cells(w)
     if w.shape[2] == 2:
         return _planar_cells(w)
-    raise DimensionMismatch("closed forms only exist for cone dimension <= 2")
+    if w.shape[2] == 3:
+        return _spherical_cells(w)
+    raise DimensionMismatch("closed forms only exist for cone dimension <= 3")
 
 
 def _directions_distinct(w: np.ndarray) -> np.ndarray:
@@ -443,11 +495,11 @@ def _fixed_point(
     """Iterate the self-consistency map from S seeds z0 (S, l, l-1) together.
 
     Returns per-seed arrays (moments, psi, residual, alive).  The map is
-    the conditional-gradient step for the convex functional psi, so psi is
-    non-increasing only under sampling noise; each seed keeps its best live
-    state.  A seed stops when its directions coincide, a cell's Gaussian
-    mass falls below EMPTY_CELL_MASS, its residual falls below fp_tol, or
-    after max_iters steps.  alive=False means the seed never had a live
+    the conditional-gradient step for the convex functional psi, so with
+    exact moments psi never decreases (pool noise can lower it); each seed
+    keeps its best live state.  A seed stops when its directions coincide,
+    a cell's Gaussian mass falls below EMPTY_CELL_MASS, its residual falls
+    below fp_tol, or after max_iters steps.  alive=False means the seed never had a live
     state (it degenerated to fewer cells, covered by a smaller subset); its
     moments are then z0 and psi their value.
     """
@@ -477,15 +529,6 @@ def _fixed_point(
     return best_z, best_psi, residual, alive
 
 
-def _fp_residual(b_sub: np.ndarray, z: np.ndarray, pool: np.ndarray | None) -> float:
-    """Largest per-cell displacement of one step of the map from moments z."""
-    return float(_fixed_point(b_sub, z[None], 0.0, 1, pool)[2][0])
-
-
-# pool seed offset shared by the quad search path and the residual check
-_FINAL_POOL_OFFSET = 103
-
-
 def fixed_point_residual(
     b: SymMatrix,
     partition: ConicalPartition,
@@ -495,20 +538,18 @@ def fixed_point_residual(
     """Self-consistency residual of a reported optimum.
 
     Recomputes the directions from the reported moments, measures the cell
-    moments of the induced partition (closed form up to the planar case,
-    the search's final Monte-Carlo pool above), and returns the largest
-    per-cell displacement.  At a true optimum this vanishes.
+    moments of the induced partition (exactly up to cone dimension 3, on a
+    DEFAULT_MC_SAMPLES Gaussian pool seeded by cfg.seed above it), and
+    returns the largest per-cell displacement.  At a true optimum this
+    vanishes.
     """
     if partition.ell <= 1:
         return 0.0
     sub = b.mat[np.ix_(partition.active, partition.active)]
-    if partition.cone_dim <= 2:
-        pool = None
-    else:
-        pool = gaussian_pool(
-            partition.cone_dim, cfg.mc_samples, cfg.seed + _FINAL_POOL_OFFSET
-        )
-    return _fp_residual(sub, value.moments, pool)
+    pool = None
+    if partition.cone_dim > 3:
+        pool = gaussian_pool(partition.cone_dim, DEFAULT_MC_SAMPLES, cfg.seed)
+    return float(_fixed_point(sub, value.moments[None], 0.0, 1, pool)[2][0])
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +646,10 @@ def _angle_grid_candidates(
         coeffs = np.array(
             [b_sub[perm[s], perm[t]] * (1.0 if s == t else 2.0) for s, t in _SLOT_PAIRS]
         )
-        psi = coeffs @ terms
+        # einsum rather than `coeffs @ terms`: OpenBLAS runs that thin gemv
+        # on all its threads, several times slower on 2 cores and at the
+        # mercy of how they are scheduled
+        psi = np.einsum("r,rv->v", coeffs, terms)
         flat = np.argpartition(psi, -top)[-top:]
         beta, mag = _slot_geometry(apertures[:, flat])
         slots = mag[:, :, None] * np.stack([np.cos(beta), np.sin(beta)], axis=2)
@@ -655,8 +699,6 @@ class _Candidate:
     index: int
     active: tuple[int, ...]
     moments: np.ndarray
-    residual: float
-    mc_stderr: float
 
 
 def search_cb(
@@ -664,32 +706,31 @@ def search_cb(
 ) -> tuple[float, ConicalPartition, PartitionValue]:
     """Estimate C(B) and the partition attaining it.
 
-    Exhausts active subsets by size: pairs are closed-form, triples use the
-    exact planar-angle parametrization plus net-seeded fixed-point
-    refinement, and quadruples use Monte-Carlo moments with net and
-    geometry seeds.  All seeds of a subset advance together through one
-    batched fixed-point iteration: the angle-grid, geometry and Sobol seeds
-    of a triple, then its best state alone for a long polish; for a
-    quadruple, all seeds on a 4096-point pool, the best 8 on a 32768-point
-    pool, and the best 2 measured once on the final cfg.mc_samples pool,
-    whose one classification gives the moments, the masses and mc_stderr.
+    Exhausts active subsets by size: pairs are closed-form, and triples and
+    quadruples run one batched fixed-point iteration over all their seeds,
+    then a long polish of the best state alone, on exact cell moments
+    (planar arcs for triples, spherical triangles for quadruples).  Triples
+    are seeded by an exact planar-angle grid, the Gram geometry and a Sobol
+    net; quadruples by the Gram geometry, a Sobol net and 24 random tuples.
+    Subsets of five or more cells are not searched.
     For k <= 3 the returned psi is within cfg.epsilon of C(B); for k >= 4
-    it is a lower bound with no optimality claim (heuristic flag set).
+    it is the value of a local optimum, a lower bound with no optimality
+    claim (heuristic flag set), and mc_stderr is 0 for every k.
     Candidates reduce by (psi, index) lexicographic max, so the result is
     deterministic for a fixed seed.
     """
     if not validate_psd(b):
         raise NotPSD("hypothesis matrix is not PSD")
     k = b.dim
-    if k < 2:
-        raise ValueError("search_cb requires k >= 2")
     r2 = radius_squared(b)
-    epsilon = cfg.epsilon if cfg.epsilon is not None else 1e-3 * max(r2, 1e-12)
     if r2 < 1e-12:
         raise DegenerateB(
             "all Gram vectors coincide; every clustering of a centered matrix "
             "has value 0"
         )
+    if k < 2:
+        raise ValueError("search_cb requires k >= 2")
+    epsilon = cfg.epsilon if cfg.epsilon is not None else 1e-3 * r2
 
     cache_key = (b.mat.round(12).tobytes(), k, cfg.fingerprint())
     cached = _SEARCH_CACHE.get(cache_key)
@@ -715,9 +756,7 @@ def search_cb(
     counter = itertools.count()
 
     # l = 1: the whole space, psi = 0.  Baseline for degenerate instances.
-    candidates.append(
-        _Candidate(0.0, next(counter), (0,), np.zeros((1, 0)), 0.0, 0.0)
-    )
+    candidates.append(_Candidate(0.0, next(counter), (0,), np.zeros((1, 0))))
 
     # l = 2: two half-lines; max over measurable 2-cell partitions is exact.
     for i, j in itertools.combinations(range(k), 2):
@@ -725,70 +764,41 @@ def search_cb(
         if gap <= 1e-14:
             continue
         z = np.array([[HALFLINE_MOMENT], [-HALFLINE_MOMENT]])
-        candidates.append(
-            _Candidate(gap / TWO_PI, next(counter), (i, j), z, 0.0, 0.0)
-        )
+        candidates.append(_Candidate(gap / TWO_PI, next(counter), (i, j), z))
 
-    # l = 3: exact planar machinery
+    # l = 3, 4: batched fixed point on exact moments, then a polish
+    polish_iters = max(cfg.max_iters, 2000)
+    shared_seeds = {}  # seeds every subset of a size starts from
     if k >= 3:
-        polish_iters = max(cfg.max_iters, 2000)
         grid = _angle_grid(angle_grid)
-        sobol3 = _sobol_moment_seeds(3, min(net_points, 128), 0.45, cfg.seed + 11)
-        for triple in itertools.combinations(range(k), 3):
-            b_sub = bc[np.ix_(triple, triple)]
-            seeds = np.concatenate([
-                _angle_grid_candidates(b_sub, grid, top=6),
-                _structured_seeds(b_sub),
-                sobol3,
-            ])
-            z, psi, _, alive = _fixed_point(b_sub, seeds, cfg.fp_tol, cfg.max_iters)
-            if not alive.any():
-                continue
-            best_seed = _ranked(psi, alive)[:1]
-            z, psi, res, alive = _fixed_point(
-                b_sub, z[best_seed], cfg.fp_tol, polish_iters
-            )
-            if alive[0]:
-                candidates.append(_Candidate(
-                    float(psi[0]), next(counter), triple, z[0], float(res[0]), 0.0
-                ))
-        del grid  # free the grid before the Monte-Carlo pools below
-
-    # l >= 4: Monte-Carlo moments; net + geometry + random seeds
-    if k >= 4:
-        coarse = gaussian_pool(3, 4096, cfg.seed + 101)
-        medium = gaussian_pool(3, 32768, cfg.seed + 102)
-        final_pool = gaussian_pool(
-            3, max(cfg.mc_samples, 1000), cfg.seed + _FINAL_POOL_OFFSET
+        shared_seeds[3] = _sobol_moment_seeds(
+            3, min(net_points, 128), 0.45, cfg.seed + 11
         )
+    if k >= 4:
         free = np.random.default_rng(cfg.seed + 17).normal(scale=0.2, size=(24, 3, 3))
-        other_seeds = np.concatenate([
+        shared_seeds[4] = np.concatenate([
             _sobol_moment_seeds(4, net_points, 0.4, cfg.seed + 13),
             np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1),
         ])
-        for quad in itertools.combinations(range(k), 4):
-            b_sub = bc[np.ix_(quad, quad)]
-            seeds = np.concatenate([_structured_seeds(b_sub), other_seeds])
+    for ell, shared in shared_seeds.items():
+        for subset in itertools.combinations(range(k), ell):
+            b_sub = bc[np.ix_(subset, subset)]
+            seeds = [_structured_seeds(b_sub), shared]
+            if ell == 3:
+                seeds.insert(0, _angle_grid_candidates(b_sub, grid, top=6))
             z, psi, _, alive = _fixed_point(
-                b_sub, seeds, max(cfg.fp_tol, 2e-3), 25, pool=coarse
+                b_sub, np.concatenate(seeds), cfg.fp_tol, cfg.max_iters
             )
+            if not alive.any():
+                continue
+            best_seed = _ranked(psi, alive)[:1]
             z, psi, _, alive = _fixed_point(
-                b_sub, z[_ranked(psi, alive)[:8]], max(cfg.fp_tol, 5e-4),
-                cfg.max_iters, pool=medium,
+                b_sub, z[best_seed], cfg.fp_tol, polish_iters
             )
-            for z_best in z[_ranked(psi, alive)[:2]]:
-                w = b_sub @ z_best
-                if not _directions_distinct(w[None])[0]:
-                    continue
-                # one classification of the final pool gives moments and masses
-                labels = _pool_labels(w[None], final_pool)[0]
-                moments, masses, stderr = _label_moments(final_pool, labels, 4)
-                if np.min(masses) < EMPTY_CELL_MASS:
-                    continue
-                candidates.append(_Candidate(
-                    float(_psi(b_sub, moments[None])[0]), next(counter), quad, moments,
-                    _fp_residual(b_sub, moments, final_pool), stderr,
-                ))
+            if alive[0]:
+                candidates.append(
+                    _Candidate(float(psi[0]), next(counter), subset, z[0])
+                )
 
     best = max(candidates, key=lambda c: (c.psi, c.index))
 
@@ -806,7 +816,6 @@ def search_cb(
     value = PartitionValue(
         moments=moments,
         psi=best.psi,
-        mc_stderr=best.mc_stderr,
         heuristic=k >= 4,
     )
     result = (best.psi, partition, value)

@@ -99,6 +99,19 @@ class TestCluster:
         with_block = run_cluster(parse(["cluster", path, "--with-hardness"]))
         assert with_block["hardness"]["dictatorship_objective"] == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("command", ["cluster", "analyze-b"])
+    def test_one_by_one_b_is_degenerate(self, tmp_path, command):
+        # one Gram vector: R(B) = 0, every clustering of a centered A has value 0
+        doc = {"A": [[1.0, -1.0], [-1.0, 1.0]], "B": [[1.0]]}
+        out = tmp_path / "report.json"
+        assert main([command, write_json(tmp_path, doc), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["degenerate"] is True
+        assert report["ball"]["r2"] == 0.0
+        assert "cb" not in report
+        if command == "cluster":
+            assert report["certified_interval"] == [0.0, 0.0]
+
     def test_library_entry_point_matches_cli(self, tmp_path):
         a = random_centered_psd(6, np.random.default_rng(2))
         b = SymMatrix.from_array(np.diag([1.0, 1.0, 2.0]))

@@ -169,7 +169,22 @@ def planar_reference(w):
     return moments, masses
 
 
-def fixed_point_reference(b_sub, z0, fp_tol, max_iters, pool):
+def pool_cells_one(pool):
+    """Per-seed Monte-Carlo cells of one direction set, by argmax."""
+    def cells(w):
+        idx = np.argmax(pool @ w.T, axis=1)
+        ell = len(w)
+        z = np.array([pool[idx == r].sum(axis=0) / len(pool) for r in range(ell)])
+        return z, np.array([np.mean(idx == r) for r in range(ell)])
+    return cells
+
+
+def spherical_cells_one(w):
+    moments, masses = conic._spherical_cells(w[None])
+    return moments[0], masses[0]
+
+
+def fixed_point_reference(b_sub, z0, fp_tol, max_iters, cells):
     """One seed, one step at a time; returns (alive, best psi)."""
     z, best_psi, alive = z0, -np.inf, False
     ell = len(z0)
@@ -181,9 +196,7 @@ def fixed_point_reference(b_sub, z0, fp_tol, max_iters, pool):
             for i in range(ell) for j in range(i + 1, ell)
         ):
             break
-        idx = np.argmax(pool @ w.T, axis=1)
-        z_new = np.array([pool[idx == r].sum(axis=0) / len(pool) for r in range(ell)])
-        masses = np.array([np.mean(idx == r) for r in range(ell)])
+        z_new, masses = cells(w)
         residual = float(np.max(np.linalg.norm(z_new - z, axis=1)))
         z = z_new
         if masses.min() < conic.EMPTY_CELL_MASS:
@@ -194,6 +207,51 @@ def fixed_point_reference(b_sub, z0, fp_tol, max_iters, pool):
         if residual < fp_tol:
             break
     return alive, best_psi
+
+
+def coplanar_quadruples():
+    """Direction sets w = B z from the rank-3 B = F F^T whose Gram vectors
+    f_i lie on the plane x_3 = 1, with f_3 inside the triangle of the
+    others, so w_3 lies inside the triangle of w_0..w_2.  Integer B and
+    dyadic z keep every entry exact, and z[:, 2] spans the null space of
+    F^T, so w[:, 2] == 0 exactly."""
+    f = np.array([[0.0, 0.0, 1.0], [4.0, 0.0, 1.0], [0.0, 4.0, 1.0], [1.0, 1.0, 1.0]])
+    b = f @ f.T
+    rng = np.random.default_rng(21)
+    sets = []
+    for t in range(6):
+        z = np.zeros((4, 3))
+        z[:3, :2] = rng.integers(-8, 9, size=(3, 2)) / 8.0
+        z[3, :2] = -z[:3, :2].sum(axis=0)
+        z[:, 2] = (t - 2.5) / 8.0 * np.array([2.0, 1.0, 1.0, -4.0])
+        sets.append(b @ z)
+    return np.array(sets)
+
+
+class TestSphericalCells:
+    def test_match_large_pool(self):
+        rng = np.random.default_rng(7)
+        cop = coplanar_quadruples()
+        assert np.all(cop[:, :, 2] == 0.0)
+        np.testing.assert_array_equal(
+            cop[:, 3], 0.5 * cop[:, 0] + 0.25 * cop[:, 1] + 0.25 * cop[:, 2]
+        )
+        w = np.concatenate([rng.standard_normal((12, 4, 3)), cop])
+        moments, masses = conic._spherical_cells(w)
+        # oracle: a 2M-point scrambled Sobol Gaussian pool (standard error
+        # of each moment coordinate below 1/sqrt(2e6) = 7e-4, far less for QMC)
+        pool = gaussian_pool(3, 2_000_000, 5)
+        conic._POOL_CACHE.pop((3, 2_000_000, 5))
+        ref_moments, ref_masses = conic._pool_cells(w, pool)
+        np.testing.assert_allclose(moments, ref_moments, rtol=0, atol=3e-4)
+        np.testing.assert_allclose(masses, ref_masses, rtol=0, atol=3e-4)
+        np.testing.assert_allclose(masses.sum(axis=1), 1.0, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(moments.sum(axis=1), 0.0, rtol=0, atol=1e-14)
+        # the interior direction's cell is a ray: no mass, no moment
+        assert np.all(masses[12:, 3] == 0.0)
+        assert np.all(moments[12:, 3] == 0.0)
+        # the other coplanar cells are wedges: no moment along the normal
+        assert np.all(moments[12:, :, 2] == 0.0)
 
 
 class TestBatchedKernels:
@@ -228,11 +286,46 @@ class TestBatchedKernels:
         seeds[1:3] = np.linalg.solve(b_sub, w)
         _, psi, _, alive = conic._fixed_point(b_sub, seeds, fp_tol, 25, pool=pool)
         for s in range(len(seeds)):
-            ref_alive, ref_psi = fixed_point_reference(b_sub, seeds[s], fp_tol, 25, pool)
+            ref_alive, ref_psi = fixed_point_reference(
+                b_sub, seeds[s], fp_tol, 25, pool_cells_one(pool)
+            )
             assert alive[s] == ref_alive
             if ref_alive:
                 assert psi[s] == pytest.approx(ref_psi, rel=0, abs=1e-12)
         assert not alive[:3].any() and alive[3:].all()
+
+    @pytest.mark.parametrize("fp_tol", [1e-6, 0.0])
+    def test_exact_fixed_point_matches_single_seed_loop(self, fp_tol):
+        rng = np.random.default_rng(6)
+        f = rng.standard_normal((4, 4))
+        b_sub = f @ f.T
+        free = rng.normal(scale=0.3, size=(30, 3, 3))
+        free[0] = 0.0  # coincident directions
+        seeds = np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1)
+        # a direction inside the hull of the others: an empty cell
+        w = rng.standard_normal((4, 3))
+        w[:, 2] = 0.5
+        w[3] = w[:3].mean(axis=0)
+        seeds[1] = np.linalg.solve(b_sub, w)
+        _, psi, _, alive = conic._fixed_point(b_sub, seeds, fp_tol, 60)
+        for s in range(len(seeds)):
+            ref_alive, ref_psi = fixed_point_reference(
+                b_sub, seeds[s], fp_tol, 60, spherical_cells_one
+            )
+            assert alive[s] == ref_alive
+            if ref_alive:
+                assert psi[s] == ref_psi
+        assert not alive[:2].any() and alive[2:].all()
+
+    def test_no_four_cell_fixed_point_beats_propeller(self):
+        # C(I_4) = 9/(8 pi) (Heilman, Jagannath & Naor, arXiv:1112.2993), and
+        # exact moments leave no sampling slack
+        rng = np.random.default_rng(11)
+        free = rng.normal(scale=0.3, size=(500, 3, 3))
+        seeds = np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1)
+        _, psi, _, alive = conic._fixed_point(np.eye(4), seeds, 1e-9, 400)
+        assert alive.sum() >= 100
+        assert np.max(psi[alive]) <= 9.0 / (8.0 * math.pi) + 1e-12
 
 
 def scipy_sobol(dim, count, seed):
@@ -245,7 +338,7 @@ class TestSobol:
     @pytest.mark.parametrize(
         "dim, count, seed",
         [
-            (3, 4096, 101),  # search_cb pools at seed 0
+            (3, 4096, 101),  # pools of 4096 to 200k points
             (3, 32768, 102),
             (3, 200_000, 103),
             (1, 200_000, 0),  # partition_moments_mc default pools
@@ -385,8 +478,23 @@ class TestSearchCb:
             search_cb(SymMatrix.from_array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_k1_rejected(self):
-        with pytest.raises(ValueError):
+        # a single Gram vector: R(B) = 0, the degenerate case
+        with pytest.raises(DegenerateB):
             search_cb(SymMatrix.from_array([[1.0]]))
+
+    def test_quadruples_exact_without_pools(self):
+        rng = np.random.default_rng(3017)  # a B whose best partition has 4 cells
+        f = rng.standard_normal((4, 4))
+        b = SymMatrix.from_array(f @ f.T)
+        clear_search_cache()
+        conic._POOL_CACHE.clear()
+        c_est, part, val = search_cb(b)
+        assert len(part.active) == 4
+        assert val.mc_stderr == 0.0
+        assert val.heuristic
+        assert conic._POOL_CACHE == {}
+        np.testing.assert_allclose(val.moments.sum(axis=0), 0.0, rtol=0, atol=1e-14)
+        assert conic.fixed_point_residual(b, part, val) < 1e-6
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(4)
