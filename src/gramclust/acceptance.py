@@ -302,7 +302,7 @@ def criterion_7_invariants(shared: Shared) -> CriterionResult:
             mom_sum = float(np.max(np.abs(value.moments.sum(axis=0))))
             if mom_sum > max(3.0 * value.mc_stderr, 1e-9):
                 violations.append(f"moment sum {mom_sum:.2e} at seed {3000+i}")
-        res = fixed_point_residual(b, partition, value, cfg)
+        res = fixed_point_residual(b, partition, value)
         if res > max(1e-6, 3.0 * value.mc_stderr):
             violations.append(f"fp residual {res:.2e} at seed {3000+i}")
         # enclosing-ball invariants

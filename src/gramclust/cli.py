@@ -17,7 +17,6 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 from . import __version__, pipeline
 from .acceptance import run_suite
@@ -118,7 +117,6 @@ def _base_report(args, digest: str, a: SymMatrix | None, b: SymMatrix) -> dict:
         "versions": {
             "gramclust": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "seed": args.seed,
         "inputs": {
@@ -205,7 +203,7 @@ def _add_inputs(p: argparse.ArgumentParser, with_a: bool = True) -> None:
     if with_a:
         p.add_argument("--a", help="CSV file with matrix A")
     p.add_argument("--b", help="CSV file with matrix B")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
 
 

@@ -12,9 +12,9 @@ active subset at once: the seeds form an (S, l, l-1) array, one array step
 advances every live seed, and each seed keeps its own stopping rules and
 best state as masks.  Cell moments are exact up to cone dimension 3: two
 half-lines, closed-form arcs in the plane, and spherical triangles in
-dimension 3 by the divergence identity.  A fixed Gaussian pool (chunked
-over seeds) serves only partition_moments_mc and residuals in dimension 4
-and up, which no search reaches.
+dimension 3 by the divergence identity.  No search and no residual goes
+above cone dimension 3; the Monte-Carlo partition_moments_mc is a separate
+cross-check on a Sobol Gaussian pool.
 
 Labels are 0-based throughout.
 """
@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .ball import radius_squared
 from .errors import DegenerateB, DimensionMismatch, NotPSD
@@ -267,19 +266,21 @@ def _sobol(dim: int, count: int, seed: int) -> np.ndarray:
     return points * 2.0 ** -_SOBOL_BITS
 
 
-_POOL_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
-
-
 def gaussian_pool(dim: int, count: int, seed: int) -> np.ndarray:
-    """Scrambled-Sobol Gaussian sample pool, cached for regression determinism."""
-    key = (dim, count, seed)
-    pool = _POOL_CACHE.get(key)
-    if pool is None:
-        u = _sobol(dim, count, seed)
-        pool = ndtri(np.clip(u, 1e-15, 1.0 - 1e-15))
-        pool.flags.writeable = False
-        _POOL_CACHE[key] = pool
-    return pool
+    """Gaussian sample pool, (count, dim): scrambled Sobol points mapped by
+    Box-Muller (Box & Muller 1958).
+
+    Each pair (u, u') of Sobol coordinates gives the two independent normals
+    sqrt(-2 log(1 - u)) (cos 2pi u', sin 2pi u'); an odd dim drops the last
+    sine, so dim may be at most SOBOL_MAX_DIM - 1.
+    """
+    u = _sobol(2 * ((dim + 1) // 2), count, seed)
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
+    angle = TWO_PI * u[:, 1::2]
+    pool = np.empty_like(u)
+    pool[:, 0::2] = radius * np.cos(angle)
+    pool[:, 1::2] = radius * np.sin(angle)
+    return pool[:, :dim]
 
 
 def partition_moments_mc(
@@ -299,8 +300,11 @@ def partition_moments_mc(
     if dim == 0:
         return PartitionValue(moments=np.zeros((1, 0)), psi=0.0, mc_stderr=0.0)
     pool = gaussian_pool(dim, samples, seed)
-    labels = _pool_labels(partition.directions[None], pool)[0]
-    moments, _, stderr = _label_moments(pool, labels, partition.ell)
+    # argmax keeps the first maximum: ties go to the smallest label
+    cells = _onehot(np.argmax(pool @ partition.directions.T, axis=1), partition.ell)
+    moments = cells @ pool / samples
+    var = np.maximum(cells @ (pool * pool) / samples - moments * moments, 0.0)
+    stderr = float(np.max(np.sqrt(np.sum(var, axis=1) / samples)))
     psi = psi_value(b, moments, partition.active)
     return PartitionValue(moments=moments, psi=psi, mc_stderr=stderr)
 
@@ -308,63 +312,11 @@ def partition_moments_mc(
 # ---------------------------------------------------------------------------
 # cells of S direction sets at once: w has shape (S, l, d), one set per seed
 
-# score entries per chunk of direction sets in _pool_cells: 1 MB, cache-sized
-_CHUNK_ENTRIES = 1 << 17
-
-
-def _pool_labels(w: np.ndarray, pool: np.ndarray) -> np.ndarray:
-    """(S, P) row index of the winning direction at every pool point.
-
-    Running strict comparisons keep the first maximum, as argmax does, so
-    ties go to the smallest row.
-    """
-    s, ell, dim = w.shape
-    scores = (w.reshape(s * ell, dim) @ pool.T).reshape(s, ell, len(pool))
-    best = scores[:, 0].copy()
-    dtype = np.min_scalar_type(ell - 1)
-    labels = np.zeros(best.shape, dtype=dtype)
-    for row in range(1, ell):
-        # rows rise, so the maximum moves every point this row wins to it
-        np.maximum(labels, (scores[:, row] > best) * dtype.type(row), out=labels)
-        np.maximum(best, scores[:, row], out=best)
-    return labels
-
 
 def _onehot(labels: np.ndarray, ell: int) -> np.ndarray:
     """(..., l, P) cell indicators of (..., P) labels, as floats."""
     rows = np.arange(ell, dtype=labels.dtype)[:, None]
     return (labels[..., None, :] == rows).astype(float)
-
-
-def _label_moments(
-    pool: np.ndarray, labels: np.ndarray, ell: int
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """(moments, masses, mc_stderr) of the cells one label vector cuts from pool.
-
-    mc_stderr is the largest per-cell Euclidean aggregate of the
-    per-coordinate standard errors of the moments.
-    """
-    n = len(pool)
-    cells = _onehot(labels, ell)
-    moments = cells @ pool / n
-    masses = cells.sum(axis=1) / n
-    var = np.maximum(cells @ (pool * pool) / n - moments * moments, 0.0)
-    stderr = float(np.max(np.sqrt(np.sum(var, axis=1) / n)))
-    return moments, masses, stderr
-
-
-def _pool_cells(w: np.ndarray, pool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Monte-Carlo (moments, masses) over pool, in chunks of direction sets."""
-    s, ell, dim = w.shape
-    n = len(pool)
-    step = max(1, _CHUNK_ENTRIES // (ell * n))
-    moments = np.empty((s, ell, dim))
-    masses = np.empty((s, ell))
-    for lo in range(0, s, step):
-        cells = _onehot(_pool_labels(w[lo : lo + step], pool), ell)
-        moments[lo : lo + step] = (cells.reshape(-1, n) @ pool).reshape(-1, ell, dim) / n
-        masses[lo : lo + step] = cells.sum(axis=2) / n
-    return moments, masses
 
 
 def _halfline_cells(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -456,16 +408,16 @@ def _spherical_cells(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return moments, masses
 
 
-def _cells(w: np.ndarray, pool: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    if pool is not None:
-        return _pool_cells(w, pool)
+def _cells(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if w.shape[2] == 1:
         return _halfline_cells(w)
     if w.shape[2] == 2:
         return _planar_cells(w)
     if w.shape[2] == 3:
         return _spherical_cells(w)
-    raise DimensionMismatch("closed forms only exist for cone dimension <= 3")
+    raise DimensionMismatch(
+        f"cell moments exist for cone dimension <= 3, got {w.shape[2]}"
+    )
 
 
 def _directions_distinct(w: np.ndarray) -> np.ndarray:
@@ -490,18 +442,17 @@ def _fixed_point(
     z0: np.ndarray,
     fp_tol: float,
     max_iters: int,
-    pool: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Iterate the self-consistency map from S seeds z0 (S, l, l-1) together.
 
     Returns per-seed arrays (moments, psi, residual, alive).  The map is
-    the conditional-gradient step for the convex functional psi, so with
-    exact moments psi never decreases (pool noise can lower it); each seed
-    keeps its best live state.  A seed stops when its directions coincide,
-    a cell's Gaussian mass falls below EMPTY_CELL_MASS, its residual falls
-    below fp_tol, or after max_iters steps.  alive=False means the seed never had a live
-    state (it degenerated to fewer cells, covered by a smaller subset); its
-    moments are then z0 and psi their value.
+    the conditional-gradient step for the convex functional psi, so psi
+    never decreases; each seed keeps its best live state.  A seed stops
+    when its directions coincide, a cell's Gaussian mass falls below
+    EMPTY_CELL_MASS, its residual falls below fp_tol, or after max_iters
+    steps.  alive=False means the seed never had a live state (it
+    degenerated to fewer cells, covered by a smaller subset); its moments
+    are then z0 and psi their value.
     """
     z = np.array(z0, dtype=float)
     best_z = z.copy()
@@ -514,7 +465,7 @@ def _fixed_point(
         w = b_sub @ z[live]
         distinct = _directions_distinct(w)
         live, w = live[distinct], w[distinct]
-        z_new, masses = _cells(w, pool)
+        z_new, masses = _cells(w)
         residual[live] = np.max(np.linalg.norm(z_new - z[live], axis=2), axis=1)
         z[live] = z_new
         full = np.min(masses, axis=1) >= EMPTY_CELL_MASS
@@ -530,26 +481,20 @@ def _fixed_point(
 
 
 def fixed_point_residual(
-    b: SymMatrix,
-    partition: ConicalPartition,
-    value: PartitionValue,
-    cfg: SearchConfig = SearchConfig(),
+    b: SymMatrix, partition: ConicalPartition, value: PartitionValue
 ) -> float:
     """Self-consistency residual of a reported optimum.
 
-    Recomputes the directions from the reported moments, measures the cell
-    moments of the induced partition (exactly up to cone dimension 3, on a
-    DEFAULT_MC_SAMPLES Gaussian pool seeded by cfg.seed above it), and
-    returns the largest per-cell displacement.  At a true optimum this
-    vanishes.
+    Recomputes the directions from the reported moments, measures the exact
+    cell moments of the induced partition, and returns the largest per-cell
+    displacement.  At a true optimum this vanishes.  Raises
+    DimensionMismatch above cone dimension 3, where no closed form is
+    implemented.
     """
     if partition.ell <= 1:
         return 0.0
     sub = b.mat[np.ix_(partition.active, partition.active)]
-    pool = None
-    if partition.cone_dim > 3:
-        pool = gaussian_pool(partition.cone_dim, DEFAULT_MC_SAMPLES, cfg.seed)
-    return float(_fixed_point(sub, value.moments[None], 0.0, 1, pool)[2][0])
+    return float(_fixed_point(sub, value.moments[None], 0.0, 1)[2][0])
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotConvergedWarning, NotPSD
 from .matrixcore import SymMatrix, validate_psd
@@ -142,7 +141,7 @@ def _ascend(a, x, grad_tol, max_iters):
 
 def _certificate(a, lam):
     """Smallest eigenpair of the dual matrix S = diag(lambda) - A."""
-    eigs, vecs = scipy.linalg.eigh(np.diag(lam) - a, subset_by_index=[0, 0])
+    eigs, vecs = np.linalg.eigh(np.diag(lam) - a)
     return float(eigs[0]), vecs[:, 0]
 
 

@@ -195,6 +195,12 @@ class TestValidationErrors:
                 ["cluster", path, "--with-hardness", "--mu-epsilon", value]
             ) == 2
 
+    @pytest.mark.parametrize("command", ["cluster", "analyze-b", "oracle"])
+    def test_negative_seed_exit_2(self, tmp_path, command):
+        # the SDP and the C(B) search seed numpy generators, which reject them
+        path = write_json(tmp_path, ANTIPODAL_DOC)
+        assert self.exit_code([command, path, "--seed", "-1"]) == 2
+
     def test_coarse_oracle_grid_exit_2(self, tmp_path):
         path = write_json(tmp_path, ANTIPODAL_DOC)
         assert self.exit_code(["oracle", path, "--grid", "179"]) == 2
@@ -249,17 +255,40 @@ class TestOracleCommand:
 
 
 class TestImports:
-    def test_cli_import_skips_scipy_stats_and_optimize(self):
+    def test_cli_import_loads_no_scipy(self):
         code = (
             "import sys, gramclust.cli; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'optimize'])))"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_runtime_runs_with_scipy_blocked(self, tmp_path):
+        # n = 6 starts the SDP at rank 5 and escalates, so the certificate's
+        # eigenvector serves a curvilinear kick
+        a = random_centered_psd(6, np.random.default_rng(1))
+        path = write_json(tmp_path, {"A": a.mat.tolist(), "B": np.eye(3).tolist()})
+        out = tmp_path / "cluster.json"
+        runs = [
+            ["cluster", path, "--with-hardness", "--trials", "8", "--out", str(out)],
+            ["analyze-b", path, "--out", str(tmp_path / "analyze.json")],
+            ["oracle", path, "--out", str(tmp_path / "oracle.json")],
+            ["selftest", "--quick"],
+        ]
+        code = (
+            "import sys; sys.modules['scipy'] = None; "
+            "from gramclust.cli import main; "
+            f"print([main(argv) for argv in {runs!r}])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0]", proc.stdout
+        assert json.loads(out.read_text())["sdp"]["rank"] > math.isqrt(2 * 6 - 1) + 2
 
 
 class TestSelftest:

@@ -13,6 +13,7 @@ from gramclust import (
     DegenerateB,
     DimensionMismatch,
     NotPSD,
+    PartitionValue,
     SearchConfig,
     SymMatrix,
     cone_moment_closed_2d,
@@ -130,6 +131,15 @@ class TestPartitionMomentsMc:
                 halfline_partition(), SymMatrix.from_array(np.eye(2)), 10, seed=0
             )
 
+    def test_box_muller_pool(self):
+        # odd dimensions drop the last sine of the next even one
+        even = gaussian_pool(4, 50_000, 3)
+        np.testing.assert_array_equal(gaussian_pool(3, 50_000, 3), even[:, :3])
+        u = conic._sobol(4, 50_000, 3)
+        radius = np.sqrt(-2.0 * np.log1p(-u[:, 2]))
+        np.testing.assert_array_equal(even[:, 3], radius * np.sin(TWO_PI * u[:, 3]))
+        np.testing.assert_allclose(even.mean(axis=0), 0.0, atol=1e-3)
+        np.testing.assert_allclose(np.cov(even.T), np.eye(4), atol=5e-3)
 
     def test_matches_per_cell_loop(self):
         w = np.array([[1.0, 0.2, -0.3], [-0.4, 0.9, 0.1], [0.0, -1.0, 0.5], [-0.6, 0.1, -0.8]])
@@ -240,9 +250,8 @@ class TestSphericalCells:
         moments, masses = conic._spherical_cells(w)
         # oracle: a 2M-point scrambled Sobol Gaussian pool (standard error
         # of each moment coordinate below 1/sqrt(2e6) = 7e-4, far less for QMC)
-        pool = gaussian_pool(3, 2_000_000, 5)
-        conic._POOL_CACHE.pop((3, 2_000_000, 5))
-        ref_moments, ref_masses = conic._pool_cells(w, pool)
+        cells = pool_cells_one(gaussian_pool(3, 2_000_000, 5))
+        ref_moments, ref_masses = (np.array(r) for r in zip(*map(cells, w)))
         np.testing.assert_allclose(moments, ref_moments, rtol=0, atol=3e-4)
         np.testing.assert_allclose(masses, ref_masses, rtol=0, atol=3e-4)
         np.testing.assert_allclose(masses.sum(axis=1), 1.0, rtol=0, atol=1e-14)
@@ -270,29 +279,6 @@ class TestBatchedKernels:
         assert masses[0, 3] == 0.0
         assert masses[1, 0] > 0.0 and masses[1, 1] > 0.0
         np.testing.assert_allclose(masses.sum(axis=1), 1.0, atol=1e-14)
-
-    @pytest.mark.parametrize("fp_tol", [2e-3, 0.0])
-    def test_pool_fixed_point_matches_single_seed_loop(self, fp_tol):
-        rng = np.random.default_rng(5)
-        f = rng.standard_normal((4, 4))
-        b_sub = f @ f.T
-        pool = gaussian_pool(3, 4096, 101)
-        free = rng.normal(scale=0.3, size=(30, 3, 3))
-        free[0] = 0.0  # coincident directions
-        seeds = np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1)
-        # directions whose fourth is the mean of the others: an empty cell
-        w = rng.standard_normal((2, 4, 3))
-        w[:, 3] = w[:, :3].mean(axis=1)
-        seeds[1:3] = np.linalg.solve(b_sub, w)
-        _, psi, _, alive = conic._fixed_point(b_sub, seeds, fp_tol, 25, pool=pool)
-        for s in range(len(seeds)):
-            ref_alive, ref_psi = fixed_point_reference(
-                b_sub, seeds[s], fp_tol, 25, pool_cells_one(pool)
-            )
-            assert alive[s] == ref_alive
-            if ref_alive:
-                assert psi[s] == pytest.approx(ref_psi, rel=0, abs=1e-12)
-        assert not alive[:3].any() and alive[3:].all()
 
     @pytest.mark.parametrize("fp_tol", [1e-6, 0.0])
     def test_exact_fixed_point_matches_single_seed_loop(self, fp_tol):
@@ -338,11 +324,11 @@ class TestSobol:
     @pytest.mark.parametrize(
         "dim, count, seed",
         [
-            (3, 4096, 101),  # pools of 4096 to 200k points
+            (3, 4096, 101),  # long streams in an odd dimension
             (3, 32768, 102),
             (3, 200_000, 103),
-            (1, 200_000, 0),  # partition_moments_mc default pools
-            (2, 200_000, 0),
+            (1, 200_000, 0),
+            (2, 200_000, 0),  # partition_moments_mc pools up to cone dimension 2
             (3, 200_000, 0),
             (4, 64, 11),  # triple seeds, min(net_points, 128)
             (4, 128, 11),
@@ -487,12 +473,10 @@ class TestSearchCb:
         f = rng.standard_normal((4, 4))
         b = SymMatrix.from_array(f @ f.T)
         clear_search_cache()
-        conic._POOL_CACHE.clear()
         c_est, part, val = search_cb(b)
         assert len(part.active) == 4
         assert val.mc_stderr == 0.0
         assert val.heuristic
-        assert conic._POOL_CACHE == {}
         np.testing.assert_allclose(val.moments.sum(axis=0), 0.0, rtol=0, atol=1e-14)
         assert conic.fixed_point_residual(b, part, val) < 1e-6
 
@@ -518,6 +502,15 @@ class TestSearchCb:
         c_est, part, _ = search_cb(SymMatrix.from_array(np.eye(4)))
         assert c_est == pytest.approx(9.0 / (8.0 * math.pi), rel=1e-9)
         assert len(part.active) == 3
+
+    def test_five_cell_residual_rejected(self):
+        # no closed form is implemented above cone dimension 3
+        rng = np.random.default_rng(5)
+        part = ConicalPartition(k=5, active=tuple(range(5)),
+                                directions=rng.standard_normal((5, 4)))
+        val = PartitionValue(moments=rng.standard_normal((5, 4)))
+        with pytest.raises(DimensionMismatch):
+            conic.fixed_point_residual(SymMatrix.from_array(np.eye(5)), part, val)
 
     def test_heuristic_flag(self):
         rng = np.random.default_rng(8)
