@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -19,7 +20,6 @@ import time
 import numpy as np
 
 from . import __version__, pipeline
-from .acceptance import run_suite
 from .conic import SearchConfig
 from .errors import GramclustError, NotCentered, NotPSD, ParseError
 from .matrixcore import SymMatrix
@@ -161,6 +161,8 @@ def run_oracle(args) -> dict:
 
 
 def run_selftest(args) -> int:
+    from .acceptance import run_suite
+
     results = run_suite(quick=args.quick)
     width = max(len(r.name) for r in results)
     print(f"{'criterion':<{width}}  status  elapsed")
@@ -191,11 +193,23 @@ def _int_at_least(low: int):
     return integer
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0.0:  # also rejects nan
-        raise argparse.ArgumentTypeError(f"must be above 0, got {value}")
-    return value
+def _finite_float(low: float, strict: bool):
+    """A finite float above low (strict) or at least low; rejects nan."""
+    bound = "above" if strict else "at least"
+
+    def real(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value) or value < low or (strict and value == low):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {bound} {low:g}, got {value}"
+            )
+        return value
+
+    return real
+
+
+_positive_float = _finite_float(0.0, strict=True)
+_nonnegative_float = _finite_float(0.0, strict=False)
 
 
 def _add_inputs(p: argparse.ArgumentParser, with_a: bool = True) -> None:
@@ -210,10 +224,10 @@ def _add_inputs(p: argparse.ArgumentParser, with_a: bool = True) -> None:
 def _add_b_options(p: argparse.ArgumentParser) -> None:
     """Flags of the part that reads B alone: the C(B) search and the
     hardness gadget."""
-    p.add_argument("--epsilon", type=float, default=None,
+    p.add_argument("--epsilon", type=_positive_float, default=None,
                    help="target accuracy for C(B) (default 1e-3 * R^2)")
-    p.add_argument("--net-delta-override", type=float, default=None)
-    p.add_argument("--fp-tol", type=float, default=1e-6)
+    p.add_argument("--net-delta-override", type=_positive_float, default=None)
+    p.add_argument("--fp-tol", type=_nonnegative_float, default=1e-6)
     p.add_argument("--max-iters", type=_int_at_least(1), default=200,
                    help="fixed-point iteration cap in the C(B) search")
     p.add_argument("--mu-epsilon", type=_positive_float, default=1e-4,
@@ -230,13 +244,16 @@ def build_parser() -> argparse.ArgumentParser:
     cluster = sub.add_parser("cluster", help="full pipeline on (A, B)")
     _add_inputs(cluster)
     _add_b_options(cluster)
-    cluster.add_argument("--threads", type=int,
-                         default=int(os.environ.get("GRAMCLUST_THREADS", "1")))
+    # a string default goes through the type, so a bad GRAMCLUST_THREADS
+    # fails like a bad flag, and only for this subcommand
+    cluster.add_argument("--threads", type=_int_at_least(1),
+                         default=os.environ.get("GRAMCLUST_THREADS", "1"),
+                         help="worker threads (default: env GRAMCLUST_THREADS or 1)")
     cluster.add_argument("--trials", type=_int_at_least(1), default=100)
     cluster.add_argument("--sdp-rank0", type=_int_at_least(1), default=None)
-    cluster.add_argument("--sdp-grad-tol", type=float, default=None)
-    cluster.add_argument("--sdp-max-iters", type=int, default=50_000)
-    cluster.add_argument("--sdp-restarts", type=int, default=4)
+    cluster.add_argument("--sdp-grad-tol", type=_nonnegative_float, default=None)
+    cluster.add_argument("--sdp-max-iters", type=_int_at_least(1), default=50_000)
+    cluster.add_argument("--sdp-restarts", type=_int_at_least(1), default=4)
     cluster.add_argument("--with-hardness", action="store_true",
                          help="include the hardness gadget block")
     cluster.set_defaults(fn=lambda a: (_emit(run_cluster(a), a), 0)[1])

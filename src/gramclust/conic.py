@@ -21,6 +21,7 @@ Labels are 0-based throughout.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -313,6 +314,12 @@ def partition_moments_mc(
 # cells of S direction sets at once: w has shape (S, l, d), one set per seed
 
 
+@functools.cache
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j), i < j, of the pairs among m directions."""
+    return np.triu_indices(m, 1)
+
+
 def _onehot(labels: np.ndarray, ell: int) -> np.ndarray:
     """(..., l, P) cell indicators of (..., P) labels, as floats."""
     rows = np.arange(ell, dtype=labels.dtype)[:, None]
@@ -342,7 +349,7 @@ def _planar_cells(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     moments add, so arcs of one winner need no merging.
     """
     m = w.shape[1]
-    i, j = np.triu_indices(m, 1)
+    i, j = _pairs(m)
     d = w[:, i] - w[:, j]
     phi = np.arctan2(d[:, :, 1], d[:, :, 0])
     half = math.pi / 2.0
@@ -422,15 +429,15 @@ def _cells(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _directions_distinct(w: np.ndarray) -> np.ndarray:
     """(S,) True where no two directions of a set coincide to 1e-13 relative."""
-    scale = np.maximum(1.0, np.max(np.abs(w), axis=(1, 2)))
-    i, j = np.triu_indices(w.shape[1], 1)
-    gaps = np.max(np.abs(w[:, i] - w[:, j]), axis=2)
-    return np.all(gaps > 1e-13 * scale[:, None], axis=1)
+    scale = np.maximum(1.0, np.abs(w).max(axis=(1, 2)))
+    i, j = _pairs(w.shape[1])
+    gaps = np.abs(w[:, i] - w[:, j]).max(axis=2)
+    return (gaps > 1e-13 * scale[:, None]).all(axis=1)
 
 
 def _psi(b_sub: np.ndarray, z: np.ndarray) -> np.ndarray:
     """(S,) values sum_ij b_ij <z_i, z_j> of S moment tuples."""
-    return np.sum(b_sub * (z @ z.transpose(0, 2, 1)), axis=(1, 2))
+    return (b_sub * (z @ z.transpose(0, 2, 1))).sum(axis=(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +473,10 @@ def _fixed_point(
         distinct = _directions_distinct(w)
         live, w = live[distinct], w[distinct]
         z_new, masses = _cells(w)
-        residual[live] = np.max(np.linalg.norm(z_new - z[live], axis=2), axis=1)
+        step = z_new - z[live]
+        residual[live] = np.sqrt((step * step).sum(axis=2)).max(axis=1)
         z[live] = z_new
-        full = np.min(masses, axis=1) >= EMPTY_CELL_MASS
+        full = masses.min(axis=1) >= EMPTY_CELL_MASS
         live, z_new = live[full], z_new[full]
         psi = _psi(b_sub, z_new)
         better = psi > best_psi[live]
@@ -537,8 +545,12 @@ def _canonical_label_order(b: np.ndarray) -> np.ndarray:
     return np.array([i for *_, i in sorted(keys)], dtype=int)
 
 
-# slot pairs (s, t), s <= t, of the three cyclic cells in the angle grid
+# slot pairs (s, t), s <= t, of the three cyclic cells in the angle grid,
+# and the 6 assignments of three labels to the slots (label perm[s] in slot s)
 _SLOT_PAIRS = tuple(itertools.combinations_with_replacement(range(3), 2))
+_SLOT_S, _SLOT_T = np.array(_SLOT_PAIRS).T
+_PAIR_WEIGHT = np.where(_SLOT_S == _SLOT_T, 1.0, 2.0)
+_SLOT_PERMS = np.array(list(itertools.permutations(range(3))))
 
 
 def _slot_geometry(apertures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -550,61 +562,70 @@ def _slot_geometry(apertures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return beta, mag
 
 
-def _angle_grid(grid: int) -> tuple[np.ndarray, np.ndarray]:
+def _angle_grid(grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Aperture grid of three cyclic planar cells and its psi terms.
 
-    Returns the apertures (a1, a2, 2pi - a1 - a2) of the valid grid points,
-    shape (3, V), and the terms mag_s mag_t cos(beta_s - beta_t) for the
-    slot pairs in _SLOT_PAIRS, shape (6, V).  The terms do not depend on B,
-    so one grid serves every triple and every assignment of labels to slots.
+    The apertures are lattice multiples (i, j, grid - i - j) of 2pi/grid.
+    psi is invariant under rotations and reflections of the plane, which
+    permute the three apertures together with the assignment of labels to
+    slots, so with all 6 assignments scanned the grid needs only the
+    fundamental domain a1 <= a2 <= a3, i.e. i <= j and i + 2j <= grid,
+    about a sixth of the simplex.  Returns its apertures, shape (3, V); the
+    terms mag_s mag_t cos(beta_s - beta_t) for the slot pairs in
+    _SLOT_PAIRS, shape (6, V); and a (6, V) mask of the assignments in
+    _SLOT_PERMS that repeat another one at the same point.  On the domain's
+    boundary a reflection fixes the point: where two apertures are equal it
+    swaps the labels of their slots, and where a1 = 0 (two cells) swapping
+    the other two labels negates every moment.  Of each such pair the mask
+    keeps the assignment with the larger label in the earlier slot, which
+    fixes the mirror image that a symmetric B such as I_3 reports.  The
+    terms and the mask do not depend on B, so one grid serves every triple.
     """
     steps = np.linspace(0.0, TWO_PI, grid + 1)
-    a3 = TWO_PI - steps[:, None] - steps[None, :]
-    keep = a3 >= -1e-12
-    apertures = np.stack([
-        np.broadcast_to(steps[:, None], keep.shape)[keep],
-        np.broadcast_to(steps[None, :], keep.shape)[keep],
-        a3[keep],
-    ])
-    del a3, keep  # the square grid is no longer needed; keep the peak low
+    i, j = np.triu_indices(grid // 2 + 1)
+    keep = i + 2 * j <= grid
+    i, j = i[keep], j[keep]
+    apertures = steps[np.stack([i, j, grid - i - j])]
     beta, mag = _slot_geometry(apertures)
     terms = np.empty((len(_SLOT_PAIRS), apertures.shape[1]))
     for row, (s, t) in enumerate(_SLOT_PAIRS):
         np.multiply(mag[s] * mag[t], np.cos(beta[s] - beta[t]), out=terms[row])
-    return apertures, terms
+    first, middle, last = _SLOT_PERMS.T[:, :, None]
+    redundant = ((i == j) & (first < middle)) | (
+        ((i + 2 * j == grid) | (i == 0)) & (middle < last)
+    )
+    return apertures, terms, redundant
 
 
 def _angle_grid_candidates(
-    b_sub: np.ndarray, grid: tuple[np.ndarray, np.ndarray], top: int
+    b_sub: np.ndarray, grid: tuple[np.ndarray, np.ndarray, np.ndarray], top: int
 ) -> np.ndarray:
     """Best three-ray planar configurations on an aperture grid.
 
-    Cells are parametrized by apertures (a1, a2, 2pi - a1 - a2) in cyclic
-    order; all 6 assignments of the three labels to the slots are scanned.
-    Returns moment tuples for the ``top`` best configurations, (top, 3, 2).
+    Cells are parametrized by apertures in cyclic order on the fundamental
+    domain of _angle_grid; all 6 assignments of the three labels to the
+    slots are scored at once, so each configuration is scanned once.
+    Returns the moment tuples of the ``top`` best (assignment, grid point)
+    pairs by psi, ties to the smallest flat index, (top, 3, 2): distinct
+    configurations, because repeated assignments are left out.
     """
-    apertures, terms = grid
-    scored: list[tuple[float, int, np.ndarray]] = []
-    order = 0
-    for perm in itertools.permutations(range(3)):
-        # label perm[s] occupies slot s
-        coeffs = np.array(
-            [b_sub[perm[s], perm[t]] * (1.0 if s == t else 2.0) for s, t in _SLOT_PAIRS]
-        )
-        # einsum rather than `coeffs @ terms`: OpenBLAS runs that thin gemv
-        # on all its threads, several times slower on 2 cores and at the
-        # mercy of how they are scheduled
-        psi = np.einsum("r,rv->v", coeffs, terms)
-        flat = np.argpartition(psi, -top)[-top:]
-        beta, mag = _slot_geometry(apertures[:, flat])
-        slots = mag[:, :, None] * np.stack([np.cos(beta), np.sin(beta)], axis=2)
-        for col, f in enumerate(flat):
-            z = np.zeros((3, 2))
-            z[list(perm)] = slots[:, col]
-            scored.append((float(psi[f]), order, z))
-            order += 1
-    scored.sort(key=lambda t: (t[0], t[1]), reverse=True)
-    return np.array([z for _, _, z in scored[:top]])
+    apertures, terms, redundant = grid
+    coeffs = b_sub[_SLOT_PERMS[:, _SLOT_S], _SLOT_PERMS[:, _SLOT_T]] * _PAIR_WEIGHT
+    # einsum rather than `coeffs @ terms`: OpenBLAS runs that thin gemm on
+    # all its threads, several times slower on 2 cores and at the mercy of
+    # how they are scheduled
+    psi = np.einsum("pr,rv->pv", coeffs, terms)
+    psi[redundant] = -np.inf
+    psi = psi.ravel()
+    cut = np.partition(psi, -top)[-top]
+    flat = np.flatnonzero(psi >= cut)
+    flat = flat[np.lexsort((flat, -psi[flat]))][:top]
+    perm, point = np.divmod(flat, apertures.shape[1])
+    beta, mag = _slot_geometry(apertures[:, point])
+    slots = mag[:, :, None] * np.stack([np.cos(beta), np.sin(beta)], axis=2)
+    z = np.empty((top, 3, 2))
+    z[np.arange(top)[:, None], _SLOT_PERMS[perm]] = slots.transpose(1, 0, 2)
+    return z
 
 
 def _sobol_moment_seeds(ell: int, count: int, scale: float, seed: int) -> np.ndarray:
@@ -655,8 +676,10 @@ def search_cb(
     quadruples run one batched fixed-point iteration over all their seeds,
     then a long polish of the best state alone, on exact cell moments
     (planar arcs for triples, spherical triangles for quadruples).  Triples
-    are seeded by an exact planar-angle grid, the Gram geometry and a Sobol
-    net; quadruples by the Gram geometry, a Sobol net and 24 random tuples.
+    are seeded by the six best distinct configurations of an exact
+    planar-aperture grid (one scan of each configuration, on the a1 <= a2
+    <= a3 domain of _angle_grid), the Gram geometry and a Sobol net;
+    quadruples by the Gram geometry, a Sobol net and 24 random tuples.
     Subsets of five or more cells are not searched.
     For k <= 3 the returned psi is within cfg.epsilon of C(B); for k >= 4
     it is the value of a local optimum, a lower bound with no optimality

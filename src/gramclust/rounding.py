@@ -11,7 +11,6 @@ Labels are 0-based; trials use counter-based Philox streams keyed by
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,6 +100,8 @@ def round_best_of(
         return Clustering(sigma, clustering_value(a, b, sigma), t, seed)
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run_trial, range(trials)))
     else:

@@ -195,6 +195,41 @@ class TestValidationErrors:
                 ["cluster", path, "--with-hardness", "--mu-epsilon", value]
             ) == 2
 
+    @pytest.mark.parametrize(
+        "command, flag, values",
+        [
+            pytest.param(command, flag, values, id=flag[2:])
+            for command, flag, values in (
+                ("analyze-b", "--epsilon", ("nan", "inf", "0", "-1e-3")),
+                ("analyze-b", "--net-delta-override", ("nan", "inf", "0", "-1")),
+                ("analyze-b", "--fp-tol", ("nan", "inf", "-1")),
+                ("cluster", "--sdp-grad-tol", ("nan", "inf", "-1")),
+                ("cluster", "--sdp-max-iters", ("0", "-3")),
+                ("cluster", "--sdp-restarts", ("0", "-1")),
+                ("cluster", "--threads", ("0", "-2", "abc")),
+            )
+        ],
+    )
+    def test_numeric_flag_limits_exit_2(self, tmp_path, command, flag, values):
+        path = write_json(tmp_path, ANTIPODAL_DOC)
+        for value in values:
+            assert self.exit_code([command, path, flag, value]) == 2, value
+
+    def test_zero_tolerances_accepted(self, tmp_path):
+        path = write_json(tmp_path, ANTIPODAL_DOC)
+        args = parse(["cluster", path, "--fp-tol", "0", "--sdp-grad-tol", "0"])
+        assert (args.fp_tol, args.sdp_grad_tol) == (0.0, 0.0)
+
+    def test_bad_threads_env_fails_cluster_alone(self, tmp_path, monkeypatch):
+        path = write_json(tmp_path, ANTIPODAL_DOC)
+        for value in ("abc", "0"):
+            monkeypatch.setenv("GRAMCLUST_THREADS", value)
+            assert self.exit_code(["cluster", path]) == 2
+            out = tmp_path / "analyze.json"
+            assert main(["analyze-b", path, "--out", str(out)]) == 0
+        monkeypatch.setenv("GRAMCLUST_THREADS", "2")
+        assert parse(["cluster", path]).threads == 2
+
     @pytest.mark.parametrize("command", ["cluster", "analyze-b", "oracle"])
     def test_negative_seed_exit_2(self, tmp_path, command):
         # the SDP and the C(B) search seed numpy generators, which reject them
@@ -259,6 +294,20 @@ class TestImports:
         code = (
             "import sys, gramclust.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_cli_import_defers_pool_and_acceptance(self):
+        # the thread pool loads only for --threads > 1, the suite only for
+        # selftest; neither is paid by every cluster run
+        code = (
+            "import sys, gramclust.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'gramclust.acceptance')"
+            " if m in sys.modules))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=120

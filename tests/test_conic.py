@@ -314,6 +314,95 @@ class TestBatchedKernels:
         assert np.max(psi[alive]) <= 9.0 / (8.0 * math.pi) + 1e-12
 
 
+def simplex_lattice(grid):
+    """Index triples (i, j, grid - i - j) of every point of the full (a1, a2)
+    lattice with a3 >= 0, (3, (grid + 1)(grid + 2) / 2)."""
+    i, j = np.meshgrid(np.arange(grid + 1), np.arange(grid + 1), indexing="ij")
+    keep = i + j <= grid
+    return np.stack([i[keep], j[keep], grid - i[keep] - j[keep]])
+
+
+def simplex_apertures(grid):
+    """Apertures (a1, a2, 2pi - a1 - a2) of the full lattice, (3, V)."""
+    steps = np.linspace(0.0, TWO_PI, grid + 1)
+    i, j, _ = simplex_lattice(grid)
+    return np.stack([steps[i], steps[j], TWO_PI - steps[i] - steps[j]])
+
+
+def cyclic_moments(apertures, perm=(0, 1, 2)):
+    """Moments of three cyclic planar cells with label perm[s] in slot s,
+    (V, 3, 2)."""
+    beta, mag = conic._slot_geometry(apertures)
+    slots = mag[:, :, None] * np.stack([np.cos(beta), np.sin(beta)], axis=2)
+    z = np.empty((apertures.shape[1], 3, 2))
+    z[:, list(perm)] = slots.transpose(1, 0, 2)
+    return z
+
+
+class TestAngleGrid:
+    @pytest.mark.parametrize("grid", [240, 720])
+    def test_best_matches_full_square(self, grid):
+        # the fundamental domain with 6 assignments scans every configuration
+        # of the full square with labels in slot order
+        reference = cyclic_moments(simplex_apertures(grid))
+        domain = conic._angle_grid(grid)
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            f = rng.standard_normal((3, 3))
+            b_sub = f @ f.T
+            best = conic._psi(b_sub, conic._angle_grid_candidates(b_sub, domain, 6)[:1])
+            expected = np.max(conic._psi(b_sub, reference))
+            assert best[0] == pytest.approx(expected, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("family", ["wishart", "near-identity", "diagonal"])
+    def test_six_seeds_are_distinct_configurations(self, family):
+        # rotations and reflections leave z z^T unchanged, so equal Gram
+        # matrices mean one configuration seeded twice
+        domain = conic._angle_grid(720)
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            if family == "wishart":
+                f = rng.standard_normal((3, 3))
+                b_sub = f @ f.T
+            elif family == "near-identity":
+                g = rng.standard_normal((3, 1))
+                b_sub = np.eye(3) + 0.3 * g @ g.T
+            else:
+                b_sub = np.diag(rng.uniform(0.6, 3.0, 3))
+            z = conic._angle_grid_candidates(b_sub, domain, 6)
+            gram = z @ z.transpose(0, 2, 1)
+            for s in range(6):
+                for t in range(s + 1, 6):
+                    assert np.max(np.abs(gram[s] - gram[t])) > 1e-12
+
+    @pytest.mark.parametrize("grid", [12, 13, 240, 720])
+    def test_domain_is_sorted_simplex(self, grid):
+        steps = np.linspace(0.0, TWO_PI, grid + 1)
+        lattice = simplex_lattice(grid)
+        assert lattice.shape[1] == (grid + 1) * (grid + 2) // 2
+        sorted_points = np.unique(np.sort(steps[lattice], axis=0).T, axis=0)
+        apertures, terms, redundant = conic._angle_grid(grid)
+        assert terms.shape == redundant.shape == (6, apertures.shape[1])
+        np.testing.assert_array_equal(np.unique(apertures.T, axis=0), sorted_points)
+        assert len(sorted_points) == apertures.shape[1]
+
+    @pytest.mark.parametrize("grid", [12, 13, 30])
+    def test_kept_assignments_are_the_distinct_configurations(self, grid):
+        def grams(z):
+            return [tuple(g) for g in np.round(z @ z.transpose(0, 2, 1), 9).reshape(-1, 9)]
+
+        full = simplex_apertures(grid)
+        everything = set()
+        for perm in conic._SLOT_PERMS:
+            everything.update(grams(cyclic_moments(full, perm)))
+        apertures, _, redundant = conic._angle_grid(grid)
+        kept = []
+        for row, perm in enumerate(conic._SLOT_PERMS):
+            kept.extend(grams(cyclic_moments(apertures[:, ~redundant[row]], perm)))
+        assert len(kept) == len(set(kept)) == len(everything)
+        assert set(kept) == everything
+
+
 def scipy_sobol(dim, count, seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # balance warning for non-2^m counts
