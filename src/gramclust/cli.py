@@ -225,8 +225,11 @@ def _add_b_options(p: argparse.ArgumentParser) -> None:
     """Flags of the part that reads B alone: the C(B) search and the
     hardness gadget."""
     p.add_argument("--epsilon", type=_positive_float, default=None,
-                   help="target accuracy for C(B) (default 1e-3 * R^2)")
-    p.add_argument("--net-delta-override", type=_positive_float, default=None)
+                   help="target accuracy for C(B), which sets the triples' "
+                        "aperture-grid resolution (default 1e-3 * R^2)")
+    p.add_argument("--net-delta-override", type=_positive_float, default=None,
+                   help="aperture-grid resolution, in place of the one "
+                        "--epsilon implies")
     p.add_argument("--fp-tol", type=_nonnegative_float, default=1e-6)
     p.add_argument("--max-iters", type=_int_at_least(1), default=200,
                    help="fixed-point iteration cap in the C(B) search")
@@ -266,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     oracle = sub.add_parser("oracle", help="exact desk-scale ground truth")
     _add_inputs(oracle)
     oracle.add_argument("--grid", type=_int_at_least(180), default=360)
-    oracle.add_argument("--max-states", type=int, default=50_000_000)
+    oracle.add_argument("--max-states", type=_int_at_least(1), default=50_000_000)
     oracle.set_defaults(fn=lambda a: (_emit(run_oracle(a), a), 0)[1])
 
     selftest = sub.add_parser("selftest", help="run the acceptance suite")

@@ -5,7 +5,10 @@ where <x, w_j> is maximal.  Its quality is the quadratic form
 psi = sum_{ij} b_ij <z_i, z_j> over the cells' Gaussian first moments z_j,
 and C(B) is the supremum of psi over all measurable partitions, attained
 by such conical ones.  The search below is exact for k <= 3 (closed-form
-moments in dimensions 0..2) and seeded-net/fixed-point based above that.
+moments in dimensions 0..2) and a seeded fixed point above that, with one
+seed source per subset size: each triple starts from the six best distinct
+configurations of a planar aperture grid, each quadruple from its Gram
+geometry plus one shared 64-point Sobol net.
 
 The fixed-point map z -> moments(cells of B z) runs for all seeds of one
 active subset at once: the seeds form an (S, l, l-1) array, one array step
@@ -38,11 +41,16 @@ ARC_CONST = 1.0 / (2.0 * math.sqrt(TWO_PI))
 SPHERE_CONST = TWO_PI ** -1.5
 EMPTY_CELL_MASS = 1e-6
 DEFAULT_MC_SAMPLES = 200_000
+QUADRUPLE_NET_POINTS = 64  # Sobol seeds shared by every quadruple
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Tunables for search_cb; all exposed as CLI flags."""
+    """Tunables for search_cb; all exposed as CLI flags.
+
+    epsilon and net_delta_override set only the resolution of the triples'
+    aperture grid (240..720 steps per turn); the quadruple seeds are fixed.
+    """
 
     epsilon: float | None = None  # default 1e-3 * R(B)^2, resolved at run time
     net_delta_override: float | None = None
@@ -677,10 +685,11 @@ def search_cb(
     then a long polish of the best state alone, on exact cell moments
     (planar arcs for triples, spherical triangles for quadruples).  Triples
     are seeded by the six best distinct configurations of an exact
-    planar-aperture grid (one scan of each configuration, on the a1 <= a2
-    <= a3 domain of _angle_grid), the Gram geometry and a Sobol net;
-    quadruples by the Gram geometry, a Sobol net and 24 random tuples.
-    Subsets of five or more cells are not searched.
+    planar-aperture grid alone (one scan of each configuration, on the
+    a1 <= a2 <= a3 domain of _angle_grid), 6 seeds; quadruples by the Gram
+    geometry (3 seeds, none when the labels coincide) and one Sobol net of
+    QUADRUPLE_NET_POINTS tuples shared by every quadruple.  Subsets of five
+    or more cells are not searched.
     For k <= 3 the returned psi is within cfg.epsilon of C(B); for k >= 4
     it is the value of a local optimum, a lower bound with no optimality
     claim (heuristic flag set), and mc_stderr is 0 for every k.
@@ -700,21 +709,21 @@ def search_cb(
         raise ValueError("search_cb requires k >= 2")
     epsilon = cfg.epsilon if cfg.epsilon is not None else 1e-3 * r2
 
-    cache_key = (b.mat.round(12).tobytes(), k, cfg.fingerprint())
+    # exact bytes: a rounded key lets B matrices that differ only below the
+    # rounding step share one entry (SymMatrix is bit-exactly symmetric)
+    cache_key = (b.mat.tobytes(), k, cfg.fingerprint())
     cached = _SEARCH_CACHE.get(cache_key)
     if cached is not None:
         return cached
 
-    # net resolution per the error chain delta = eps / (8 sqrt(k) |B|_1); the
-    # implied candidate counts are capped (see decisions ledger) because the
-    # fixed-point refinement, not raw net density, does the fine work.
+    # aperture-grid resolution from the error chain delta = eps / (8 sqrt(k)
+    # |B|_1), capped: the fixed point, not the grid, does the fine work
     b_l1 = float(np.sum(np.abs(b.mat)))
     delta = (
         cfg.net_delta_override
         if cfg.net_delta_override is not None
         else epsilon / (8.0 * math.sqrt(k) * max(b_l1, 1e-12))
     )
-    net_points = int(min(512, max(64, 4.0 / max(delta, 1e-3))))
     angle_grid = int(min(720, max(240, TWO_PI / math.sqrt(max(delta, 1e-6)))))
 
     perm = _canonical_label_order(b.mat)
@@ -736,27 +745,18 @@ def search_cb(
 
     # l = 3, 4: batched fixed point on exact moments, then a polish
     polish_iters = max(cfg.max_iters, 2000)
-    shared_seeds = {}  # seeds every subset of a size starts from
     if k >= 3:
         grid = _angle_grid(angle_grid)
-        shared_seeds[3] = _sobol_moment_seeds(
-            3, min(net_points, 128), 0.45, cfg.seed + 11
-        )
     if k >= 4:
-        free = np.random.default_rng(cfg.seed + 17).normal(scale=0.2, size=(24, 3, 3))
-        shared_seeds[4] = np.concatenate([
-            _sobol_moment_seeds(4, net_points, 0.4, cfg.seed + 13),
-            np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1),
-        ])
-    for ell, shared in shared_seeds.items():
+        net = _sobol_moment_seeds(4, QUADRUPLE_NET_POINTS, 0.4, cfg.seed + 13)
+    for ell in (3, 4):
         for subset in itertools.combinations(range(k), ell):
             b_sub = bc[np.ix_(subset, subset)]
-            seeds = [_structured_seeds(b_sub), shared]
             if ell == 3:
-                seeds.insert(0, _angle_grid_candidates(b_sub, grid, top=6))
-            z, psi, _, alive = _fixed_point(
-                b_sub, np.concatenate(seeds), cfg.fp_tol, cfg.max_iters
-            )
+                seeds = _angle_grid_candidates(b_sub, grid, top=6)
+            else:
+                seeds = np.concatenate([_structured_seeds(b_sub), net])
+            z, psi, _, alive = _fixed_point(b_sub, seeds, cfg.fp_tol, cfg.max_iters)
             if not alive.any():
                 continue
             best_seed = _ranked(psi, alive)[:1]

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 import gramclust
-from gramclust import NotConvergedWarning, SymMatrix, brute_force_clust, random_centered_psd
+from gramclust import (
+    NotConvergedWarning,
+    SymMatrix,
+    brute_force_clust,
+    random_centered_psd,
+    solve_sdp,
+)
 from gramclust.cli import build_parser, main, run_analyze_b, run_cluster, run_oracle
 
 ANTIPODAL_DOC = {"A": [[1.0, -1.0], [-1.0, 1.0]], "B": [[1.0, 0.0], [0.0, 1.0]]}
@@ -207,6 +213,7 @@ class TestValidationErrors:
                 ("cluster", "--sdp-max-iters", ("0", "-3")),
                 ("cluster", "--sdp-restarts", ("0", "-1")),
                 ("cluster", "--threads", ("0", "-2", "abc")),
+                ("oracle", "--max-states", ("0", "-5")),
             )
         ],
     )
@@ -320,10 +327,14 @@ class TestImports:
         # eigenvector serves a curvilinear kick
         a = random_centered_psd(6, np.random.default_rng(1))
         path = write_json(tmp_path, {"A": a.mat.tolist(), "B": np.eye(3).tolist()})
+        # a 5 x 5 B reaches the quadruple net and the spherical kernel
+        g = np.random.default_rng(0).standard_normal((5, 8))
+        path5 = write_json(tmp_path, {"B": (g @ g.T / 8).tolist()}, "b5.json")
         out = tmp_path / "cluster.json"
         runs = [
             ["cluster", path, "--with-hardness", "--trials", "8", "--out", str(out)],
             ["analyze-b", path, "--out", str(tmp_path / "analyze.json")],
+            ["analyze-b", path5, "--out", str(tmp_path / "analyze5.json")],
             ["oracle", path, "--out", str(tmp_path / "oracle.json")],
             ["selftest", "--quick"],
         ]
@@ -336,8 +347,12 @@ class TestImports:
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0]", proc.stdout
-        assert json.loads(out.read_text())["sdp"]["rank"] > math.isqrt(2 * 6 - 1) + 2
+        assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0]", proc.stdout
+        # the sdp block describes the solve, whichever C(B) partition the
+        # rounding used
+        rank = json.loads(out.read_text())["sdp"]["rank"]
+        assert rank == solve_sdp(a, rng=0).rank
+        assert rank > math.isqrt(2 * 6 - 1) + 2
 
 
 class TestSelftest:

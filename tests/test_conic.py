@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -419,9 +420,9 @@ class TestSobol:
             (1, 200_000, 0),
             (2, 200_000, 0),  # partition_moments_mc pools up to cone dimension 2
             (3, 200_000, 0),
-            (4, 64, 11),  # triple seeds, min(net_points, 128)
-            (4, 128, 11),
-            (9, 512, 13),  # quadruple seeds, net_points <= 512
+            (4, 64, 11),  # the former triple net, which the seed-set
+            (4, 128, 11),  # reference in TestSeedSet rebuilds
+            (9, 512, 13),  # the quadruple stream; the search reads its first 64
         ],
     )
     def test_matches_scipy_on_search_streams(self, dim, count, seed):
@@ -429,7 +430,8 @@ class TestSobol:
         np.testing.assert_array_equal(ours, scipy_sobol(dim, count, seed))
 
     def test_every_net_size_is_a_prefix(self):
-        # net_points ranges over 64..512; each count reads a prefix
+        # each count reads a prefix of its stream, so the search's 64-point
+        # quadruple net is the head of the 512-point reference net
         for dim, seed, top in ((4, 11, 128), (9, 13, 512)):
             ref = scipy_sobol(dim, top, seed)
             for count in range(64, top + 1):
@@ -502,6 +504,70 @@ class TestFormulaBc:
             formula_bc(0.0)
 
 
+def wide_seed_reference(b):
+    """Best psi of the wider seed set search_cb used to start from: per
+    triple the six grid seeds, the Gram geometry and a 128-point Sobol net;
+    per quadruple the Gram geometry and a 512-point net; each followed by
+    the same polish of the best seed.  Pairs are closed-form."""
+    bm = b.mat
+    k = len(bm)
+    best = max(
+        (bm[i, i] - 2.0 * bm[i, j] + bm[j, j]) / TWO_PI
+        for i in range(k) for j in range(i + 1, k)
+    )
+    grid = conic._angle_grid(720)
+    nets = {
+        3: conic._sobol_moment_seeds(3, 128, 0.45, 11),
+        4: conic._sobol_moment_seeds(4, 512, 0.4, 13),
+    }
+    for ell, net in nets.items():
+        for subset in itertools.combinations(range(k), ell):
+            b_sub = bm[np.ix_(subset, subset)]
+            seeds = [conic._structured_seeds(b_sub), net]
+            if ell == 3:
+                seeds.insert(0, conic._angle_grid_candidates(b_sub, grid, top=6))
+            z, psi, _, alive = conic._fixed_point(b_sub, np.concatenate(seeds), 1e-6, 200)
+            if alive.any():
+                top = conic._ranked(psi, alive)[:1]
+                _, psi, _, alive = conic._fixed_point(b_sub, z[top], 1e-6, 2000)
+                if alive[0]:
+                    best = max(best, psi[0])
+    return best
+
+
+class TestSeedSet:
+    def test_one_seed_source_per_subset_size(self, monkeypatch):
+        stages = []
+        fixed_point = conic._fixed_point
+
+        def recording(b_sub, z0, fp_tol, max_iters):
+            if len(z0) > 1:  # a batched stage; a polish runs one seed
+                stages.append((len(b_sub), len(z0)))
+            return fixed_point(b_sub, z0, fp_tol, max_iters)
+
+        monkeypatch.setattr(conic, "_fixed_point", recording)
+        rng = np.random.default_rng(21)
+        f = rng.standard_normal((4, 7))
+        clear_search_cache()
+        search_cb(SymMatrix.from_array(f @ f.T / 7))
+        assert stages == [(3, 6)] * 4 + [(4, 67)]
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_no_loss_against_wide_seed_set(self, k):
+        rng = np.random.default_rng(40 + k)
+        for _ in range(3):
+            f = rng.standard_normal((k, k + 3))
+            g = rng.standard_normal((k, 1))
+            for m in (f @ f.T / (k + 3), np.eye(k) + 0.1 * g @ g.T):
+                b = SymMatrix.from_array(m)
+                # the search orders labels canonically; the reference does too
+                perm = conic._canonical_label_order(b.mat)
+                reference = wide_seed_reference(b.permuted(perm))
+                clear_search_cache()
+                c_est, _, _ = search_cb(b)
+                assert c_est >= reference * (1.0 - 1e-10)
+
+
 class TestSearchCb:
     def test_identity2_threshold_scan_oracle(self):
         # oracle: over 1-D threshold partitions {x > t}, psi = 2 phi(t)^2,
@@ -568,6 +634,18 @@ class TestSearchCb:
         assert val.heuristic
         np.testing.assert_allclose(val.moments.sum(axis=0), 0.0, rtol=0, atol=1e-14)
         assert conic.fixed_point_residual(b, part, val) < 1e-6
+
+    def test_cache_keys_on_exact_bytes(self):
+        # the two B differ by 2e-13 in one entry; each gets its own search
+        clear_search_cache()
+        first = SymMatrix.from_array(1e-11 * np.diag([1.0, 1.0, 0.6]))
+        second = SymMatrix.from_array(1e-11 * np.diag([1.0, 1.0, 0.62]))
+        c_first, _, _ = search_cb(first)
+        c_second, part_second, _ = search_cb(second)
+        clear_search_cache()
+        c_cold, part_cold, _ = search_cb(second)
+        assert c_second == c_cold > c_first
+        np.testing.assert_array_equal(part_second.directions, part_cold.directions)
 
     def test_deterministic_for_fixed_seed(self):
         rng = np.random.default_rng(4)
