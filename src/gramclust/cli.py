@@ -231,8 +231,10 @@ def _add_b_options(p: argparse.ArgumentParser) -> None:
                    help="aperture-grid resolution, in place of the one "
                         "--epsilon implies")
     p.add_argument("--fp-tol", type=_nonnegative_float, default=1e-6)
-    p.add_argument("--max-iters", type=_int_at_least(1), default=200,
-                   help="fixed-point iteration cap in the C(B) search")
+    p.add_argument("--max-iters", type=_int_at_least(1), default=40,
+                   help="step cap of the C(B) search's batched fixed point "
+                        "over one subset's seeds; its best seed is then "
+                        "polished for up to max(this, 2000) steps")
     p.add_argument("--mu-epsilon", type=_positive_float, default=1e-4,
                    help="epsilon for the perturbed support distribution")
 

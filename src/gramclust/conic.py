@@ -13,11 +13,12 @@ geometry plus one shared 64-point Sobol net.
 The fixed-point map z -> moments(cells of B z) runs for all seeds of one
 active subset at once: the seeds form an (S, l, l-1) array, one array step
 advances every live seed, and each seed keeps its own stopping rules and
-best state as masks.  Cell moments are exact up to cone dimension 3: two
-half-lines, closed-form arcs in the plane, and spherical triangles in
-dimension 3 by the divergence identity.  No search and no residual goes
-above cone dimension 3; the Monte-Carlo partition_moments_mc is a separate
-cross-check on a Sobol Gaussian pool.
+best state as masks.  That stage is raced to a short step cap; a second
+run then polishes the subset's best live seed.  Cell moments are exact up
+to cone dimension 3: two half-lines, closed-form arcs in the plane, and
+spherical triangles in dimension 3 by the divergence identity.  No search
+and no residual goes above cone dimension 3; the Monte-Carlo
+partition_moments_mc is a separate cross-check on a Sobol Gaussian pool.
 
 Labels are 0-based throughout.
 """
@@ -50,12 +51,15 @@ class SearchConfig:
 
     epsilon and net_delta_override set only the resolution of the triples'
     aperture grid (240..720 steps per turn); the quadruple seeds are fixed.
+    max_iters caps the batched fixed point over the seeds of one subset;
+    its best live seed is then polished for up to max(max_iters, 2000)
+    steps.
     """
 
     epsilon: float | None = None  # default 1e-3 * R(B)^2, resolved at run time
     net_delta_override: float | None = None
     fp_tol: float = 1e-6
-    max_iters: int = 200
+    max_iters: int = 40
     seed: int = 0
 
     def fingerprint(self) -> tuple:
@@ -588,16 +592,29 @@ def _angle_grid(grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     keeps the assignment with the larger label in the earlier slot, which
     fixes the mirror image that a symmetric B such as I_3 reports.  The
     terms and the mask do not depend on B, so one grid serves every triple.
+
+    The domain is generated row by row, i = 0..grid/3 and j = i..(grid-i)/2,
+    and every term is read from two tables over the half-steps h pi/grid,
+    h = 0..2 grid: in half-steps the apertures halve to i, j, grid - i - j
+    (sin gives the moment lengths), and the bisectors i, 2i + j, i + j + grid
+    are i + j, j + grid and grid - i apart (cos gives their gaps).
     """
-    steps = np.linspace(0.0, TWO_PI, grid + 1)
-    i, j = np.triu_indices(grid // 2 + 1)
-    keep = i + 2 * j <= grid
-    i, j = i[keep], j[keep]
-    apertures = steps[np.stack([i, j, grid - i - j])]
-    beta, mag = _slot_geometry(apertures)
-    terms = np.empty((len(_SLOT_PAIRS), apertures.shape[1]))
-    for row, (s, t) in enumerate(_SLOT_PAIRS):
-        np.multiply(mag[s] * mag[t], np.cos(beta[s] - beta[t]), out=terms[row])
+    i = np.arange(grid // 3 + 1)
+    counts = (grid - i) // 2 - i + 1
+    start = np.cumsum(counts) - counts
+    i = np.repeat(i, counts)
+    j = i + np.arange(len(i)) - np.repeat(start, counts)
+    rest = grid - i - j
+    apertures = np.linspace(0.0, TWO_PI, grid + 1)[np.stack([i, j, rest])]
+    half = np.arange(2 * grid + 1) * (math.pi / grid)
+    length = np.sin(half[: grid + 1])
+    length *= HALFLINE_MOMENT
+    gap = np.cos(half)
+    m1, m2, m3 = length[i], length[j], length[rest]
+    terms = np.stack([  # rows in _SLOT_PAIRS order
+        m1 * m1, m1 * m2 * gap[i + j], m1 * m3 * gap[j + grid],
+        m2 * m2, m2 * m3 * gap[grid - i], m3 * m3,
+    ])
     first, middle, last = _SLOT_PERMS.T[:, :, None]
     redundant = ((i == j) & (first < middle)) | (
         ((i + 2 * j == grid) | (i == 0)) & (middle < last)
@@ -624,11 +641,14 @@ def _angle_grid_candidates(
     # how they are scheduled
     psi = np.einsum("pr,rv->pv", coeffs, terms)
     psi[redundant] = -np.inf
-    psi = psi.ravel()
-    cut = np.partition(psi, -top)[-top]
-    flat = np.flatnonzero(psi >= cut)
-    flat = flat[np.lexsort((flat, -psi[flat]))][:top]
-    perm, point = np.divmod(flat, apertures.shape[1])
+    # the top pairs sit at points whose best assignment reaches the top-th
+    # largest per-point maximum, so only those points need ranking
+    best = psi.max(axis=0)
+    points = np.flatnonzero(best >= np.partition(best, -top)[-top])
+    size = apertures.shape[1]
+    flat = (np.arange(len(_SLOT_PERMS))[:, None] * size + points).ravel()
+    flat = flat[np.lexsort((flat, -psi[:, points].ravel()))[:top]]
+    perm, point = np.divmod(flat, size)
     beta, mag = _slot_geometry(apertures[:, point])
     slots = mag[:, :, None] * np.stack([np.cos(beta), np.sin(beta)], axis=2)
     z = np.empty((top, 3, 2))
@@ -680,11 +700,12 @@ def search_cb(
 ) -> tuple[float, ConicalPartition, PartitionValue]:
     """Estimate C(B) and the partition attaining it.
 
-    Exhausts active subsets by size: pairs are closed-form, and triples and
-    quadruples run one batched fixed-point iteration over all their seeds,
-    then a long polish of the best state alone, on exact cell moments
-    (planar arcs for triples, spherical triangles for quadruples).  Triples
-    are seeded by the six best distinct configurations of an exact
+    Exhausts active subsets by size: pairs are closed-form, and each triple
+    and quadruple runs one batched fixed-point iteration over all its seeds,
+    raced to cfg.max_iters steps, then a polish of its best live state alone
+    for up to max(cfg.max_iters, 2000) steps, on exact cell moments (planar
+    arcs for triples, spherical triangles for quadruples).  Triples are
+    seeded by the six best distinct configurations of an exact
     planar-aperture grid alone (one scan of each configuration, on the
     a1 <= a2 <= a3 domain of _angle_grid), 6 seeds; quadruples by the Gram
     geometry (3 seeds, none when the labels coincide) and one Sobol net of
@@ -743,7 +764,8 @@ def search_cb(
         z = np.array([[HALFLINE_MOMENT], [-HALFLINE_MOMENT]])
         candidates.append(_Candidate(gap / TWO_PI, next(counter), (i, j), z))
 
-    # l = 3, 4: batched fixed point on exact moments, then a polish
+    # l = 3, 4: batched fixed point on exact moments, raced to max_iters,
+    # then a polish of the best live seed
     polish_iters = max(cfg.max_iters, 2000)
     if k >= 3:
         grid = _angle_grid(angle_grid)

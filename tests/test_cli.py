@@ -330,11 +330,19 @@ class TestImports:
         # a 5 x 5 B reaches the quadruple net and the spherical kernel
         g = np.random.default_rng(0).standard_normal((5, 8))
         path5 = write_json(tmp_path, {"B": (g @ g.T / 8).tolist()}, "b5.json")
+        # n = 8 with a 4 x 4 B runs the raced triple and quadruple stages
+        # inside a whole cluster run
+        a8 = random_centered_psd(8, np.random.default_rng(2))
+        g4 = np.random.default_rng(3).standard_normal((4, 4))
+        path8 = write_json(
+            tmp_path, {"A": a8.mat.tolist(), "B": (g4 @ g4.T / 4).tolist()}, "k4.json"
+        )
         out = tmp_path / "cluster.json"
         runs = [
             ["cluster", path, "--with-hardness", "--trials", "8", "--out", str(out)],
             ["analyze-b", path, "--out", str(tmp_path / "analyze.json")],
             ["analyze-b", path5, "--out", str(tmp_path / "analyze5.json")],
+            ["cluster", path8, "--trials", "8", "--out", str(tmp_path / "cluster8.json")],
             ["oracle", path, "--out", str(tmp_path / "oracle.json")],
             ["selftest", "--quick"],
         ]
@@ -347,7 +355,7 @@ class TestImports:
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0]", proc.stdout
+        assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0]", proc.stdout
         # the sdp block describes the solve, whichever C(B) partition the
         # rounding used
         rank = json.loads(out.read_text())["sdp"]["rank"]

@@ -387,6 +387,57 @@ class TestAngleGrid:
         np.testing.assert_array_equal(np.unique(apertures.T, axis=0), sorted_points)
         assert len(sorted_points) == apertures.shape[1]
 
+    @pytest.mark.parametrize("grid", [12, 13, 240, 719, 720])
+    def test_lattice_tables_match_direct_construction(self, grid):
+        # the domain in triu order, apertures and terms straight from sin/cos
+        steps = np.linspace(0.0, TWO_PI, grid + 1)
+        i, j = np.triu_indices(grid // 2 + 1)
+        keep = i + 2 * j <= grid
+        expected = steps[np.stack([i[keep], j[keep], grid - i[keep] - j[keep]])]
+        bisectors = np.stack([
+            expected[0] / 2.0,
+            expected[0] + expected[1] / 2.0,
+            expected[0] + expected[1] + expected[2] / 2.0,
+        ])
+        lengths = np.sin(expected / 2.0) / math.sqrt(TWO_PI)
+        direct = np.stack([
+            lengths[s] * lengths[t] * np.cos(bisectors[s] - bisectors[t])
+            for s, t in conic._SLOT_PAIRS
+        ])
+        apertures, terms, _ = conic._angle_grid(grid)
+        np.testing.assert_array_equal(apertures, expected)
+        np.testing.assert_allclose(terms, direct, rtol=0, atol=2e-16)
+
+    def test_candidates_match_full_selection(self):
+        # rank every (assignment, point) pair of the grid: psi descending,
+        # flat index ascending
+        grid = conic._angle_grid(720)
+        apertures, terms, redundant = grid
+        rng = np.random.default_rng(33)
+        blocks = [np.eye(3), np.ones((3, 3)), np.diag([1.0, 1.0, 0.0])]
+        while len(blocks) < 200:
+            f = rng.standard_normal((3, 1 + len(blocks) % 3))  # ranks 1, 2, 3
+            blocks.append(f @ f.T)
+        for b_sub in blocks:
+            coeffs = np.array([
+                [(1.0 if s == t else 2.0) * b_sub[perm[s], perm[t]]
+                 for s, t in conic._SLOT_PAIRS]
+                for perm in conic._SLOT_PERMS
+            ])
+            psi = np.einsum("pr,rv->pv", coeffs, terms)
+            psi[redundant] = -np.inf
+            psi = psi.ravel()
+            flat = np.flatnonzero(psi >= np.partition(psi, -6)[-6])
+            flat = flat[np.lexsort((flat, -psi[flat]))][:6]
+            perm, point = np.divmod(flat, apertures.shape[1])
+            expected = np.stack([
+                cyclic_moments(apertures[:, [v]], conic._SLOT_PERMS[p])[0]
+                for p, v in zip(perm, point)
+            ])
+            np.testing.assert_array_equal(
+                conic._angle_grid_candidates(b_sub, grid, 6), expected
+            )
+
     @pytest.mark.parametrize("grid", [12, 13, 30])
     def test_kept_assignments_are_the_distinct_configurations(self, grid):
         def grams(z):
@@ -537,20 +588,32 @@ def wide_seed_reference(b):
 
 class TestSeedSet:
     def test_one_seed_source_per_subset_size(self, monkeypatch):
-        stages = []
+        calls = []
         fixed_point = conic._fixed_point
 
         def recording(b_sub, z0, fp_tol, max_iters):
-            if len(z0) > 1:  # a batched stage; a polish runs one seed
-                stages.append((len(b_sub), len(z0)))
-            return fixed_point(b_sub, z0, fp_tol, max_iters)
+            result = fixed_point(b_sub, z0, fp_tol, max_iters)
+            calls.append((len(b_sub), len(z0), max_iters, bool(result[3].any())))
+            return result
 
         monkeypatch.setattr(conic, "_fixed_point", recording)
         rng = np.random.default_rng(21)
-        f = rng.standard_normal((4, 7))
-        clear_search_cache()
-        search_cb(SymMatrix.from_array(f @ f.T / 7))
-        assert stages == [(3, 6)] * 4 + [(4, 67)]
+        for k in (4, 5):
+            f = rng.standard_normal((k, k + 3))
+            calls.clear()
+            clear_search_cache()
+            search_cb(SymMatrix.from_array(f @ f.T / (k + 3)))
+            # per subset one stage raced to 40 steps over its seeds, then a
+            # polish of its best seed when one stayed live
+            expected = []
+            stages = iter(c for c in calls if c[2] == 40)
+            for ell, seeds in ((3, 6), (4, 67)):
+                for _ in range(math.comb(k, ell)):
+                    expected.append((ell, seeds, 40))
+                    if next(stages)[3]:
+                        expected.append((ell, 1, 2000))
+            assert [c[:3] for c in calls] == expected
+            assert sum(c[2] == 2000 for c in calls) > 0
 
     @pytest.mark.parametrize("k", [4, 5])
     def test_no_loss_against_wide_seed_set(self, k):
