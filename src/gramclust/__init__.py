@@ -12,7 +12,6 @@ from .ball import EnclosingBall, min_enclosing_ball, radius_squared
 from .conic import (
     ConicalPartition,
     PartitionValue,
-    SearchConfig,
     cone_moment_closed_2d,
     formula_bc,
     partition_moments_mc,
@@ -73,7 +72,6 @@ __all__ = [
     "radius_squared",
     "ConicalPartition",
     "PartitionValue",
-    "SearchConfig",
     "cone_moment_closed_2d",
     "partition_moments_mc",
     "psi_value",

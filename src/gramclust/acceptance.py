@@ -18,7 +18,6 @@ import numpy as np
 from .ball import min_enclosing_ball, radius_squared
 from .conic import (
     ConicalPartition,
-    SearchConfig,
     fixed_point_residual,
     formula_bc,
     partition_moments_mc,
@@ -286,7 +285,6 @@ def criterion_7_invariants(shared: Shared) -> CriterionResult:
     t0 = time.time()
     rows = []
     ok = True
-    cfg = SearchConfig()
     rng = np.random.default_rng(777)
 
     violations = []
@@ -295,7 +293,7 @@ def criterion_7_invariants(shared: Shared) -> CriterionResult:
         k = 2 + i % 3
         b = _random_psd(k, 3000 + i)
         r2 = radius_squared(b)
-        c_est, partition, value = search_cb(b, cfg)
+        c_est, partition, value = search_cb(b)
         if c_est > r2 + 1e-6:
             violations.append(f"C(B) > R(B)^2 at seed {3000+i}")
         if value.moments.size:
@@ -323,7 +321,7 @@ def criterion_7_invariants(shared: Shared) -> CriterionResult:
         if i % 10 == 0:
             perm = rng.permutation(k)
             bp = b.permuted(perm)
-            c_perm, part_perm, _ = search_cb(bp, cfg)
+            c_perm, part_perm, _ = search_cb(bp)
             if abs(c_perm - c_est) > 0.01 * max(c_est, 1e-12):
                 violations.append(f"perm equivariance value at seed {3000+i}")
             mapped = sorted(int(np.where(perm == a)[0][0]) for a in partition.active)

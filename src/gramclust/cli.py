@@ -20,7 +20,6 @@ import time
 import numpy as np
 
 from . import __version__, pipeline
-from .conic import SearchConfig
 from .errors import GramclustError, NotCentered, NotPSD, ParseError
 from .matrixcore import SymMatrix
 from .oracle import brute_force_c3, brute_force_clust
@@ -35,7 +34,11 @@ def _require_finite(arr: np.ndarray, name: str) -> None:
 
 
 def _ingest(raw, name: str) -> SymMatrix:
-    arr = np.asarray(raw, dtype=float)
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        # non-numeric entries, ragged rows or objects in a JSON document
+        raise ParseError(f"matrix {name} is not a numeric matrix: {exc}") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ParseError(f"matrix {name} must be square, got shape {arr.shape}")
     _require_finite(arr, name)
@@ -53,6 +56,9 @@ def _load_csv(path: str, name: str) -> tuple[np.ndarray, bytes]:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
+        # np.loadtxt only warns about a file without data lines
+        if not any(line.split(b"#")[0].strip() for line in raw.splitlines()):
+            raise ValueError("the file holds no data")
         return np.loadtxt(io.BytesIO(raw), delimiter=",", dtype=float, ndmin=2), raw
     except (OSError, ValueError) as exc:
         raise ParseError(f"could not read {name} from {path}: {exc}") from None
@@ -81,16 +87,6 @@ def _load_inputs(args, need_a: bool = True):
         b = _ingest(b_mat, "B")
         raw = a_raw + b_raw
     return a, b, hashlib.sha256(raw).hexdigest()
-
-
-def _search_config(args) -> SearchConfig:
-    return SearchConfig(
-        epsilon=args.epsilon,
-        net_delta_override=args.net_delta_override,
-        fp_tol=args.fp_tol,
-        max_iters=args.max_iters,
-        seed=args.seed,
-    )
 
 
 def _sdp_config(args) -> SdpConfig:
@@ -135,7 +131,7 @@ def run_cluster(args) -> dict:
     a, b, digest = _load_inputs(args)
     report = _base_report(args, digest, a, b)
     report.update(pipeline.cluster(
-        a, b, _search_config(args), _sdp_config(args), trials=args.trials,
+        a, b, _sdp_config(args), trials=args.trials,
         seed=args.seed, threads=args.threads,
         mu_epsilon=args.mu_epsilon if args.with_hardness else None,
     ))
@@ -145,7 +141,7 @@ def run_cluster(args) -> dict:
 def run_analyze_b(args) -> dict:
     _, b, digest = _load_inputs(args, need_a=False)
     report = _base_report(args, digest, None, b)
-    report.update(pipeline.analyze_b(b, _search_config(args), args.mu_epsilon))
+    report.update(pipeline.analyze_b(b, args.seed, args.mu_epsilon))
     return report
 
 
@@ -222,19 +218,7 @@ def _add_inputs(p: argparse.ArgumentParser, with_a: bool = True) -> None:
 
 
 def _add_b_options(p: argparse.ArgumentParser) -> None:
-    """Flags of the part that reads B alone: the C(B) search and the
-    hardness gadget."""
-    p.add_argument("--epsilon", type=_positive_float, default=None,
-                   help="target accuracy for C(B), which sets the triples' "
-                        "aperture-grid resolution (default 1e-3 * R^2)")
-    p.add_argument("--net-delta-override", type=_positive_float, default=None,
-                   help="aperture-grid resolution, in place of the one "
-                        "--epsilon implies")
-    p.add_argument("--fp-tol", type=_nonnegative_float, default=1e-6)
-    p.add_argument("--max-iters", type=_int_at_least(1), default=40,
-                   help="step cap of the C(B) search's batched fixed point "
-                        "over one subset's seeds; its best seed is then "
-                        "polished for up to max(this, 2000) steps")
+    """Flags of the part that reads B alone: the hardness gadget."""
     p.add_argument("--mu-epsilon", type=_positive_float, default=1e-4,
                    help="epsilon for the perturbed support distribution")
 

@@ -4,11 +4,13 @@ A partition is given by distinct direction vectors w_j; cell j is the cone
 where <x, w_j> is maximal.  Its quality is the quadratic form
 psi = sum_{ij} b_ij <z_i, z_j> over the cells' Gaussian first moments z_j,
 and C(B) is the supremum of psi over all measurable partitions, attained
-by such conical ones.  The search below is exact for k <= 3 (closed-form
-moments in dimensions 0..2) and a seeded fixed point above that, with one
+by such conical ones.  The search below is closed-form for pairs and a
+seeded fixed point on exact moments for triples and quadruples, with one
 seed source per subset size: each triple starts from the six best distinct
-configurations of a planar aperture grid, each quadruple from its Gram
-geometry plus one shared 64-point Sobol net.
+configurations of a planar aperture grid of ANGLE_GRID (720) steps per
+turn, each quadruple from its Gram geometry plus one shared 64-point Sobol
+net.  Its constants are fixed, so C(B) depends on B and the net's seed
+alone.
 
 The fixed-point map z -> moments(cells of B z) runs for all seeds of one
 active subset at once: the seeds form an (S, l, l-1) array, one array step
@@ -43,33 +45,10 @@ SPHERE_CONST = TWO_PI ** -1.5
 EMPTY_CELL_MASS = 1e-6
 DEFAULT_MC_SAMPLES = 200_000
 QUADRUPLE_NET_POINTS = 64  # Sobol seeds shared by every quadruple
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Tunables for search_cb; all exposed as CLI flags.
-
-    epsilon and net_delta_override set only the resolution of the triples'
-    aperture grid (240..720 steps per turn); the quadruple seeds are fixed.
-    max_iters caps the batched fixed point over the seeds of one subset;
-    its best live seed is then polished for up to max(max_iters, 2000)
-    steps.
-    """
-
-    epsilon: float | None = None  # default 1e-3 * R(B)^2, resolved at run time
-    net_delta_override: float | None = None
-    fp_tol: float = 1e-6
-    max_iters: int = 40
-    seed: int = 0
-
-    def fingerprint(self) -> tuple:
-        return (
-            self.epsilon,
-            self.net_delta_override,
-            self.fp_tol,
-            self.max_iters,
-            self.seed,
-        )
+ANGLE_GRID = 720  # aperture-grid steps per turn for the triples' seeds
+FP_TOL = 1e-6  # fixed-point residual at which a seed stops
+RACE_STEPS = 40  # step cap of the batched fixed point over a subset's seeds
+POLISH_STEPS = 2000  # step cap of the polish of a subset's best seed
 
 
 @dataclass(frozen=True)
@@ -99,12 +78,8 @@ class ConicalPartition:
             raise DimensionMismatch(
                 f"directions shape {w.shape} does not match {ell} active labels"
             )
-        if ell > 1:
-            scale = max(1.0, float(np.max(np.abs(w))))
-            for i in range(ell):
-                for j in range(i + 1, ell):
-                    if np.max(np.abs(w[i] - w[j])) <= 1e-12 * scale:
-                        raise DimensionMismatch("direction vectors must be distinct")
+        if ell > 1 and not _directions_distinct(w[None])[0]:
+            raise DimensionMismatch("direction vectors must be distinct")
         w = w.copy()
         w.flags.writeable = False
         object.__setattr__(self, "directions", w)
@@ -440,11 +415,15 @@ def _cells(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _directions_distinct(w: np.ndarray) -> np.ndarray:
-    """(S,) True where no two directions of a set coincide to 1e-13 relative."""
+    """(S,) True where no two directions of a set coincide to 1e-12 relative.
+
+    The one test of distinct directions: a state the search keeps must
+    build a ConicalPartition.
+    """
     scale = np.maximum(1.0, np.abs(w).max(axis=(1, 2)))
     i, j = _pairs(w.shape[1])
     gaps = np.abs(w[:, i] - w[:, j]).max(axis=2)
-    return (gaps > 1e-13 * scale[:, None]).all(axis=1)
+    return (gaps > 1e-12 * scale[:, None]).all(axis=1)
 
 
 def _psi(b_sub: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -468,10 +447,10 @@ def _fixed_point(
     the conditional-gradient step for the convex functional psi, so psi
     never decreases; each seed keeps its best live state.  A seed stops
     when its directions coincide, a cell's Gaussian mass falls below
-    EMPTY_CELL_MASS, its residual falls below fp_tol, or after max_iters
-    steps.  alive=False means the seed never had a live state (it
-    degenerated to fewer cells, covered by a smaller subset); its moments
-    are then z0 and psi their value.
+    EMPTY_CELL_MASS, its cell moments do not sum to 0, its residual falls
+    below fp_tol, or after max_iters steps.  alive=False means the seed
+    never had a live state (it degenerated to fewer cells, covered by a
+    smaller subset); its moments are then z0 and psi their value.
     """
     z = np.array(z0, dtype=float)
     best_z = z.copy()
@@ -488,7 +467,12 @@ def _fixed_point(
         step = z_new - z[live]
         residual[live] = np.sqrt((step * step).sum(axis=2)).max(axis=1)
         z[live] = z_new
-        full = masses.min(axis=1) >= EMPTY_CELL_MASS
+        # moments of a partition sum to 0; exact cells reach about 1e-16, so
+        # a larger sum marks near-coplanar directions whose cells are wrong
+        # and whose psi need not be a lower bound on C(B)
+        full = (masses.min(axis=1) >= EMPTY_CELL_MASS) & (
+            np.abs(z_new.sum(axis=1)).max(axis=1) <= 1e-12
+        )
         live, z_new = live[full], z_new[full]
         psi = _psi(b_sub, z_new)
         better = psi > best_psi[live]
@@ -696,56 +680,45 @@ class _Candidate:
 
 
 def search_cb(
-    b: SymMatrix, cfg: SearchConfig = SearchConfig()
+    b: SymMatrix, seed: int = 0
 ) -> tuple[float, ConicalPartition, PartitionValue]:
     """Estimate C(B) and the partition attaining it.
 
     Exhausts active subsets by size: pairs are closed-form, and each triple
     and quadruple runs one batched fixed-point iteration over all its seeds,
-    raced to cfg.max_iters steps, then a polish of its best live state alone
-    for up to max(cfg.max_iters, 2000) steps, on exact cell moments (planar
-    arcs for triples, spherical triangles for quadruples).  Triples are
-    seeded by the six best distinct configurations of an exact
-    planar-aperture grid alone (one scan of each configuration, on the
+    raced to RACE_STEPS steps, then a polish of its best live state alone
+    for up to POLISH_STEPS steps, on exact cell moments (planar arcs for
+    triples, spherical triangles for quadruples).  Triples are seeded by
+    the six best distinct configurations of a planar aperture grid of
+    ANGLE_GRID steps per turn (one scan of each configuration, on the
     a1 <= a2 <= a3 domain of _angle_grid), 6 seeds; quadruples by the Gram
     geometry (3 seeds, none when the labels coincide) and one Sobol net of
-    QUADRUPLE_NET_POINTS tuples shared by every quadruple.  Subsets of five
-    or more cells are not searched.
-    For k <= 3 the returned psi is within cfg.epsilon of C(B); for k >= 4
-    it is the value of a local optimum, a lower bound with no optimality
-    claim (heuristic flag set), and mc_stderr is 0 for every k.
+    QUADRUPLE_NET_POINTS tuples, drawn from ``seed`` and shared by every
+    quadruple.  Subsets of five or more cells are not searched.
+    The returned psi is the value of the exact cell moments of one conical
+    partition, so a lower bound on C(B); the reported directions B z give
+    that partition at a fixed point.  For k >= 4 psi comes with no
+    optimality claim (heuristic flag set).  mc_stderr is 0 for every k.
     Candidates reduce by (psi, index) lexicographic max, so the result is
-    deterministic for a fixed seed.
+    deterministic for a fixed seed, and it is cached per B and seed.
     """
     if not validate_psd(b):
         raise NotPSD("hypothesis matrix is not PSD")
     k = b.dim
-    r2 = radius_squared(b)
-    if r2 < 1e-12:
+    if radius_squared(b) < 1e-12:
         raise DegenerateB(
             "all Gram vectors coincide; every clustering of a centered matrix "
             "has value 0"
         )
     if k < 2:
         raise ValueError("search_cb requires k >= 2")
-    epsilon = cfg.epsilon if cfg.epsilon is not None else 1e-3 * r2
 
     # exact bytes: a rounded key lets B matrices that differ only below the
     # rounding step share one entry (SymMatrix is bit-exactly symmetric)
-    cache_key = (b.mat.tobytes(), k, cfg.fingerprint())
+    cache_key = (b.mat.tobytes(), seed)
     cached = _SEARCH_CACHE.get(cache_key)
     if cached is not None:
         return cached
-
-    # aperture-grid resolution from the error chain delta = eps / (8 sqrt(k)
-    # |B|_1), capped: the fixed point, not the grid, does the fine work
-    b_l1 = float(np.sum(np.abs(b.mat)))
-    delta = (
-        cfg.net_delta_override
-        if cfg.net_delta_override is not None
-        else epsilon / (8.0 * math.sqrt(k) * max(b_l1, 1e-12))
-    )
-    angle_grid = int(min(720, max(240, TWO_PI / math.sqrt(max(delta, 1e-6)))))
 
     perm = _canonical_label_order(b.mat)
     bc = b.mat[np.ix_(perm, perm)]
@@ -764,13 +737,12 @@ def search_cb(
         z = np.array([[HALFLINE_MOMENT], [-HALFLINE_MOMENT]])
         candidates.append(_Candidate(gap / TWO_PI, next(counter), (i, j), z))
 
-    # l = 3, 4: batched fixed point on exact moments, raced to max_iters,
+    # l = 3, 4: batched fixed point on exact moments, raced to RACE_STEPS,
     # then a polish of the best live seed
-    polish_iters = max(cfg.max_iters, 2000)
     if k >= 3:
-        grid = _angle_grid(angle_grid)
+        grid = _angle_grid(ANGLE_GRID)
     if k >= 4:
-        net = _sobol_moment_seeds(4, QUADRUPLE_NET_POINTS, 0.4, cfg.seed + 13)
+        net = _sobol_moment_seeds(4, QUADRUPLE_NET_POINTS, 0.4, seed + 13)
     for ell in (3, 4):
         for subset in itertools.combinations(range(k), ell):
             b_sub = bc[np.ix_(subset, subset)]
@@ -778,13 +750,11 @@ def search_cb(
                 seeds = _angle_grid_candidates(b_sub, grid, top=6)
             else:
                 seeds = np.concatenate([_structured_seeds(b_sub), net])
-            z, psi, _, alive = _fixed_point(b_sub, seeds, cfg.fp_tol, cfg.max_iters)
+            z, psi, _, alive = _fixed_point(b_sub, seeds, FP_TOL, RACE_STEPS)
             if not alive.any():
                 continue
             best_seed = _ranked(psi, alive)[:1]
-            z, psi, _, alive = _fixed_point(
-                b_sub, z[best_seed], cfg.fp_tol, polish_iters
-            )
+            z, psi, _, alive = _fixed_point(b_sub, z[best_seed], FP_TOL, POLISH_STEPS)
             if alive[0]:
                 candidates.append(
                     _Candidate(float(psi[0]), next(counter), subset, z[0])

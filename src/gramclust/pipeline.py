@@ -11,7 +11,7 @@ report.
 from __future__ import annotations
 
 from .ball import EnclosingBall, min_enclosing_ball
-from .conic import ConicalPartition, SearchConfig, search_cb
+from .conic import ConicalPartition, search_cb
 from .errors import DegenerateB, GramclustError, NotCentered, NotPSD
 from .hardness import build_mu, dictatorship_objective
 from .matrixcore import SymMatrix, gram_factorize, validate_centered, validate_psd
@@ -20,7 +20,7 @@ from .sdp import SdpConfig, ascend_from, solve_sdp
 
 
 def _b_half(
-    b: SymMatrix, search: SearchConfig, mu_epsilon: float | None
+    b: SymMatrix, seed: int, mu_epsilon: float | None
 ) -> tuple[dict, EnclosingBall, ConicalPartition | None]:
     """The blocks that depend on B alone, the ball, and the C(B) partition
     (None when B is degenerate)."""
@@ -39,7 +39,7 @@ def _b_half(
         }
     }
     try:
-        c_est, partition, value = search_cb(b, search)
+        c_est, partition, value = search_cb(b, seed)
     except DegenerateB:
         report["degenerate"] = True
         return report, ball, None
@@ -64,19 +64,16 @@ def _b_half(
     return report, ball, partition
 
 
-def analyze_b(
-    b: SymMatrix, search: SearchConfig = SearchConfig(), mu_epsilon: float | None = 1e-4
-) -> dict:
-    """R(B)^2 and the ball, C(B) and its partition, the approximation ratio
-    R(B)^2 / C(B), and the hardness gadget at ``mu_epsilon`` (left out when
-    it is None or B is degenerate)."""
-    return _b_half(b, search, mu_epsilon)[0]
+def analyze_b(b: SymMatrix, seed: int = 0, mu_epsilon: float | None = 1e-4) -> dict:
+    """R(B)^2 and the ball, C(B) and its partition (searched with ``seed``),
+    the approximation ratio R(B)^2 / C(B), and the hardness gadget at
+    ``mu_epsilon`` (left out when it is None or B is degenerate)."""
+    return _b_half(b, seed, mu_epsilon)[0]
 
 
 def cluster(
     a: SymMatrix,
     b: SymMatrix,
-    search: SearchConfig | None = None,
     sdp: SdpConfig = SdpConfig(),
     trials: int = 100,
     seed: int = 0,
@@ -85,8 +82,8 @@ def cluster(
 ) -> dict:
     """The whole pipeline on a centered PSD A and a PSD B.
 
-    ``seed`` drives the SDP starts and the rounding trials, and the C(B)
-    search too unless ``search`` is given.  The report holds the
+    ``seed`` drives the C(B) search, the SDP starts and the rounding
+    trials.  The report holds the
     :func:`analyze_b` blocks, plus ``sdp``, ``rounding`` and the
     ``certified_interval`` [best rounded value, R(B)^2 * dual_upper].
     """
@@ -94,8 +91,7 @@ def cluster(
         raise NotPSD("A is not positive semidefinite (within 1e-9)")
     if not validate_centered(a):
         raise NotCentered("A is not centered: entries must sum to zero")
-    search = SearchConfig(seed=seed) if search is None else search
-    report, ball, partition = _b_half(b, search, mu_epsilon)
+    report, ball, partition = _b_half(b, seed, mu_epsilon)
     if partition is None:
         # all Gram vectors coincide: every clustering of a centered matrix
         # has value 0, so report the trivial certified answer

@@ -15,7 +15,6 @@ from gramclust import (
     DimensionMismatch,
     NotPSD,
     PartitionValue,
-    SearchConfig,
     SymMatrix,
     cone_moment_closed_2d,
     formula_bc,
@@ -631,6 +630,14 @@ class TestSeedSet:
                 assert c_est >= reference * (1.0 - 1e-10)
 
 
+def near_repeat_b(seed, gap):
+    """A 4x4 Gram matrix whose second vector is the first moved by gap."""
+    v = np.random.default_rng(seed).standard_normal((4, 4))
+    v[1] = v[0]
+    v[1, 3] += gap
+    return v @ v.T
+
+
 class TestSearchCb:
     def test_identity2_threshold_scan_oracle(self):
         # oracle: over 1-D threshold partitions {x > t}, psi = 2 phi(t)^2,
@@ -686,6 +693,20 @@ class TestSearchCb:
         with pytest.raises(DegenerateB):
             search_cb(SymMatrix.from_array([[1.0]]))
 
+    @pytest.mark.parametrize(
+        "seed, gap", [(2, 1e-12), (5, 1e-6), (5, 1e-8)], ids=["2-1e-12", "5-1e-6", "5-1e-8"]
+    )
+    def test_near_repeated_label_is_a_lower_bound(self, seed, gap):
+        # two Gram vectors gap apart: the quadruples' directions are nearly
+        # coplanar, where the cells' moments stop summing to 0 or two
+        # directions coincide to 1e-12
+        b = SymMatrix.from_array(near_repeat_b(seed, gap))
+        clear_search_cache()
+        c_est, part, val = search_cb(b)
+        assert c_est <= radius_squared(b) * (1.0 + 1e-9)
+        assert np.max(np.abs(val.moments.sum(axis=0))) <= 1e-9
+        assert c_est == pytest.approx(psi_value(b, val.moments, part.active), rel=1e-12)
+
     def test_quadruples_exact_without_pools(self):
         rng = np.random.default_rng(3017)  # a B whose best partition has 4 cells
         f = rng.standard_normal((4, 4))
@@ -714,10 +735,9 @@ class TestSearchCb:
         rng = np.random.default_rng(4)
         f = rng.standard_normal((4, 4))
         b = SymMatrix.from_array(f @ f.T)
-        cfg = SearchConfig(seed=3)
-        first = search_cb(b, cfg)
+        first = search_cb(b, seed=3)
         clear_search_cache()
-        second = search_cb(b, cfg)
+        second = search_cb(b, seed=3)
         assert second is not first
         assert first[0] == second[0]
         assert first[1].active == second[1].active
