@@ -33,11 +33,29 @@ def _require_finite(arr: np.ndarray, name: str) -> None:
         raise ParseError(f"matrix {name} contains NaN or Inf entries")
 
 
+def _json_numbers(raw) -> bool:
+    """True when every leaf of nested JSON lists is an int or a float.
+
+    numpy would cast the strings "2" and "nan" and the booleans to floats.
+    """
+    stack = [raw]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            return False
+    return True
+
+
 def _ingest(raw, name: str) -> SymMatrix:
     try:
+        if not isinstance(raw, np.ndarray) and not _json_numbers(raw):
+            raise ValueError("an entry is not a number")
         arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        # non-numeric entries, ragged rows or objects in a JSON document
+    except (TypeError, ValueError, OverflowError) as exc:
+        # non-numeric entries, ragged rows, objects or integers beyond the
+        # float range in a JSON document
         raise ParseError(f"matrix {name} is not a numeric matrix: {exc}") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ParseError(f"matrix {name} must be square, got shape {arr.shape}")
@@ -101,8 +119,12 @@ def _sdp_config(args) -> SdpConfig:
 def _emit(report: dict, args) -> None:
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            reason = exc.strerror or exc
+            raise ParseError(f"cannot write {args.out}: {reason}") from None
     else:
         print(text)
 

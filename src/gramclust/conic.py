@@ -7,7 +7,7 @@ and C(B) is the supremum of psi over all measurable partitions, attained
 by such conical ones.  The search below is closed-form for pairs and a
 seeded fixed point on exact moments for triples and quadruples, with one
 seed source per subset size: each triple starts from the six best distinct
-configurations of a planar aperture grid of ANGLE_GRID (720) steps per
+configurations of a planar aperture grid of ANGLE_GRID (180) steps per
 turn, each quadruple from its Gram geometry plus one shared 64-point Sobol
 net.  Its constants are fixed, so C(B) depends on B and the net's seed
 alone.
@@ -15,12 +15,15 @@ alone.
 The fixed-point map z -> moments(cells of B z) runs for all seeds of one
 active subset at once: the seeds form an (S, l, l-1) array, one array step
 advances every live seed, and each seed keeps its own stopping rules and
-best state as masks.  That stage is raced to a short step cap; a second
-run then polishes the subset's best live seed.  Cell moments are exact up
-to cone dimension 3: two half-lines, closed-form arcs in the plane, and
-spherical triangles in dimension 3 by the divergence identity.  No search
-and no residual goes above cone dimension 3; the Monte-Carlo
-partition_moments_mc is a separate cross-check on a Sobol Gaussian pool.
+best state as masks.  Each step maps a point extrapolated from the seed's
+last two images, under a monotone safeguard that falls back to the plain
+step and keeps only exact images.  That stage is raced to a short step
+cap; a second run then polishes the subset's best live seed.  Cell
+moments are exact up to cone dimension 3: two half-lines, closed-form arcs
+in the plane, and spherical triangles in dimension 3 by the divergence
+identity.  No search and no residual goes above cone dimension 3; the
+Monte-Carlo partition_moments_mc is a separate cross-check on a Sobol
+Gaussian pool.
 
 Labels are 0-based throughout.
 """
@@ -37,6 +40,7 @@ import numpy as np
 from .ball import radius_squared
 from .errors import DegenerateB, DimensionMismatch, NotPSD
 from .matrixcore import SymMatrix, validate_psd
+from .sdp import _BETA_GROWTH, _BETA_MAX, _BETA_START
 
 TWO_PI = 2.0 * math.pi
 HALFLINE_MOMENT = 1.0 / math.sqrt(TWO_PI)  # int_0^inf x dgamma_1
@@ -45,7 +49,7 @@ SPHERE_CONST = TWO_PI ** -1.5
 EMPTY_CELL_MASS = 1e-6
 DEFAULT_MC_SAMPLES = 200_000
 QUADRUPLE_NET_POINTS = 64  # Sobol seeds shared by every quadruple
-ANGLE_GRID = 720  # aperture-grid steps per turn for the triples' seeds
+ANGLE_GRID = 180  # aperture-grid steps per turn for the triples' seeds
 FP_TOL = 1e-6  # fixed-point residual at which a seed stops
 RACE_STEPS = 40  # step cap of the batched fixed point over a subset's seeds
 POLISH_STEPS = 2000  # step cap of the polish of a subset's best seed
@@ -443,42 +447,77 @@ def _fixed_point(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Iterate the self-consistency map from S seeds z0 (S, l, l-1) together.
 
-    Returns per-seed arrays (moments, psi, residual, alive).  The map is
-    the conditional-gradient step for the convex functional psi, so psi
-    never decreases; each seed keeps its best live state.  A seed stops
+    Returns per-seed arrays (moments, psi, residual, alive).  The map
+    z -> moments(cells of B z) is the conditional-gradient step for the
+    convex functional psi, so a plain step never lowers psi, but it
+    converges only linearly.  So after each accepted image z the seed maps
+    the extrapolated point y = z + beta (z - prev) next, prev being its
+    previous accepted image (the seed itself at first), under the monotone
+    safeguard of sdp._ascend: the image of y is accepted only if its psi
+    beats that of z.  Otherwise the step is rejected and the seed maps z
+    itself, a plain step.  beta starts at 1/2, grows by 1.1 (up to 1) on
+    each accepted extrapolation and halves on each rejected one.  Only
+    exact images carry a psi or become the seed's best state, so every
+    returned psi is the value of a partition.
+
+    A plain step (the first one, and each after a rejection) ends the seed
     when its directions coincide, a cell's Gaussian mass falls below
-    EMPTY_CELL_MASS, its cell moments do not sum to 0, its residual falls
-    below fp_tol, or after max_iters steps.  alive=False means the seed
-    never had a live state (it degenerated to fewer cells, covered by a
-    smaller subset); its moments are then z0 and psi their value.
+    EMPTY_CELL_MASS or its cell moments do not sum to 0; at an extrapolated
+    point these are rejections.  A seed also stops when its residual
+    |image - y| of an accepted or plain step falls below fp_tol, or after
+    max_iters steps.  alive=False means the seed never had a live state (it
+    degenerated to fewer cells, covered by a smaller subset); its moments
+    are then z0 and psi their value.
     """
-    z = np.array(z0, dtype=float)
-    best_z = z.copy()
-    best_psi = np.full(len(z), -np.inf)
-    residual = np.full(len(z), np.inf)
-    live = np.arange(len(z))
+    y = np.array(z0, dtype=float)
+    best_z = y.copy()
+    best_psi = np.full(len(y), -np.inf)
+    residual = np.full(len(y), np.inf)
+    # per live seed: its index, the point y it maps next, its last accepted
+    # image (the seed itself before the first step) and that image's psi,
+    # its beta, and whether y is that image, a plain step
+    seeds = np.arange(len(y))
+    prev = y.copy()
+    prev_psi = np.full(len(y), -np.inf)
+    beta = np.full(len(y), _BETA_START)
+    plain = np.ones(len(y), dtype=bool)
     for _ in range(max_iters):
-        if live.size == 0:
+        if seeds.size == 0:
             break
-        w = b_sub @ z[live]
-        distinct = _directions_distinct(w)
-        live, w = live[distinct], w[distinct]
-        z_new, masses = _cells(w)
-        step = z_new - z[live]
-        residual[live] = np.sqrt((step * step).sum(axis=2)).max(axis=1)
-        z[live] = z_new
+        w = b_sub @ y
+        pos = np.flatnonzero(_directions_distinct(w))
+        z_new, masses = _cells(w[pos])
+        psi = _psi(b_sub, z_new)
         # moments of a partition sum to 0; exact cells reach about 1e-16, so
         # a larger sum marks near-coplanar directions whose cells are wrong
         # and whose psi need not be a lower bound on C(B)
-        full = (masses.min(axis=1) >= EMPTY_CELL_MASS) & (
+        up = (masses.min(axis=1) >= EMPTY_CELL_MASS) & (
             np.abs(z_new.sum(axis=1)).max(axis=1) <= 1e-12
         )
-        live, z_new = live[full], z_new[full]
-        psi = _psi(b_sub, z_new)
-        better = psi > best_psi[live]
-        best_psi[live[better]] = psi[better]
-        best_z[live[better]] = z_new[better]
-        live = live[~(residual[live] < fp_tol)]
+        up &= plain[pos] | (psi > prev_psi[pos])
+        pos, z_new, psi = pos[up], z_new[up], psi[up]
+        step = z_new - y[pos]
+        res = np.sqrt((step * step).sum(axis=2)).max(axis=1)
+        moved = seeds[pos]
+        residual[moved] = res
+        better = psi > best_psi[moved]
+        best_psi[moved[better]] = psi[better]
+        best_z[moved[better]] = z_new[better]
+        grown = np.minimum(_BETA_MAX, _BETA_GROWTH * beta[pos])
+        beta[pos] = np.where(plain[pos], beta[pos], grown)
+        y[pos] = z_new + beta[pos, None, None] * (z_new - prev[pos])
+        prev[pos], prev_psi[pos] = z_new, psi
+        # a rejected extrapolation steps back for a plain step; a failed
+        # plain step ends the seed
+        plain = ~plain
+        plain[pos] = False
+        y[plain] = prev[plain]
+        beta[plain] *= 0.5
+        keep = plain.copy()
+        keep[pos] = ~(res < fp_tol)
+        if not keep.all():
+            seeds, y, prev = seeds[keep], y[keep], prev[keep]
+            prev_psi, beta, plain = prev_psi[keep], beta[keep], plain[keep]
     alive = np.isfinite(best_psi)
     best_psi[~alive] = _psi(b_sub, best_z[~alive])
     return best_z, best_psi, residual, alive
@@ -688,10 +727,13 @@ def search_cb(
     and quadruple runs one batched fixed-point iteration over all its seeds,
     raced to RACE_STEPS steps, then a polish of its best live state alone
     for up to POLISH_STEPS steps, on exact cell moments (planar arcs for
-    triples, spherical triangles for quadruples).  Triples are seeded by
-    the six best distinct configurations of a planar aperture grid of
-    ANGLE_GRID steps per turn (one scan of each configuration, on the
-    a1 <= a2 <= a3 domain of _angle_grid), 6 seeds; quadruples by the Gram
+    triples, spherical triangles for quadruples).  The iteration is
+    extrapolated under a monotone safeguard (see _fixed_point), which cuts
+    its step count, and only its exact images are kept.  Triples are
+    seeded by the six best distinct configurations of a planar aperture
+    grid of ANGLE_GRID steps per turn (one scan of each configuration, on
+    the a1 <= a2 <= a3 domain of _angle_grid), 6 seeds; the grid only picks
+    a basin for the fixed point.  Quadruples are seeded by the Gram
     geometry (3 seeds, none when the labels coincide) and one Sobol net of
     QUADRUPLE_NET_POINTS tuples, drawn from ``seed`` and shared by every
     quadruple.  Subsets of five or more cells are not searched.

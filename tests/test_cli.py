@@ -168,12 +168,31 @@ class TestValidationErrors:
 
     @pytest.mark.parametrize("command", ["cluster", "analyze-b"])
     @pytest.mark.parametrize(
-        "matrix", [[["x"]], [[1.0, 2.0], [3.0]], {"a": 1}], ids=["string", "ragged", "object"]
+        "matrix",
+        [
+            [["x"]],
+            [[1.0, 2.0], [3.0]],
+            {"a": 1},
+            [[1.0, 0.0], [0.0, "2"]],
+            [[1.0, 0.0], [0.0, True]],
+            [[1.0, 0.0], [0.0, 10 ** 400]],
+        ],
+        ids=["string", "ragged", "object", "digit-string", "boolean", "huge-integer"],
     )
     def test_non_numeric_json_matrix_exit_2(self, tmp_path, capsys, command, matrix):
+        # numpy would read "2" as 2.0 and true as 1.0
         doc = {"A": ANTIPODAL_DOC["A"], "B": matrix}
         assert main([command, write_json(tmp_path, doc)]) == 2
         assert "matrix B is not a numeric matrix" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["cluster", "analyze-b", "oracle"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, command):
+        out = tmp_path / "missing" / "report.json"
+        path = write_json(tmp_path, ANTIPODAL_DOC)
+        assert main([command, path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out}" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", ["", "# header\n\n"], ids=["empty", "comment-only"])
     def test_csv_without_data_exit_2(self, tmp_path, capsys, text):

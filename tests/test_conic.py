@@ -195,25 +195,38 @@ def spherical_cells_one(w):
 
 
 def fixed_point_reference(b_sub, z0, fp_tol, max_iters, cells):
-    """One seed, one step at a time; returns (alive, best psi)."""
-    z, best_psi, alive = z0, -np.inf, False
+    """One seed, one step at a time, extrapolated under the monotone
+    safeguard; returns (alive, best psi)."""
+    y, prev, prev_psi, beta, plain = z0, z0, -np.inf, 0.5, True
+    best_psi, alive = -np.inf, False
     ell = len(z0)
     for _ in range(max_iters):
-        w = b_sub @ z
+        w = b_sub @ y
         scale = max(1.0, float(np.max(np.abs(w))))
-        if any(
-            np.max(np.abs(w[i] - w[j])) <= 1e-13 * scale
+        ok = all(
+            np.max(np.abs(w[i] - w[j])) > 1e-12 * scale
             for i in range(ell) for j in range(i + 1, ell)
-        ):
-            break
-        z_new, masses = cells(w)
-        residual = float(np.max(np.linalg.norm(z_new - z, axis=1)))
-        z = z_new
-        if masses.min() < conic.EMPTY_CELL_MASS:
-            break
-        psi = float(np.sum(b_sub * (z @ z.T)))
+        )
+        if ok:
+            z_new, masses = cells(w)
+            psi = float(np.sum(b_sub * (z_new @ z_new.T)))
+            ok = (
+                masses.min() >= conic.EMPTY_CELL_MASS
+                and np.max(np.abs(z_new.sum(axis=0))) <= 1e-12
+                and (plain or psi > prev_psi)
+            )
+        if not ok:
+            if plain:  # a plain step that fails ends the seed
+                break
+            y, plain, beta = prev, True, 0.5 * beta  # step back
+            continue
+        residual = float(np.max(np.linalg.norm(z_new - y, axis=1)))
         if psi > best_psi:
             best_psi, alive = psi, True
+        if not plain:
+            beta = min(1.0, 1.1 * beta)
+        y = z_new + beta * (z_new - prev)
+        prev, prev_psi, plain = z_new, psi, False
         if residual < fp_tol:
             break
     return alive, best_psi
@@ -614,7 +627,28 @@ class TestSeedSet:
             assert [c[:3] for c in calls] == expected
             assert sum(c[2] == 2000 for c in calls) > 0
 
-    @pytest.mark.parametrize("k", [4, 5])
+    def test_quadruple_race_converges(self, monkeypatch):
+        # a Wishart B whose quadruple seeds all stay above FP_TOL after
+        # RACE_STEPS plain steps (the best at 2e-5); extrapolated, its best
+        # seed converges within the race
+        races = []
+        fixed_point = conic._fixed_point
+
+        def recording(b_sub, z0, fp_tol, max_iters):
+            result = fixed_point(b_sub, z0, fp_tol, max_iters)
+            if len(b_sub) == 4 and max_iters == conic.RACE_STEPS:
+                races.append(result)
+            return result
+
+        monkeypatch.setattr(conic, "_fixed_point", recording)
+        f = np.random.default_rng(49).standard_normal((4, 4))
+        clear_search_cache()
+        search_cb(SymMatrix.from_array(f @ f.T / 4))
+        [(_, psi, residual, alive)] = races
+        best = conic._ranked(psi, alive)[0]
+        assert residual[best] < conic.FP_TOL
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
     def test_no_loss_against_wide_seed_set(self, k):
         rng = np.random.default_rng(40 + k)
         for _ in range(3):
