@@ -56,7 +56,7 @@ from .rounding import (
     round_best_of,
     round_once,
 )
-from .sdp import SdpConfig, SdpSolution, ascend_from, certify_sandwich, solve_sdp
+from .sdp import SdpSolution, ascend_from, certify_sandwich, solve_sdp
 
 __version__ = "0.1.0"
 
@@ -77,7 +77,6 @@ __all__ = [
     "psi_value",
     "search_cb",
     "formula_bc",
-    "SdpConfig",
     "SdpSolution",
     "solve_sdp",
     "ascend_from",

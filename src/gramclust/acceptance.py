@@ -87,7 +87,7 @@ class Shared:
                 inst.clust, inst.sigma = brute_force_clust(a, b)
                 inst.r2 = radius_squared(b)
                 inst.c_est, inst.partition, _ = search_cb(b)
-                inst.sdp = solve_sdp(a, rng=seed)
+                inst.sdp = solve_sdp(a, seed)
                 inst.sdp_value = inst.sdp.value
                 instances.append(inst)
             self._oracle_instances = instances
@@ -178,7 +178,7 @@ def criterion_4_rounding_expectation(shared: Shared) -> CriterionResult:
         a = random_centered_psd(10, np.random.default_rng(seed))
         b = _random_psd(3, seed + 500)
         c_est, partition, _ = search_cb(b)
-        sol = solve_sdp(a, rng=seed)
+        sol = solve_sdp(a, seed)
         _, values = round_best_of(a, b, sol.vectors, partition, trials=500, seed=seed)
         mean, stderr = estimate_expectation(values)
         bound = c_est * sol.value - 3.0 * stderr

@@ -3,7 +3,9 @@
 Subcommands: cluster, analyze-b, oracle, selftest.  Exit codes: 0 ok,
 2 parse/validation error, 3 numerical failure, 4 selftest failure.
 Reports are deterministic for fixed inputs and seed except the timestamp
-field.
+field, whatever the thread count.  The solvers have no other tunables:
+``cluster`` takes --seed, --trials and --threads, the C(B) search and the
+SDP run on their modules' constants.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from . import __version__, pipeline
 from .errors import GramclustError, NotCentered, NotPSD, ParseError
 from .matrixcore import SymMatrix
 from .oracle import brute_force_c3, brute_force_clust
-from .sdp import SdpConfig
 
 ASYMMETRY_CUTOFF = 1e-9
 
@@ -107,13 +108,16 @@ def _load_inputs(args, need_a: bool = True):
     return a, b, hashlib.sha256(raw).hexdigest()
 
 
-def _sdp_config(args) -> SdpConfig:
-    return SdpConfig(
-        rank0=args.sdp_rank0,
-        grad_tol=args.sdp_grad_tol,
-        max_iters=args.sdp_max_iters,
-        restarts=args.sdp_restarts,
-    )
+def _check_out(path: str | None) -> None:
+    """Fail before any work when --out names a directory or lies in none;
+    :func:`_emit` still reports the write errors only the write can find."""
+    if not path:
+        return
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ParseError(f"cannot write {path}: {parent} is not a directory")
+    if os.path.isdir(path):
+        raise ParseError(f"cannot write {path}: it is a directory")
 
 
 def _emit(report: dict, args) -> None:
@@ -153,8 +157,7 @@ def run_cluster(args) -> dict:
     a, b, digest = _load_inputs(args)
     report = _base_report(args, digest, a, b)
     report.update(pipeline.cluster(
-        a, b, _sdp_config(args), trials=args.trials,
-        seed=args.seed, threads=args.threads,
+        a, b, trials=args.trials, seed=args.seed, threads=args.threads,
         mu_epsilon=args.mu_epsilon if args.with_hardness else None,
     ))
     return report
@@ -211,23 +214,12 @@ def _int_at_least(low: int):
     return integer
 
 
-def _finite_float(low: float, strict: bool):
-    """A finite float above low (strict) or at least low; rejects nan."""
-    bound = "above" if strict else "at least"
-
-    def real(text: str) -> float:
-        value = float(text)
-        if not math.isfinite(value) or value < low or (strict and value == low):
-            raise argparse.ArgumentTypeError(
-                f"must be finite and {bound} {low:g}, got {value}"
-            )
-        return value
-
-    return real
-
-
-_positive_float = _finite_float(0.0, strict=True)
-_nonnegative_float = _finite_float(0.0, strict=False)
+def _positive_float(text: str) -> float:
+    """A finite float above 0; rejects nan."""
+    value = float(text)
+    if not math.isfinite(value) or value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be finite and above 0, got {value}")
+    return value
 
 
 def _add_inputs(p: argparse.ArgumentParser, with_a: bool = True) -> None:
@@ -261,10 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
                          default=os.environ.get("GRAMCLUST_THREADS", "1"),
                          help="worker threads (default: env GRAMCLUST_THREADS or 1)")
     cluster.add_argument("--trials", type=_int_at_least(1), default=100)
-    cluster.add_argument("--sdp-rank0", type=_int_at_least(1), default=None)
-    cluster.add_argument("--sdp-grad-tol", type=_nonnegative_float, default=None)
-    cluster.add_argument("--sdp-max-iters", type=_int_at_least(1), default=50_000)
-    cluster.add_argument("--sdp-restarts", type=_int_at_least(1), default=4)
     cluster.add_argument("--with-hardness", action="store_true",
                          help="include the hardness gadget block")
     cluster.set_defaults(fn=lambda a: (_emit(run_cluster(a), a), 0)[1])
@@ -291,6 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_out(getattr(args, "out", None))
         return args.fn(args)
     except (ParseError, NotPSD, NotCentered) as exc:
         print(f"error: {exc}", file=sys.stderr)

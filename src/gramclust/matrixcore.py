@@ -92,9 +92,12 @@ def validate_psd(m: SymMatrix, tol: float = PSD_TOL) -> bool:
 
 
 def validate_centered(m: SymMatrix, tol: float = CENTERED_TOL) -> bool:
-    """True iff |sum of entries| <= tol * (1 + sum of |entries|)."""
+    """True iff |sum of entries| <= tol * sum of |entries|.
+
+    Relative to M alone, so a small non-centered M fails like a large one.
+    """
     total = float(np.sum(m.mat))
-    return abs(total) <= tol * (1.0 + m.entry_abs_sum())
+    return abs(total) <= tol * m.entry_abs_sum()
 
 
 def gram_factorize(b: SymMatrix, tol: float = PSD_TOL) -> GramFactor:

@@ -16,7 +16,7 @@ from .errors import DegenerateB, GramclustError, NotCentered, NotPSD
 from .hardness import build_mu, dictatorship_objective
 from .matrixcore import SymMatrix, gram_factorize, validate_centered, validate_psd
 from .rounding import estimate_expectation, round_best_of
-from .sdp import SdpConfig, ascend_from, solve_sdp
+from .sdp import ascend_from, solve_sdp
 
 
 def _b_half(
@@ -74,7 +74,6 @@ def analyze_b(b: SymMatrix, seed: int = 0, mu_epsilon: float | None = 1e-4) -> d
 def cluster(
     a: SymMatrix,
     b: SymMatrix,
-    sdp: SdpConfig = SdpConfig(),
     trials: int = 100,
     seed: int = 0,
     threads: int = 1,
@@ -83,7 +82,8 @@ def cluster(
     """The whole pipeline on a centered PSD A and a PSD B.
 
     ``seed`` drives the C(B) search, the SDP starts and the rounding
-    trials.  The report holds the
+    trials; ``threads`` runs the SDP restarts and the rounding trials in
+    parallel without changing the report.  The report holds the
     :func:`analyze_b` blocks, plus ``sdp``, ``rounding`` and the
     ``certified_interval`` [best rounded value, R(B)^2 * dual_upper].
     """
@@ -99,7 +99,7 @@ def cluster(
         report["certified_interval"] = [0.0, 0.0]
         return report
 
-    sol = solve_sdp(a, sdp, rng=seed, threads=threads)
+    sol = solve_sdp(a, seed, threads)
     best, trial_values = round_best_of(
         a, b, sol.vectors, partition, trials=trials, seed=seed, threads=threads
     )
@@ -116,7 +116,7 @@ def cluster(
     # takes the tighter of the two, and the block keeps describing the solve
     if ball.radius > 0:
         seed_vectors = (ball.gram.vectors[best.sigma] - ball.center) / ball.radius
-        polished = ascend_from(a, seed_vectors, sdp)
+        polished = ascend_from(a, seed_vectors)
         report["sdp"]["polish"] = {
             "value": polished.value,
             "dual_upper": polished.dual_upper,
@@ -135,7 +135,7 @@ def cluster(
         "trial_stderr": stderr,
     }
     interval = [best.value, ball.radius ** 2 * report["sdp"]["dual_upper"]]
-    if interval[0] > interval[1] * (1.0 + 1e-6) + 1e-12:
+    if interval[0] > interval[1] * (1.0 + 1e-6):
         raise GramclustError(
             f"certified interval is empty: {interval}; SDP certificate failed"
         )

@@ -16,6 +16,12 @@ lambda, sum lambda_i + n max(0, -mu_min(S)) is a certified upper bound
 (``dual_upper``).  A negative eigenvector of S gives a curvilinear ascent
 direction into a fresh coordinate after rank escalation; the starting rank
 ~sqrt(2n) suffices generically (Boumal, Voroninski & Bandeira 2016).
+
+The solver has no tunables beyond the seed and the thread count: each
+solve runs RESTARTS random starts at rank min(n, isqrt(2n - 1) + 2), each
+capped at MAX_ITERS ascent steps, and stops at Riemannian gradient
+GRAD_TOL * ||A||_F.  Every threshold is relative to A alone, so the solver
+is scale-free: A * 2^e gives the same iterates, and values times 2^e.
 """
 
 from __future__ import annotations
@@ -29,15 +35,11 @@ import numpy as np
 from .errors import NotConvergedWarning, NotPSD
 from .matrixcore import SymMatrix, validate_psd
 
-
-@dataclass(frozen=True)
-class SdpConfig:
-    """Solver knobs; None picks the scale-aware default."""
-
-    rank0: int | None = None  # min(n, ceil(sqrt(2n)) + 1)
-    grad_tol: float | None = None  # 1e-7 * ||A||_F
-    max_iters: int = 50_000
-    restarts: int = 4
+# ascent steps per restart, random restarts per solve, and the stopping
+# Riemannian gradient relative to ||A||_F; read at call time
+MAX_ITERS = 50_000
+RESTARTS = 4
+GRAD_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,13 @@ _BETA_GROWTH = 1.1
 _BETA_MAX = 1.0
 
 
-def _objective(a: np.ndarray, x: np.ndarray) -> float:
-    return float(np.sum((a @ x) * x))
+def _tolerances(a: np.ndarray) -> tuple[float, float, float]:
+    """(grad_tol, value_tol, cert_tol) of A: the stopping residual, the least
+    value gain that pays for another rank escalation, and the most negative
+    mu_min(S) still certified.  Each is relative to ||A||_F, so A = 0 stops
+    at once with value 0."""
+    fro = float(np.linalg.norm(a))
+    return GRAD_TOL * fro, 1e-8 * fro, 1e-9 * fro
 
 
 def _residual(m: np.ndarray, x: np.ndarray) -> float:
@@ -111,7 +118,7 @@ def _ascend(a, x, grad_tol, max_iters):
     residual grad_tol / 10.  Returns X, A X and the step count.
     """
     diag = np.diag(a)
-    tiny = 1e-14 * max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
+    tiny = 1e-14 * float(np.max(np.abs(a)))
     m = a @ x
     value = float(np.sum(m * x))
     x_prev = x
@@ -182,24 +189,23 @@ def _curvilinear_kick(a, x, u, base):
         c = np.cos(u * t)[:, None]
         s = np.sin(u * t)[:, None]
         cand = np.hstack([c * x, s * np.ones((len(x), 1))])
-        val = _objective(a, cand)
+        val = float(np.sum((a @ cand) * cand))
         if val > best_val:
             best_val, best = val, cand
     return best, best_val > base
 
 
-def _solve_single(a, x0, cfg, grad_tol, value_tol, restart_index):
+def _solve_single(a, x0, restart_index):
     n = len(a)
-    scale = max(1.0, float(np.linalg.norm(a)))
+    grad_tol, value_tol, cert_tol = _tolerances(a)
     x = _normalize_rows(x0)
     iters_total = 0
     value_prev = -math.inf
     while True:
-        x, m, iters = _ascend(a, x, grad_tol, cfg.max_iters - iters_total)
+        x, m, iters = _ascend(a, x, grad_tol, MAX_ITERS - iters_total)
         iters_total += iters
         sol, mu_min, u = _solution(a, x, m, iters_total, grad_tol, restart_index)
-        certified = mu_min >= -1e-9 * scale
-        if certified or iters_total >= cfg.max_iters or x.shape[1] >= n:
+        if mu_min >= -cert_tol or iters_total >= MAX_ITERS or x.shape[1] >= n:
             return sol
         # escalate rank by two and kick off the saddle along u
         x_kicked, improved = _curvilinear_kick(a, x, u, sol.value)
@@ -209,35 +215,28 @@ def _solve_single(a, x0, cfg, grad_tol, value_tol, restart_index):
         x = _normalize_rows(np.hstack([x_kicked, np.zeros((n, 1))]))
 
 
-def solve_sdp(
-    a: SymMatrix,
-    cfg: SdpConfig = SdpConfig(),
-    rng: np.random.Generator | int = 0,
-    threads: int = 1,
-) -> SdpSolution:
+def solve_sdp(a: SymMatrix, seed: int = 0, threads: int = 1) -> SdpSolution:
     """First-order stationary point of the sphere-constrained relaxation.
 
-    Restarts run independently (optionally on a thread pool) and reduce by
-    (value, restart_index) lexicographic max, so the result does not depend
-    on thread count.  If the iteration cap is hit with the Riemannian
-    gradient above tolerance the result is returned flagged (converged
-    False) and a NotConvergedWarning is emitted.
+    RESTARTS random starts, drawn from ``seed``, run independently (on
+    ``threads`` threads when above 1) and reduce by (value, restart_index)
+    lexicographic max, so the result does not depend on the thread count.
+    If MAX_ITERS is hit with the Riemannian gradient above tolerance the
+    result is returned flagged (converged False) and a NotConvergedWarning
+    is emitted.
     """
     if not validate_psd(a):
         raise NotPSD("data matrix is not PSD")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
+    rng = np.random.default_rng(seed)
     n = a.dim
     mat = a.mat
-    fro = float(np.linalg.norm(mat))
-    grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-7 * max(fro, 1e-30)
-    value_tol = 1e-8 * max(fro, 1e-30)
-    rank0 = cfg.rank0 if cfg.rank0 is not None else min(n, math.isqrt(2 * n - 1) + 2)
+    grad_tol, _, cert_tol = _tolerances(mat)
+    rank0 = min(n, math.isqrt(2 * n - 1) + 2)
 
-    starts = [rng.standard_normal((n, rank0)) for _ in range(max(cfg.restarts, 1))]
+    starts = [rng.standard_normal((n, rank0)) for _ in range(RESTARTS)]
 
     def run_restart(ridx: int) -> SdpSolution:
-        return _solve_single(mat, starts[ridx], cfg, grad_tol, value_tol, ridx)
+        return _solve_single(mat, starts[ridx], ridx)
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -250,9 +249,8 @@ def solve_sdp(
 
     # the identity Gram is feasible with value tr(A); fall back to ascending
     # from it if every restart somehow landed below that floor
-    trace = float(np.trace(mat))
-    if best.value < trace - 1e-9 * max(1.0, fro):
-        fallback = _solve_single(mat, np.eye(n), cfg, grad_tol, value_tol, len(starts))
+    if best.value < float(np.trace(mat)) - cert_tol:
+        fallback = _solve_single(mat, np.eye(n), len(starts))
         if fallback.value > best.value:
             best = fallback
 
@@ -265,19 +263,18 @@ def solve_sdp(
     return best
 
 
-def ascend_from(a: SymMatrix, vectors: np.ndarray, cfg: SdpConfig = SdpConfig()) -> SdpSolution:
+def ascend_from(a: SymMatrix, vectors: np.ndarray) -> SdpSolution:
     """Polish an explicit feasible configuration (norms <= 1 allowed).
 
     Used for the lower-bound chain: the Gram system of any clustering,
     (v_sigma(i) - w(B)) / R(B), is feasible, and ascending from it can only
-    increase the value.
+    increase the value.  Runs at most MAX_ITERS steps, without escalation.
     """
     mat = a.mat
-    fro = float(np.linalg.norm(mat))
-    grad_tol = cfg.grad_tol if cfg.grad_tol is not None else 1e-7 * max(fro, 1e-30)
+    grad_tol = _tolerances(mat)[0]
     # do not pre-normalize: the first ascent step from the interior point
     # already lands on the spheres without decreasing the value
-    x, m, iters = _ascend(mat, np.asarray(vectors, dtype=float), grad_tol, cfg.max_iters)
+    x, m, iters = _ascend(mat, np.asarray(vectors, dtype=float), grad_tol, MAX_ITERS)
     return _solution(mat, x, m, iters, grad_tol)[0]
 
 

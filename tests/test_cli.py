@@ -16,6 +16,7 @@ from gramclust import (
     random_centered_psd,
     solve_sdp,
 )
+from gramclust import cli, pipeline, sdp
 from gramclust.cli import build_parser, main, run_analyze_b, run_cluster, run_oracle
 
 ANTIPODAL_DOC = {"A": [[1.0, -1.0], [-1.0, 1.0]], "B": [[1.0, 0.0], [0.0, 1.0]]}
@@ -63,17 +64,16 @@ class TestCluster:
         r2.pop("timestamp")
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
-    def test_capped_run_upper_end_is_dual_bound(self, tmp_path):
+    def test_capped_run_upper_end_is_dual_bound(self, tmp_path, monkeypatch):
         # one ascent step leaves r2 * value below Clust on this instance;
         # the dual certificate still bounds it
         a = random_centered_psd(8, np.random.default_rng(0))
         b = SymMatrix.from_array(np.eye(2))
         path = write_json(tmp_path, {"A": a.mat.tolist(), "B": b.mat.tolist()})
+        monkeypatch.setattr(sdp, "MAX_ITERS", 1)
+        monkeypatch.setattr(sdp, "RESTARTS", 1)
         with pytest.warns(NotConvergedWarning):
-            report = run_cluster(parse(
-                ["cluster", path, "--trials", "1", "--sdp-max-iters", "1",
-                 "--sdp-restarts", "1"]
-            ))
+            report = run_cluster(parse(["cluster", path, "--trials", "1"]))
         clust, _ = brute_force_clust(a, b)
         r2 = report["ball"]["r2"]
         assert r2 * report["sdp"]["value"] < clust
@@ -129,6 +129,21 @@ class TestCluster:
         library = gramclust.cluster(a, b, trials=8, seed=5)
         assert json.dumps(library, sort_keys=True) == json.dumps(report, sort_keys=True)
 
+    @pytest.mark.parametrize("e", [-70, 60])
+    def test_scale_free(self, e):
+        # the report of A * 2^e is that of A, its values times 2^e
+        a = random_centered_psd(8, np.random.default_rng(4))
+        g = np.random.default_rng(5).standard_normal((3, 3))
+        b = SymMatrix.from_array(g @ g.T / 3)
+        base = gramclust.cluster(a, b, trials=16, seed=3)
+        scaled = gramclust.cluster(SymMatrix(a.mat * 2.0 ** e), b, trials=16, seed=3)
+        for key in ("value", "dual_upper"):
+            assert scaled["sdp"][key] == math.ldexp(base["sdp"][key], e), key
+        assert scaled["certified_interval"] == [
+            math.ldexp(end, e) for end in base["certified_interval"]
+        ]
+        assert scaled["rounding"]["sigma"] == base["rounding"]["sigma"]
+
 
 class TestValidationErrors:
     def test_corrupted_json_exit_2(self, tmp_path):
@@ -142,6 +157,9 @@ class TestValidationErrors:
 
     def test_non_centered_a_exit_2(self, tmp_path):
         doc = {"A": [[1.0, 0.0], [0.0, 1.0]], "B": [[1.0, 0.0], [0.0, 1.0]]}
+        assert main(["cluster", write_json(tmp_path, doc)]) == 2
+        # a small offset is still an offset: centering is checked relative to A
+        doc = {"A": (1e-20 * np.eye(2)).tolist(), "B": np.eye(3).tolist()}
         assert main(["cluster", write_json(tmp_path, doc)]) == 2
 
     def test_nan_rejected(self, tmp_path):
@@ -186,13 +204,20 @@ class TestValidationErrors:
         assert "matrix B is not a numeric matrix" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["cluster", "analyze-b", "oracle"])
-    def test_unwritable_out_exit_2(self, tmp_path, capsys, command):
-        out = tmp_path / "missing" / "report.json"
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, monkeypatch, command):
+        # the check comes before any work: no solver may run
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ran before the --out check")
+
+        monkeypatch.setattr(pipeline, "cluster", forbidden)
+        monkeypatch.setattr(pipeline, "analyze_b", forbidden)
+        monkeypatch.setattr(cli, "brute_force_clust", forbidden)
         path = write_json(tmp_path, ANTIPODAL_DOC)
-        assert main([command, path, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"error: cannot write {out}" in err
-        assert not out.exists()
+        missing = tmp_path / "missing" / "report.json"
+        for out in (missing, tmp_path):
+            assert main([command, path, "--out", str(out)]) == 2
+            assert f"error: cannot write {out}" in capsys.readouterr().err
+        assert not missing.parent.exists()
 
     @pytest.mark.parametrize("text", ["", "# header\n\n"], ids=["empty", "comment-only"])
     def test_csv_without_data_exit_2(self, tmp_path, capsys, text):
@@ -218,11 +243,6 @@ class TestValidationErrors:
         for value in ("0", "-1"):
             assert self.exit_code(["cluster", path, "--trials", value]) == 2
 
-    def test_nonpositive_sdp_rank0_exit_2(self, tmp_path):
-        path = write_json(tmp_path, ANTIPODAL_DOC)
-        for value in ("0", "-1"):
-            assert self.exit_code(["cluster", path, "--sdp-rank0", value]) == 2
-
     def test_nonpositive_mu_epsilon_exit_2(self, tmp_path):
         path = write_json(tmp_path, ANTIPODAL_DOC)
         for value in ("0", "-1"):
@@ -236,9 +256,6 @@ class TestValidationErrors:
         [
             pytest.param(command, flag, values, id=flag[2:])
             for command, flag, values in (
-                ("cluster", "--sdp-grad-tol", ("nan", "inf", "-1")),
-                ("cluster", "--sdp-max-iters", ("0", "-3")),
-                ("cluster", "--sdp-restarts", ("0", "-1")),
                 ("cluster", "--threads", ("0", "-2", "abc")),
                 ("oracle", "--max-states", ("0", "-5")),
             )
@@ -249,16 +266,17 @@ class TestValidationErrors:
         for value in values:
             assert self.exit_code([command, path, flag, value]) == 2, value
 
-    def test_zero_tolerances_accepted(self, tmp_path):
-        path = write_json(tmp_path, ANTIPODAL_DOC)
-        assert parse(["cluster", path, "--sdp-grad-tol", "0"]).sdp_grad_tol == 0.0
-
     @pytest.mark.parametrize("command", ["cluster", "analyze-b"])
     @pytest.mark.parametrize(
-        "flag", ["--epsilon", "--net-delta-override", "--fp-tol", "--max-iters"]
+        "flag",
+        [
+            "--epsilon", "--net-delta-override", "--fp-tol", "--max-iters",
+            "--sdp-rank0", "--sdp-grad-tol", "--sdp-max-iters", "--sdp-restarts",
+        ],
     )
     def test_removed_search_flags_rejected(self, tmp_path, capsys, command, flag):
-        # the C(B) search has fixed constants and takes only --seed
+        # the C(B) search and the SDP have fixed constants and take only --seed
+        # (and --threads for the SDP)
         path = write_json(tmp_path, ANTIPODAL_DOC)
         assert self.exit_code([command, path, flag, "1"]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
@@ -406,7 +424,7 @@ class TestImports:
         # the sdp block describes the solve, whichever C(B) partition the
         # rounding used
         rank = json.loads(out.read_text())["sdp"]["rank"]
-        assert rank == solve_sdp(a, rng=0).rank
+        assert rank == solve_sdp(a, seed=0).rank
         assert rank > math.isqrt(2 * 6 - 1) + 2
 
 

@@ -52,6 +52,8 @@ class TestValidateCentered:
 
     def test_identity_not_centered(self):
         assert not validate_centered(sym(np.eye(2)))
+        # the tolerance is relative, so scale does not hide the offset
+        assert not validate_centered(sym(1e-20 * np.eye(2)))
 
     def test_zero_matrix(self):
         assert validate_centered(sym(np.zeros((3, 3))))

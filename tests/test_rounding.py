@@ -101,7 +101,7 @@ class TestRoundOnce:
 
 class TestRoundBestOf:
     def test_antipodal_best_is_exact(self):
-        sol = solve_sdp(ANTIPODAL, rng=0)
+        sol = solve_sdp(ANTIPODAL, seed=0)
         best, values = round_best_of(ANTIPODAL, I2, sol.vectors, halflines(),
                                      trials=16, seed=0)
         assert best.value == pytest.approx(2.0, abs=1e-12)
@@ -121,7 +121,7 @@ class TestRoundBestOf:
         a = random_centered_psd(8, np.random.default_rng(12))
         b = SymMatrix.from_array(np.eye(3))
         c_est, part, _ = search_cb(b)
-        sol = solve_sdp(a, rng=12)
+        sol = solve_sdp(a, seed=12)
         _, values = round_best_of(a, b, sol.vectors, part, trials=200, seed=12)
         mean, stderr = estimate_expectation(values)
         assert mean >= c_est * sol.value - 3.0 * stderr
@@ -130,7 +130,7 @@ class TestRoundBestOf:
         a = random_centered_psd(5, np.random.default_rng(9))
         b = SymMatrix.from_array(np.eye(3))
         _, part, _ = search_cb(b)
-        sol = solve_sdp(a, rng=9)
+        sol = solve_sdp(a, seed=9)
         b1, v1 = round_best_of(a, b, sol.vectors, part, trials=24, seed=77)
         b2, v2 = round_best_of(a, b, sol.vectors, part, trials=24, seed=77)
         assert v1 == v2
@@ -140,7 +140,7 @@ class TestRoundBestOf:
         a = random_centered_psd(5, np.random.default_rng(9))
         b = SymMatrix.from_array(np.eye(3))
         _, part, _ = search_cb(b)
-        sol = solve_sdp(a, rng=9)
+        sol = solve_sdp(a, seed=9)
         serial, vs = round_best_of(a, b, sol.vectors, part, trials=24, seed=5)
         threaded, vt = round_best_of(a, b, sol.vectors, part, trials=24, seed=5,
                                      threads=4)
@@ -151,7 +151,7 @@ class TestRoundBestOf:
         a = random_centered_psd(8, np.random.default_rng(15))
         b = SymMatrix.from_array(np.eye(3))
         _, part, _ = search_cb(b)
-        sol = solve_sdp(a, rng=15)
+        sol = solve_sdp(a, seed=15)
         _, v1 = round_best_of(a, b, sol.vectors, part, trials=200, seed=1)
         _, v2 = round_best_of(a, b, sol.vectors, part, trials=200, seed=2)
         m1, s1 = estimate_expectation(v1)
@@ -172,7 +172,7 @@ class TestRoundBestOf:
         reorder = np.argsort([int(inv[lab]) for lab in part.active])
         part_p = ConicalPartition(k=3, active=tuple(new_active),
                                   directions=part.directions[reorder])
-        x = solve_sdp(a, rng=19).vectors
+        x = solve_sdp(a, seed=19).vectors
         best, _ = round_best_of(a, b, x, part, trials=32, seed=4)
         best_p, _ = round_best_of(a, bp, x, part_p, trials=32, seed=4)
         assert best_p.value == pytest.approx(best.value, abs=1e-9)

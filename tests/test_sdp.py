@@ -8,7 +8,6 @@ import pytest
 from gramclust import (
     NotConvergedWarning,
     NotPSD,
-    SdpConfig,
     SymMatrix,
     ascend_from,
     brute_force_clust,
@@ -18,7 +17,8 @@ from gramclust import (
     random_centered_psd,
     solve_sdp,
 )
-from gramclust.sdp import _ascend, _normalize_rows, _plain_step
+from gramclust import sdp
+from gramclust.sdp import _ascend, _normalize_rows, _plain_step, _solve_single
 
 ANTIPODAL = SymMatrix.from_array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -34,7 +34,7 @@ def ascent_trajectory(mat, x0, steps):
 
 def rejected_steps(mat, trajectory):
     """Steps that fell back to the plain step after a rejected extrapolation."""
-    tiny = 1e-14 * max(1.0, float(np.max(np.abs(mat))))
+    tiny = 1e-14 * float(np.max(np.abs(mat)))
     return sum(
         np.array_equal(x_next, _plain_step(x, m, np.diag(mat), tiny))
         for (x, m), (x_next, _) in zip(trajectory, trajectory[1:])
@@ -52,50 +52,58 @@ def plain_ascent_value(mat, x, tol, max_iters=100_000):
     return float(np.sum((mat @ x) * x))
 
 
+def dense_reference(mat, restarts, seed):
+    """Best of ``restarts`` single solves from full-rank random starts."""
+    rng = np.random.default_rng(seed)
+    n = len(mat)
+    return max(
+        _solve_single(mat, rng.standard_normal((n, n)), r).value for r in range(restarts)
+    )
+
+
 class TestSolveSdp:
     def test_antipodal_optimum(self):
-        sol = solve_sdp(ANTIPODAL, rng=0)
+        sol = solve_sdp(ANTIPODAL, seed=0)
         assert sol.value == pytest.approx(4.0, abs=1e-9)
         assert sol.vectors[0] @ sol.vectors[1] == pytest.approx(-1.0, abs=1e-9)
         assert sol.converged
 
     def test_zero_matrix(self):
-        sol = solve_sdp(SymMatrix.from_array(np.zeros((3, 3))), rng=0)
+        sol = solve_sdp(SymMatrix.from_array(np.zeros((3, 3))), seed=0)
         assert sol.value == 0.0
 
     def test_unit_rows(self):
         a = random_centered_psd(9, np.random.default_rng(2))
-        sol = solve_sdp(a, rng=2)
+        sol = solve_sdp(a, seed=2)
         np.testing.assert_allclose(
             np.linalg.norm(sol.vectors, axis=1), 1.0, atol=1e-9
         )
 
     def test_value_recomputes_from_vectors(self):
         a = random_centered_psd(7, np.random.default_rng(3))
-        sol = solve_sdp(a, rng=3)
+        sol = solve_sdp(a, seed=3)
         recomputed = float(np.sum((a.mat @ sol.vectors) * sol.vectors))
         assert sol.value == pytest.approx(recomputed, rel=1e-7)
 
     def test_value_at_least_trace_and_nonnegative(self):
         for seed in range(6):
             a = random_centered_psd(6, np.random.default_rng(40 + seed))
-            sol = solve_sdp(a, rng=seed)
+            sol = solve_sdp(a, seed=seed)
             assert sol.value >= float(np.trace(a.mat)) - 1e-7 * np.linalg.norm(a.mat)
             assert sol.value >= 0.0
 
     def test_escalation_from_rank_one(self):
-        # rank0=1 forces the +2 escalation path; value must still reach the
-        # reference optimum and never regress across escalations
+        # a rank-one start forces the +2 escalation path; the value must
+        # still reach the reference optimum
         a = random_centered_psd(7, np.random.default_rng(31))
-        low = solve_sdp(a, SdpConfig(rank0=1, restarts=2), rng=31)
-        ref = solve_sdp(a, SdpConfig(rank0=7, restarts=8), rng=32)
+        low = _solve_single(a.mat, np.random.default_rng(31).standard_normal((7, 1)), 0)
         assert low.rank > 1
-        assert low.value == pytest.approx(ref.value, rel=1e-6)
+        assert low.value == pytest.approx(dense_reference(a.mat, 8, 32), rel=1e-6)
 
     def test_threaded_restarts_match_serial(self):
         a = random_centered_psd(8, np.random.default_rng(33))
-        serial = solve_sdp(a, rng=33)
-        threaded = solve_sdp(a, rng=33, threads=4)
+        serial = solve_sdp(a, seed=33)
+        threaded = solve_sdp(a, seed=33, threads=4)
         assert serial.value == threaded.value
         np.testing.assert_array_equal(serial.vectors, threaded.vectors)
 
@@ -105,13 +113,13 @@ class TestSolveSdp:
         for seed in range(5):
             n = 4 + seed % 3
             a = random_centered_psd(n, np.random.default_rng(60 + seed))
-            sol = solve_sdp(a, rng=seed)
-            ref = solve_sdp(a, SdpConfig(rank0=n, restarts=12), rng=seed + 1)
-            assert sol.value == pytest.approx(ref.value, rel=1e-5)
+            sol = solve_sdp(a, seed=seed)
+            ref = dense_reference(a.mat, 12, seed + 1)
+            assert sol.value == pytest.approx(ref, rel=1e-5)
 
     def test_dual_upper_bounds_value(self):
         a = random_centered_psd(8, np.random.default_rng(5))
-        sol = solve_sdp(a, rng=5)
+        sol = solve_sdp(a, seed=5)
         assert sol.dual_upper >= sol.value - 1e-9
         # the certificate should be nearly tight at a certified optimum
         assert sol.dual_upper - sol.value <= 1e-4 * max(sol.value, 1.0)
@@ -121,7 +129,7 @@ class TestSolveSdp:
         b = SymMatrix.from_array(np.eye(3))
         clust, sigma = brute_force_clust(a, b)
         ball = min_enclosing_ball(gram_factorize(b))
-        sol = solve_sdp(a, rng=9)
+        sol = solve_sdp(a, seed=9)
         seed_vectors = (ball.gram.vectors[sigma] - ball.center) / ball.radius
         feasible_value = float(np.sum((a.mat @ seed_vectors) * seed_vectors))
         assert feasible_value == pytest.approx(clust / ball.radius ** 2, rel=1e-9)
@@ -137,22 +145,37 @@ class TestSolveSdp:
         sol = ascend_from(a, seed_vectors)
         assert sol.value >= before - 1e-10
 
-    def test_not_converged_flagged(self):
+    def test_not_converged_flagged(self, monkeypatch):
         a = random_centered_psd(12, np.random.default_rng(11))
+        monkeypatch.setattr(sdp, "MAX_ITERS", 2)
+        monkeypatch.setattr(sdp, "RESTARTS", 1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            sol = solve_sdp(a, SdpConfig(max_iters=2, restarts=1), rng=11)
+            sol = solve_sdp(a, seed=11)
         assert not sol.converged
         assert any(issubclass(w.category, NotConvergedWarning) for w in caught)
 
+    @pytest.mark.parametrize("e", [-70, 60])
+    def test_scale_free(self, e):
+        # every threshold is relative to A, so A * 2^e takes the same steps
+        a = random_centered_psd(9, np.random.default_rng(12))
+        scaled = SymMatrix(a.mat * 2.0 ** e)
+        base, sol = solve_sdp(a, seed=12), solve_sdp(scaled, seed=12)
+        assert sol.value == math.ldexp(base.value, e)
+        assert sol.dual_upper == math.ldexp(base.dual_upper, e)
+        assert (sol.iterations, sol.rank, sol.converged) == (base.iterations, base.rank, True)
+        np.testing.assert_array_equal(sol.vectors, base.vectors)
+        polished = ascend_from(scaled, base.vectors[::-1])
+        assert polished.value == math.ldexp(ascend_from(a, base.vectors[::-1]).value, e)
+
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSD):
-            solve_sdp(SymMatrix.from_array([[0.0, 1.0], [1.0, 0.0]]), rng=0)
+            solve_sdp(SymMatrix.from_array([[0.0, 1.0], [1.0, 0.0]]), seed=0)
 
     def test_deterministic(self):
         a = random_centered_psd(8, np.random.default_rng(21))
-        s1 = solve_sdp(a, rng=21)
-        s2 = solve_sdp(a, rng=21)
+        s1 = solve_sdp(a, seed=21)
+        s2 = solve_sdp(a, seed=21)
         assert s1.value == s2.value
         np.testing.assert_array_equal(s1.vectors, s2.vectors)
 
@@ -188,7 +211,7 @@ class TestAscent:
         trajectory = self.assert_monotone(mat, x0)
         x_last = trajectory[-1][0]
         np.testing.assert_allclose(np.linalg.norm(x_last, axis=1), 1.0, atol=1e-12)
-        sol = solve_sdp(SymMatrix.from_array(mat), rng=74)
+        sol = solve_sdp(SymMatrix.from_array(mat), seed=74)
         assert sol.converged
         assert sol.dual_upper - sol.value <= 1e-7 * sol.value
 
@@ -199,15 +222,15 @@ class TestAscent:
         rank0 = math.isqrt(2 * n - 1) + 2
         x0 = _normalize_rows(np.random.default_rng(seed).standard_normal((n, rank0)))
         assert rejected_steps(a.mat, ascent_trajectory(a.mat, x0, 40)) > 0
-        serial = solve_sdp(a, rng=seed)
-        threaded = solve_sdp(a, rng=seed, threads=2)
+        serial = solve_sdp(a, seed=seed)
+        threaded = solve_sdp(a, seed=seed, threads=2)
         np.testing.assert_array_equal(serial.vectors, threaded.vectors)
         assert replace(serial, vectors=None) == replace(threaded, vectors=None)
 
     def test_matches_plain_ascent_reference(self):
         n = 150
         a = random_centered_psd(n, np.random.default_rng(76))
-        sol = solve_sdp(a, rng=76)
+        sol = solve_sdp(a, seed=76)
         x0 = _normalize_rows(np.random.default_rng(77).standard_normal((n, sol.rank)))
         ref = plain_ascent_value(a.mat, x0, 1e-10 * np.linalg.norm(a.mat))
         assert sol.value == pytest.approx(ref, rel=1e-7)
@@ -216,7 +239,7 @@ class TestAscent:
 
 class TestCertifySandwich:
     def test_antipodal_example(self):
-        sol = solve_sdp(ANTIPODAL, rng=0)
+        sol = solve_sdp(ANTIPODAL, seed=0)
         # Clust = 2, R^2 = 1/2, C = 1/pi: checks 4 <= 4.0004 and 4 <= 2pi
         report = certify_sandwich(sol, 2.0, 0.5, 1.0 / math.pi)
         assert report["passed"]
@@ -224,12 +247,12 @@ class TestCertifySandwich:
         assert report["clust_over_c"] == pytest.approx(2.0 * math.pi)
 
     def test_all_zero_instance(self):
-        sol = solve_sdp(SymMatrix.from_array(np.zeros((2, 2))), rng=0)
+        sol = solve_sdp(SymMatrix.from_array(np.zeros((2, 2))), seed=0)
         report = certify_sandwich(sol, 0.0, 0.0, 0.0)
         assert report["passed"]
 
     def test_detects_undershoot(self):
-        sol = solve_sdp(ANTIPODAL, rng=0)
+        sol = solve_sdp(ANTIPODAL, seed=0)
         bogus = sol.__class__(**{**sol.__dict__, "value": 1.0, "dual_upper": 1.0})
         report = certify_sandwich(bogus, 2.0, 0.5, 1.0 / math.pi)
         assert not report["left_ok"]
