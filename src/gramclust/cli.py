@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -38,7 +39,15 @@ def _json_numbers(raw) -> bool:
     """True when every leaf of nested JSON lists is an int or a float.
 
     numpy would cast the strings "2" and "nan" and the booleans to floats.
+    A list of lists of numbers, the usual matrix, passes one C-level type
+    scan; anything else takes the walk.
     """
+    if (
+        type(raw) is list
+        and all(type(row) is list for row in raw)
+        and set(map(type, itertools.chain.from_iterable(raw))) <= {int, float}
+    ):
+        return True
     stack = [raw]
     while stack:
         item = stack.pop()
@@ -61,13 +70,14 @@ def _ingest(raw, name: str) -> SymMatrix:
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ParseError(f"matrix {name} must be square, got shape {arr.shape}")
     _require_finite(arr, name)
-    cutoff = ASYMMETRY_CUTOFF * max(1.0, float(np.max(np.abs(arr))))
-    asym = float(np.max(np.abs(arr - arr.T)))
-    if asym > cutoff:
+    # relative to the matrix alone, so a small matrix meets the same standard
+    cutoff = ASYMMETRY_CUTOFF * float(np.max(np.abs(arr)))
+    sym = SymMatrix(arr)
+    if sym.asymmetry > cutoff:
         raise ParseError(
-            f"matrix {name} asymmetry {asym:.3e} exceeds the {cutoff:.3e} cutoff"
+            f"matrix {name} asymmetry {sym.asymmetry:.3e} exceeds the {cutoff:.3e} cutoff"
         )
-    return SymMatrix(arr)
+    return sym
 
 
 def _load_csv(path: str, name: str) -> tuple[np.ndarray, bytes]:

@@ -13,9 +13,14 @@ step, the value, the residual and the multipliers lambda.
 First-order stationary points are screened with the dual matrix
 S = diag(lambda) - A; S >= 0 certifies global optimality, and for any
 lambda, sum lambda_i + n max(0, -mu_min(S)) is a certified upper bound
-(``dual_upper``).  A negative eigenvector of S gives a curvilinear ascent
-direction into a fresh coordinate after rank escalation; the starting rank
-~sqrt(2n) suffices generically (Boumal, Voroninski & Bandeira 2016).
+(``dual_upper``).  A restart stops once mu_min(S) >= -cert_tol, decided by
+whether S + cert_tol I has a Cholesky factor (n^3/3 flops).  Only when the
+factorization fails does an eigendecomposition run: its negative
+eigenvector gives a curvilinear ascent direction into a fresh coordinate
+after rank escalation; the starting rank ~sqrt(2n) suffices generically
+(Boumal, Voroninski & Bandeira 2016).  The mu_min in ``dual_upper`` comes
+from one values-only eigvalsh, run for the solution :func:`solve_sdp`
+returns and for each :func:`ascend_from` polish, not for every restart.
 
 The solver has no tunables beyond the seed and the thread count: each
 solve runs RESTARTS random starts at rank min(n, isqrt(2n - 1) + 2), each
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -77,10 +82,11 @@ def _residual(m: np.ndarray, x: np.ndarray) -> float:
 
 
 def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    x = np.array(x, dtype=float)
+    x = np.asarray(x, dtype=float)
     norms = np.linalg.norm(x, axis=1)
     zero = norms == 0.0
     if np.any(zero):  # zero rows only occur when the matching row of A is 0
+        x = x.copy()
         x[zero, :] = 0.0
         x[zero, 0] = 1.0
         norms[zero] = 1.0
@@ -97,6 +103,8 @@ def _plain_step(x, m, diag, tiny):
     """
     norms = np.linalg.norm(m, axis=1)
     dead = norms <= tiny
+    if not np.any(dead):
+        return m / norms[:, None]
     x_new = np.empty_like(x)
     x_new[~dead] = m[~dead] / norms[~dead][:, None]
     x_new[dead] = _normalize_rows(x[dead])
@@ -146,34 +154,42 @@ def _ascend(a, x, grad_tol, max_iters):
     return x, m, iters
 
 
-def _certificate(a, lam):
-    """Smallest eigenpair of the dual matrix S = diag(lambda) - A."""
-    eigs, vecs = np.linalg.eigh(np.diag(lam) - a)
-    return float(eigs[0]), vecs[:, 0]
+def _certified(a, lam, cert_tol) -> bool:
+    """Whether mu_min(S) >= -cert_tol for S = diag(lambda) - A, decided up
+    to rounding by a Cholesky factorization of S + cert_tol I."""
+    try:
+        np.linalg.cholesky(np.diag(lam + cert_tol) - a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
-def _solution(a, x, m, iters, grad_tol, restart_index=0):
-    """Assemble the SdpSolution at X from its product M = A X.
-
-    Any multipliers lambda give the dual bound SDP <= sum lambda_i +
-    n max(0, -mu_min(S)); here lambda_i = <(A X)_i, x_i>, whose sum is the
-    value.  Also returns mu_min and its eigenvector for rank escalation.
-    """
+def _solution(x, m, iters, grad_tol, restart_index=0):
+    """The SdpSolution at X from its product M = A X, and the multipliers
+    lambda_i = <(A X)_i, x_i>, whose sum is the value.  ``dual_upper`` is
+    left at inf; :func:`_with_dual_upper` adds it."""
     lam = np.sum(m * x, axis=1)
-    mu_min, u = _certificate(a, lam)
-    value = float(np.sum(lam))
     residual = _residual(m, x)
     sol = SdpSolution(
-        value=value,
+        value=float(np.sum(lam)),
         rank=x.shape[1],
         vectors=x,
         stationarity_residual=residual,
         iterations=iters,
         converged=residual <= grad_tol,
-        dual_upper=value + len(x) * max(0.0, -mu_min),
         restart_index=restart_index,
     )
-    return sol, mu_min, u
+    return sol, lam
+
+
+def _with_dual_upper(a, sol):
+    """``sol`` with its certified bound: any multipliers lambda give
+    SDP <= sum lambda_i + n max(0, -mu_min(S)); here lambda_i = <(A X)_i,
+    x_i>, whose sum is the value, and mu_min comes from one eigvalsh."""
+    x = sol.vectors
+    lam = np.sum((a @ x) * x, axis=1)
+    mu_min = float(np.linalg.eigvalsh(np.diag(lam) - a)[0])
+    return replace(sol, dual_upper=sol.value + len(x) * max(0.0, -mu_min))
 
 
 def _curvilinear_kick(a, x, u, base):
@@ -204,9 +220,15 @@ def _solve_single(a, x0, restart_index):
     while True:
         x, m, iters = _ascend(a, x, grad_tol, MAX_ITERS - iters_total)
         iters_total += iters
-        sol, mu_min, u = _solution(a, x, m, iters_total, grad_tol, restart_index)
-        if mu_min >= -cert_tol or iters_total >= MAX_ITERS or x.shape[1] >= n:
+        sol, lam = _solution(x, m, iters_total, grad_tol, restart_index)
+        if iters_total >= MAX_ITERS or x.shape[1] >= n or _certified(a, lam, cert_tol):
             return sol
+        # the kick needs the eigenvector; the eigenvalue settles the rare
+        # case the factorization rejects within rounding of -cert_tol
+        eigs, vecs = np.linalg.eigh(np.diag(lam) - a)
+        if eigs[0] >= -cert_tol:
+            return sol
+        u = vecs[:, 0]
         # escalate rank by two and kick off the saddle along u
         x_kicked, improved = _curvilinear_kick(a, x, u, sol.value)
         if not improved and sol.value - value_prev <= value_tol:
@@ -260,7 +282,7 @@ def solve_sdp(a: SymMatrix, seed: int = 0, threads: int = 1) -> SdpSolution:
             f" > {grad_tol:.3e}",
             NotConvergedWarning,
         )
-    return best
+    return _with_dual_upper(mat, best)
 
 
 def ascend_from(a: SymMatrix, vectors: np.ndarray) -> SdpSolution:
@@ -275,7 +297,7 @@ def ascend_from(a: SymMatrix, vectors: np.ndarray) -> SdpSolution:
     # do not pre-normalize: the first ascent step from the interior point
     # already lands on the spheres without decreasing the value
     x, m, iters = _ascend(mat, np.asarray(vectors, dtype=float), grad_tol, MAX_ITERS)
-    return _solution(mat, x, m, iters, grad_tol)[0]
+    return _with_dual_upper(mat, _solution(x, m, iters, grad_tol)[0])
 
 
 def certify_sandwich(
@@ -287,14 +309,15 @@ def certify_sandwich(
 ) -> dict:
     """Check Clust/R^2 <= SDP <= Clust/C against an exact oracle value.
 
-    The tolerance is ``tol`` plus the solver's certified relative duality
-    gap.  Comparisons are in product form so degenerate zeros pass.
+    SDP lies in [value, dual_upper], so the left check compares against the
+    certified upper end and the right one against the primal value.  The
+    left-hand side of each check may exceed the right-hand side by ``tol``
+    relative to the latter.  The comparisons are in product form so
+    degenerate zeros pass, and nothing has an absolute floor, so A * 2^e
+    with the oracle value times 2^e gets the same verdict.
     """
-    gap = max(0.0, sdp.dual_upper - sdp.value)
-    allow = tol + gap / max(abs(sdp.value), 1e-30)
-    floor = tol * max(1.0, abs(clust_exact), r2 * abs(sdp.value))
-    left_ok = clust_exact <= r2 * sdp.value * (1.0 + allow) + floor
-    right_ok = c_of_b * sdp.value <= clust_exact * (1.0 + allow) + floor
+    left_ok = clust_exact <= r2 * sdp.dual_upper * (1.0 + tol)
+    right_ok = c_of_b * sdp.value <= clust_exact * (1.0 + tol)
     return {
         "left_ok": bool(left_ok),
         "right_ok": bool(right_ok),
@@ -302,5 +325,5 @@ def certify_sandwich(
         "clust_over_r2": clust_exact / r2 if r2 > 0 else 0.0,
         "sdp_value": sdp.value,
         "clust_over_c": clust_exact / c_of_b if c_of_b > 0 else 0.0,
-        "tolerance": allow,
+        "tolerance": tol,
     }

@@ -203,6 +203,65 @@ class TestValidationErrors:
         assert main([command, write_json(tmp_path, doc)]) == 2
         assert "matrix B is not a numeric matrix" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[[1, 2], [3, 4]]",
+            "[[1.0, -0.5], [2e300, 0.0]]",
+            "[[1, 2.5], [-3, 4.0]]",
+            "[[1.0, true]]",
+            '[[1.0, "2"]]',
+            "[[1.0, null]]",
+            '[[1.0, {"a": 1}]]',
+            '[[1.0], {"a": 1}]',
+            "[[1.0], {}]",
+            '[[1.0], ""]',
+            '[[1.0], "12"]',
+            "[[1.0], 3]",
+            "[[[1.0]], [[2.0]]]",
+            "[[1.0, 2.0], [3.0]]",
+            "[[1.0, " + "1" * 401 + "]]",
+            "[]",
+            "[[]]",
+            "[1.0, 2.0]",
+            '{"a": 1}',
+            '"abc"',
+            "2.0",
+        ],
+    )
+    def test_json_numbers_matches_walk(self, text):
+        def walk(raw):
+            # the leaf-by-leaf check that the one-pass type scan short-cuts
+            stack = [raw]
+            while stack:
+                item = stack.pop()
+                if isinstance(item, list):
+                    stack.extend(item)
+                elif isinstance(item, bool) or not isinstance(item, (int, float)):
+                    return False
+            return True
+
+        raw = json.loads(text)
+        assert cli._json_numbers(raw) == walk(raw)
+
+    @pytest.mark.parametrize("command", ["cluster", "analyze-b"])
+    def test_small_matrix_asymmetry_exit_2(self, tmp_path, capsys, command):
+        # the cutoff is relative to the matrix: an asymmetry as large as the
+        # entries is rejected at any scale
+        m = (1e-12 * np.array([[1.0, -1.0], [0.0, 1.0]])).tolist()
+        assert main([command, write_json(tmp_path, {"A": m, "B": m})]) == 2
+        assert "asymmetry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [1e-300 * np.array([[1.0, -1.0], [-1.0, 1.0]]), np.zeros((3, 3))],
+        ids=["tiny-symmetric", "zero"],
+    )
+    def test_symmetric_or_zero_accepted(self, matrix):
+        sym = cli._ingest(matrix.tolist(), "A")
+        assert sym.asymmetry == 0.0
+        np.testing.assert_array_equal(sym.mat, matrix)
+
     @pytest.mark.parametrize("command", ["cluster", "analyze-b", "oracle"])
     def test_unwritable_out_exit_2(self, tmp_path, capsys, monkeypatch, command):
         # the check comes before any work: no solver may run

@@ -16,6 +16,7 @@ from gramclust import (
     min_enclosing_ball,
     random_centered_psd,
     solve_sdp,
+    validate_psd,
 )
 from gramclust import sdp
 from gramclust.sdp import _ascend, _normalize_rows, _plain_step, _solve_single
@@ -180,6 +181,72 @@ class TestSolveSdp:
         np.testing.assert_array_equal(s1.vectors, s2.vectors)
 
 
+def eigh_certified(a, lam, cert_tol):
+    """The certificate before the Cholesky screen: the full eigendecomposition
+    of S = diag(lambda) - A, and mu_min(S) >= -cert_tol."""
+    return bool(np.linalg.eigh(np.diag(lam) - a)[0][0] >= -cert_tol)
+
+
+def eigh_dual_upper(a, sol):
+    x = sol.vectors
+    lam = np.sum((a @ x) * x, axis=1)
+    mu_min = float(np.linalg.eigh(np.diag(lam) - a)[0][0])
+    return sol.value + len(x) * max(0.0, -mu_min)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("n, seed", [(60, 0), (100, 0), (150, 0)])
+    def test_matches_eigh_certificate(self, monkeypatch, n, seed):
+        a = random_centered_psd(n, np.random.default_rng([n, seed]))
+        sol = solve_sdp(a, seed=seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(sdp, "_certified", eigh_certified)
+            ref = solve_sdp(a, seed=seed)
+        assert (sol.value, sol.rank, sol.iterations) == (ref.value, ref.rank, ref.iterations)
+        assert sol.vectors.tobytes() == ref.vectors.tobytes()
+        assert sol.dual_upper == pytest.approx(eigh_dual_upper(a.mat, ref), rel=1e-13)
+
+    def test_eigendecomposition_only_to_escalate(self, monkeypatch):
+        # n = 120 at this seed escalates twice over its four restarts
+        a = random_centered_psd(120, np.random.default_rng([120, 2]))
+        assert validate_psd(a)  # fills the cached spectrum before the spy
+        calls = {"eigh": 0, "eigvalsh": 0, "kick": 0}
+
+        def spy(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(sdp, "_curvilinear_kick", spy("kick", sdp._curvilinear_kick))
+        sol = solve_sdp(a, seed=2)
+        assert calls["kick"] >= 2
+        assert calls["eigh"] == calls["kick"]
+        assert calls["eigvalsh"] == 1
+        assert sol.dual_upper - sol.value <= 1e-8 * sol.value
+
+    def test_zero_matrix_certified_without_escalation(self):
+        # cert_tol is 0 and S = 0 has no Cholesky factor, but mu_min = 0
+        # certifies it: the start rank stays
+        sol = solve_sdp(SymMatrix.from_array(np.zeros((10, 10))), seed=0)
+        assert (sol.value, sol.rank, sol.dual_upper) == (0.0, 6, 0.0)
+
+    @pytest.mark.parametrize("n", [5, 40, 120])
+    @pytest.mark.parametrize("factor", [10.0, 0.5, -0.5, -10.0])
+    def test_cholesky_agrees_with_mu_min(self, n, factor):
+        a = random_centered_psd(n, np.random.default_rng(n)).mat
+        cert_tol = sdp._tolerances(a)[2]
+        lam = np.sum(a, axis=1) ** 2
+        # shifting lambda by a constant shifts every eigenvalue of S by it
+        lam += factor * cert_tol - np.linalg.eigvalsh(np.diag(lam) - a)[0]
+        mu_min = np.linalg.eigvalsh(np.diag(lam) - a)[0]
+        assert mu_min == pytest.approx(factor * cert_tol, rel=0.01)
+        assert sdp._certified(a, lam, cert_tol) == (mu_min >= -cert_tol)
+        assert sdp._certified(a, lam, cert_tol) == (factor > -1.0)
+
+
 class TestAscent:
     @staticmethod
     def assert_monotone(mat, x0, steps=60):
@@ -256,3 +323,14 @@ class TestCertifySandwich:
         bogus = sol.__class__(**{**sol.__dict__, "value": 1.0, "dual_upper": 1.0})
         report = certify_sandwich(bogus, 2.0, 0.5, 1.0 / math.pi)
         assert not report["left_ok"]
+
+    @pytest.mark.parametrize("e", [-70, 0, 60])
+    def test_scale_free(self, e):
+        # no absolute floor: a 1000x wrong oracle value fails on a tiny A too
+        a = random_centered_psd(6, np.random.default_rng(1))
+        clust, _ = brute_force_clust(a, SymMatrix.from_array(np.eye(3)))
+        sol = solve_sdp(SymMatrix(a.mat * 2.0 ** e), seed=1)
+        right = certify_sandwich(sol, math.ldexp(clust, e), 2.0 / 3.0, 0.3)
+        wrong = certify_sandwich(sol, math.ldexp(1000.0 * clust, e), 2.0 / 3.0, 0.3)
+        assert right["passed"]
+        assert not wrong["passed"]
