@@ -56,8 +56,7 @@ def _circumsphere(points: np.ndarray) -> tuple[np.ndarray, float]:
 def _welzl(points: np.ndarray) -> tuple[np.ndarray, float]:
     """Move-to-front Welzl recursion; exact for small support sets."""
     d = points.shape[1]
-    scale = max(1.0, float(np.max(np.abs(points))) if points.size else 0.0)
-    eps = 1e-12 * scale * scale
+    eps = 1e-12 * float(np.max(np.abs(points))) ** 2
 
     # deterministic shuffle: expected-linear behaviour without run-to-run noise
     order = list(range(len(points)))
@@ -94,9 +93,11 @@ def _frank_wolfe_ball(points: np.ndarray) -> tuple[np.ndarray, float]:
     return center, float(np.max(np.linalg.norm(points - center, axis=1)))
 
 
-def _support_indices(vectors: np.ndarray, center: np.ndarray, radius: float) -> list[int]:
+def _support_indices(
+    vectors: np.ndarray, center: np.ndarray, radius: float, scale: float
+) -> list[int]:
     dists = np.linalg.norm(vectors - center, axis=1)
-    tol = BALL_TOL * max(radius, 1.0)
+    tol = BALL_TOL * scale
     return [i for i in range(len(vectors)) if abs(dists[i] - radius) <= tol]
 
 
@@ -152,18 +153,18 @@ def _lawson_hanson(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _min_norm_simplex_weights(
-    vectors: np.ndarray, center: np.ndarray, support: list[int], radius: float
+    vectors: np.ndarray, center: np.ndarray, support: list[int], scale: float
 ) -> np.ndarray:
     """Minimum-norm p >= 0 with sum p = 1 and sum p_i v_i = center.
 
     Solved as Tikhonov-regularized NNLS: the tiny ridge term selects the
     minimum-Euclidean-norm point of the (possibly non-unique) feasible set
     without perturbing it beyond ~1e-12, and makes the problem strictly
-    convex, so one least-squares solve usually settles it.
+    convex, so one least-squares solve usually settles it.  ``scale`` is
+    the length the offsets are measured in (see min_enclosing_ball).
     """
     k = len(vectors)
     s = len(support)
-    scale = max(radius, 1.0)
     sub = (vectors[support] - center).T / scale  # (d, s)
     ridge = 1e-6
     a = np.vstack([sub, np.ones((1, s)), ridge * np.eye(s)])
@@ -171,9 +172,10 @@ def _min_norm_simplex_weights(
     p_sub = _nnls(a, b)
     p = np.zeros(k)
     p[support] = p_sub
-    # feasibility check at 10x ball tolerance; failure means the ball
-    # geometry itself is wrong, so surface it rather than repair
-    recon = np.linalg.norm(p @ vectors - center)
+    # feasibility check at 10x ball tolerance, on the offsets from the center
+    # so that it does not depend on where the ball lies; failure means the
+    # ball geometry itself is wrong, so surface it rather than repair
+    recon = np.linalg.norm(p @ (vectors - center))
     if recon > 10.0 * BALL_TOL * scale or abs(p.sum() - 1.0) > 10.0 * BALL_TOL:
         raise Infeasible(
             f"no support weights reproduce the center (residual {recon:.3e})"
@@ -188,7 +190,11 @@ def min_enclosing_ball(gram: GramFactor) -> EnclosingBall:
     """Smallest ball containing the Gram vectors.
 
     Exact Welzl recursion for ambient dimension <= 10 (k is small in this
-    problem's framing), iterative fallback above that.
+    problem's framing), iterative fallback above that.  The support and
+    weight tolerances are relative to the radius, and never fall below
+    BALL_TOL times the longest Gram vector, whose length sets the rounding
+    error of the distances; so B * 4^e gives the same support and weights
+    and the radius times 2^e.
     """
     vectors = gram.vectors
     if gram.k < 1:
@@ -198,15 +204,18 @@ def min_enclosing_ball(gram: GramFactor) -> EnclosingBall:
         center = np.zeros(0)
         radius = 0.0
     else:
-        uniq, inverse = np.unique(np.round(vectors, 13), axis=0, return_inverse=True)
+        unit = np.round(vectors / np.max(np.abs(vectors)), 13)
+        uniq, inverse = np.unique(unit, axis=0, return_inverse=True)
         pts = vectors[[int(np.where(inverse == u)[0][0]) for u in range(len(uniq))]]
         if vectors.shape[1] <= WELZL_MAX_DIM:
             center, radius = _welzl(pts)
         else:
             center, radius = _frank_wolfe_ball(pts)
         radius = max(radius, 0.0)
-    support = _support_indices(vectors, center, radius) if gram.k else []
-    weights = _min_norm_simplex_weights(vectors, center, support, radius)
+    longest = float(np.max(np.linalg.norm(vectors, axis=1)))
+    scale = max(radius, BALL_TOL * longest)
+    support = _support_indices(vectors, center, radius, scale)
+    weights = _min_norm_simplex_weights(vectors, center, support, scale)
     return EnclosingBall(
         center=center,
         radius=float(radius),

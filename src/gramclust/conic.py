@@ -422,9 +422,10 @@ def _directions_distinct(w: np.ndarray) -> np.ndarray:
     """(S,) True where no two directions of a set coincide to 1e-12 relative.
 
     The one test of distinct directions: a state the search keeps must
-    build a ConicalPartition.
+    build a ConicalPartition.  Relative to the largest entry of the set
+    alone, so the directions B z of a small B pass like those of a large one.
     """
-    scale = np.maximum(1.0, np.abs(w).max(axis=(1, 2)))
+    scale = np.abs(w).max(axis=(1, 2))
     i, j = _pairs(w.shape[1])
     gaps = np.abs(w[:, i] - w[:, j]).max(axis=2)
     return (gaps > 1e-12 * scale[:, None]).all(axis=1)
@@ -710,6 +711,12 @@ def _ranked(psi: np.ndarray, alive: np.ndarray) -> np.ndarray:
     return idx[np.argsort(-psi[idx], kind="stable")]
 
 
+def _unit_scale_shift(b: np.ndarray) -> int:
+    """The s with max_i b_ii / 4^s in [1, 4); 0 for B = 0."""
+    top = float(np.max(np.diag(b)))
+    return (math.frexp(top)[1] - 1) // 2 if top > 0.0 else 0
+
+
 @dataclass
 class _Candidate:
     psi: float
@@ -743,11 +750,17 @@ def search_cb(
     optimality claim (heuristic flag set).  mc_stderr is 0 for every k.
     Candidates reduce by (psi, index) lexicographic max, so the result is
     deterministic for a fixed seed, and it is cached per B and seed.
+
+    The search runs on B / 4^s, whose largest diagonal entry lies in
+    [1, 4).  A power of 4 scales psi, R(B)^2 and the directions exactly and
+    leaves every cell unchanged, so B * 4^e gets the same partition and
+    C(B) times 4^e; B is degenerate when R(B)^2 < 1e-12 * 4^s.
     """
     if not validate_psd(b):
         raise NotPSD("hypothesis matrix is not PSD")
     k = b.dim
-    if radius_squared(b) < 1e-12:
+    shift = _unit_scale_shift(b.mat)
+    if radius_squared(b) < math.ldexp(1e-12, 2 * shift):
         raise DegenerateB(
             "all Gram vectors coincide; every clustering of a centered matrix "
             "has value 0"
@@ -763,7 +776,7 @@ def search_cb(
         return cached
 
     perm = _canonical_label_order(b.mat)
-    bc = b.mat[np.ix_(perm, perm)]
+    bc = np.ldexp(b.mat[np.ix_(perm, perm)], -2 * shift)
 
     candidates: list[_Candidate] = []
     counter = itertools.count()
@@ -815,11 +828,12 @@ def search_cb(
     else:
         directions = b_sub_orig @ moments
     partition = ConicalPartition(k=k, active=tuple(active_orig), directions=directions)
+    psi = math.ldexp(best.psi, 2 * shift)
     value = PartitionValue(
         moments=moments,
-        psi=best.psi,
+        psi=psi,
         heuristic=k >= 4,
     )
-    result = (best.psi, partition, value)
+    result = (psi, partition, value)
     _SEARCH_CACHE[cache_key] = result
     return result

@@ -83,12 +83,14 @@ class GramFactor:
 
 
 def validate_psd(m: SymMatrix, tol: float = PSD_TOL) -> bool:
-    """True iff the smallest eigenvalue is >= -tol * max(1, spectral norm).
+    """True iff the smallest eigenvalue is >= -tol * spectral norm.
 
-    The eigenvalues are computed once per matrix (``SymMatrix.eig_bounds``).
+    Relative to M alone, so a small indefinite M fails like a large one,
+    while M = 0 passes.  The eigenvalues are computed once per matrix
+    (``SymMatrix.eig_bounds``).
     """
     smallest, spectral = m.eig_bounds
-    return smallest >= -tol * max(1.0, spectral)
+    return smallest >= -tol * spectral
 
 
 def validate_centered(m: SymMatrix, tol: float = CENTERED_TOL) -> bool:

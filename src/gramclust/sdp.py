@@ -7,8 +7,16 @@ directly on the spheres: the conditional-gradient step x_i <- normalize of
 extrapolation past that point along the last displacement and keeps it only
 if the value does not drop below the current one (a monotone safeguard, as
 in monotone accelerated gradient methods); the extrapolation weight adapts
-to how often this succeeds.  One product A X per accepted step serves the
-step, the value, the residual and the multipliers lambda.
+to how often this succeeds.
+
+The iterate is stored coordinate-first, as a C-contiguous (rank, n) array
+whose column j is point j's vector, as in the Mixing method (Wang, Chang &
+Kolter 2017).  A is symmetric, so the product is X A, one gemm, and every
+per-point quantity (a norm, a multiplier lambda_i = <(X A)_i, x_i>, a
+displacement) is a column reduction over rows of length n.  One product
+per accepted step, and the lambda computed from it once, serve the step,
+the value sum lambda_i, the residual and the certificate.  The solution's
+``vectors`` are the transpose, (n, rank) with unit rows.
 
 First-order stationary points are screened with the dual matrix
 S = diag(lambda) - A; S >= 0 certifies global optimality, and for any
@@ -17,10 +25,11 @@ lambda, sum lambda_i + n max(0, -mu_min(S)) is a certified upper bound
 whether S + cert_tol I has a Cholesky factor (n^3/3 flops).  Only when the
 factorization fails does an eigendecomposition run: its negative
 eigenvector gives a curvilinear ascent direction into a fresh coordinate
-after rank escalation; the starting rank ~sqrt(2n) suffices generically
-(Boumal, Voroninski & Bandeira 2016).  The mu_min in ``dual_upper`` comes
-from one values-only eigvalsh, run for the solution :func:`solve_sdp`
-returns and for each :func:`ascend_from` polish, not for every restart.
+after rank escalation, which appends rows to X; the starting rank
+~sqrt(2n) suffices generically (Boumal, Voroninski & Bandeira 2016).  The
+mu_min in ``dual_upper`` comes from one values-only eigvalsh, run for the
+solution :func:`solve_sdp` returns and for each :func:`ascend_from`
+polish, not for every restart.
 
 The solver has no tunables beyond the seed and the thread count: each
 solve runs RESTARTS random starts at rank min(n, isqrt(2n - 1) + 2), each
@@ -75,83 +84,98 @@ def _tolerances(a: np.ndarray) -> tuple[float, float, float]:
     return GRAD_TOL * fro, 1e-8 * fro, 1e-9 * fro
 
 
-def _residual(m: np.ndarray, x: np.ndarray) -> float:
-    """Riemannian gradient norm at X, given its product M = A X."""
-    lam = np.sum(m * x, axis=1, keepdims=True)
-    return float(np.linalg.norm(2.0 * (m - lam * x)))
+def _dots(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(n,) per-point inner products <p_j, q_j> of two (rank, n) arrays."""
+    return np.einsum("ij,ij->j", p, q)
 
 
-def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    norms = np.linalg.norm(x, axis=1)
+def _residual(m: np.ndarray, x: np.ndarray, lam: np.ndarray) -> float:
+    """Riemannian gradient norm at X, given its product M = X A and lambda."""
+    g = lam * x
+    g -= m
+    return 2.0 * math.sqrt(np.vdot(g, g))
+
+
+def _normalize_columns(x: np.ndarray) -> np.ndarray:
+    norms = np.sqrt(_dots(x, x))
     zero = norms == 0.0
-    if np.any(zero):  # zero rows only occur when the matching row of A is 0
+    if np.any(zero):  # zero columns only occur when the matching row of A is 0
         x = x.copy()
-        x[zero, :] = 0.0
-        x[zero, 0] = 1.0
+        x[:, zero] = 0.0
+        x[0, zero] = 1.0
         norms[zero] = 1.0
-    return x / norms[:, None]
+    return x / norms
 
 
 def _plain_step(x, m, diag, tiny):
-    """Conditional-gradient step: each row maximizes the linearization at X.
+    """Conditional-gradient step: each point maximizes the linearization at X.
 
-    Rows where the gradient M = A X vanishes are free in the linearization;
-    rows with a_ii > 0 are flipped (a strict local improvement there), rows
-    with a_ii = 0 do not enter the objective at all and keep their direction
-    on the sphere.
+    Points where the gradient M = X A vanishes are free in the
+    linearization; points with a_ii > 0 are flipped (a strict local
+    improvement there), points with a_ii = 0 do not enter the objective at
+    all and keep their direction on the sphere.
     """
-    norms = np.linalg.norm(m, axis=1)
+    norms = np.sqrt(_dots(m, m))
     dead = norms <= tiny
     if not np.any(dead):
-        return m / norms[:, None]
+        return m / norms
     x_new = np.empty_like(x)
-    x_new[~dead] = m[~dead] / norms[~dead][:, None]
-    x_new[dead] = _normalize_rows(x[dead])
-    x_new[dead & (diag > tiny)] *= -1.0
+    x_new[:, ~dead] = m[:, ~dead] / norms[~dead]
+    x_new[:, dead] = _normalize_columns(x[:, dead])
+    x_new[:, dead & (diag > tiny)] *= -1.0
     return x_new
 
 
 def _ascend(a, x, grad_tol, max_iters):
-    """Safeguarded extrapolated conditional-gradient ascent.
+    """Safeguarded extrapolated conditional-gradient ascent on a (rank, n) X.
 
     Each step takes the plain step x_new, which never decreases a convex
-    objective from a point with rows of norm <= 1, then tries the
+    objective from a point with columns of norm <= 1, then tries the
     extrapolation y = normalize(x_new + beta (x_new - x_prev)), with x_prev
     the iterate before X, and keeps y only if f(y) >= f(X), so the value
-    never decreases.  beta grows on an
-    accepted step and halves on a rejected one.  The product A y of an
-    accepted step serves the next step, the value and the stopping
-    residual, so a step costs one product (a rejected one two).  Stops at
-    residual grad_tol / 10.  Returns X, A X and the step count.
+    never decreases.  beta grows on an accepted step and halves on a
+    rejected one.  The product Y A of an accepted step, and its lambda,
+    serve the next step, the value and the stopping residual, so a step
+    costs one product (a rejected one two).  The value sums the per-point
+    lambda pairwise: the accept test compares values that differ at
+    rounding level near convergence, and a coarser sum upsets it.  Stops at
+    residual grad_tol / 10.  Returns X, X A, lambda and the step count.
     """
     diag = np.diag(a)
     tiny = 1e-14 * float(np.max(np.abs(a)))
-    m = a @ x
-    value = float(np.sum(m * x))
+    m = x @ a
+    lam = _dots(m, x)
+    value = float(np.sum(lam))
     x_prev = x
     beta = _BETA_START
     iters = 0
     for _ in range(max_iters):
         iters += 1
         x_new = _plain_step(x, m, diag, tiny)
-        y = _normalize_rows(x_new + beta * (x_new - x_prev))
-        m_y = a @ y
-        value_y = float(np.sum(m_y * y))
+        y = x_new - x_prev
+        y *= beta
+        y += x_new
+        y = _normalize_columns(y)
+        m_y = y @ a
+        lam_y = _dots(m_y, y)
+        value_y = float(np.sum(lam_y))
         x_prev = x
         if value_y >= value:
-            x, m, value = y, m_y, value_y
+            x, m, lam, value = y, m_y, lam_y, value_y
             beta = min(_BETA_MAX, _BETA_GROWTH * beta)
         else:
-            x, m = x_new, a @ x_new
-            value = float(np.sum(m * x))
+            x = x_new
+            m = x @ a
+            lam = _dots(m, x)
+            value = float(np.sum(lam))
             beta *= 0.5
         # stopping at grad_tol itself leaves mu_min(S) near -1e-8 ||A||_F,
         # past the certificate's threshold, and costs rank escalations
-        moved = float(np.max(np.linalg.norm(x - x_prev, axis=1)))
-        if moved < 1e-16 or _residual(m, x) <= 0.1 * grad_tol:
+        step = x - x_prev
+        moved = math.sqrt(float(np.max(_dots(step, step))))
+        if moved < 1e-16 or _residual(m, x, lam) <= 0.1 * grad_tol:
             break
-    return x, m, iters
+    return x, m, lam, iters
 
 
 def _certified(a, lam, cert_tol) -> bool:
@@ -164,77 +188,74 @@ def _certified(a, lam, cert_tol) -> bool:
     return True
 
 
-def _solution(x, m, iters, grad_tol, restart_index=0):
-    """The SdpSolution at X from its product M = A X, and the multipliers
-    lambda_i = <(A X)_i, x_i>, whose sum is the value.  ``dual_upper`` is
-    left at inf; :func:`_with_dual_upper` adds it."""
-    lam = np.sum(m * x, axis=1)
-    residual = _residual(m, x)
-    sol = SdpSolution(
+def _solution(x, m, lam, iters, grad_tol, restart_index=0):
+    """The SdpSolution at the (rank, n) X from its product M = X A and the
+    multipliers lambda_i = <(X A)_i, x_i>, whose sum is the value; its
+    vectors are X transposed.  ``dual_upper`` is left at inf;
+    :func:`_with_dual_upper` adds it."""
+    residual = _residual(m, x, lam)
+    return SdpSolution(
         value=float(np.sum(lam)),
-        rank=x.shape[1],
-        vectors=x,
+        rank=len(x),
+        vectors=np.ascontiguousarray(x.T),
         stationarity_residual=residual,
         iterations=iters,
         converged=residual <= grad_tol,
         restart_index=restart_index,
     )
-    return sol, lam
 
 
-def _with_dual_upper(a, sol):
+def _with_dual_upper(a, sol, lam):
     """``sol`` with its certified bound: any multipliers lambda give
-    SDP <= sum lambda_i + n max(0, -mu_min(S)); here lambda_i = <(A X)_i,
-    x_i>, whose sum is the value, and mu_min comes from one eigvalsh."""
-    x = sol.vectors
-    lam = np.sum((a @ x) * x, axis=1)
+    SDP <= sum lambda_i + n max(0, -mu_min(S)); here lambda is the one the
+    ascent's last product gave, whose sum is the value, and mu_min comes
+    from one eigvalsh."""
     mu_min = float(np.linalg.eigvalsh(np.diag(lam) - a)[0])
-    return replace(sol, dual_upper=sol.value + len(x) * max(0.0, -mu_min))
+    return replace(sol, dual_upper=sol.value + len(lam) * max(0.0, -mu_min))
 
 
 def _curvilinear_kick(a, x, u, base):
     """Second-order escape along x_i(t) = cos(u_i t) x_i + sin(u_i t) e_new.
 
-    Requires a fresh zero coordinate appended to every row; f''(0) =
+    Appends a fresh row to the (rank, n) X, the new coordinate; f''(0) =
     -2 u^T S u > 0 so some small t improves the objective ``base``.
     """
-    x_aug = np.hstack([x, np.zeros((len(x), 1))])
-    best = x_aug
+    best = np.vstack([x, np.zeros((1, x.shape[1]))])
     best_val = base
     for t in [2.0 ** (-j) for j in range(0, 22)]:
-        c = np.cos(u * t)[:, None]
-        s = np.sin(u * t)[:, None]
-        cand = np.hstack([c * x, s * np.ones((len(x), 1))])
-        val = float(np.sum((a @ cand) * cand))
+        cand = np.vstack([np.cos(u * t) * x, np.sin(u * t)])
+        val = float(np.sum(_dots(cand @ a, cand)))
         if val > best_val:
             best_val, best = val, cand
     return best, best_val > base
 
 
 def _solve_single(a, x0, restart_index):
+    """One restart from the (n, rank) start x0: the solution and the
+    multipliers lambda of its last product."""
     n = len(a)
     grad_tol, value_tol, cert_tol = _tolerances(a)
-    x = _normalize_rows(x0)
+    x = _normalize_columns(np.ascontiguousarray(np.asarray(x0, dtype=float).T))
     iters_total = 0
     value_prev = -math.inf
     while True:
-        x, m, iters = _ascend(a, x, grad_tol, MAX_ITERS - iters_total)
+        x, m, lam, iters = _ascend(a, x, grad_tol, MAX_ITERS - iters_total)
         iters_total += iters
-        sol, lam = _solution(x, m, iters_total, grad_tol, restart_index)
-        if iters_total >= MAX_ITERS or x.shape[1] >= n or _certified(a, lam, cert_tol):
-            return sol
+        if iters_total >= MAX_ITERS or len(x) >= n or _certified(a, lam, cert_tol):
+            break
         # the kick needs the eigenvector; the eigenvalue settles the rare
         # case the factorization rejects within rounding of -cert_tol
         eigs, vecs = np.linalg.eigh(np.diag(lam) - a)
         if eigs[0] >= -cert_tol:
-            return sol
-        u = vecs[:, 0]
+            break
         # escalate rank by two and kick off the saddle along u
-        x_kicked, improved = _curvilinear_kick(a, x, u, sol.value)
-        if not improved and sol.value - value_prev <= value_tol:
-            return sol
-        value_prev = sol.value
-        x = _normalize_rows(np.hstack([x_kicked, np.zeros((n, 1))]))
+        value = float(np.sum(lam))
+        x_kicked, improved = _curvilinear_kick(a, x, vecs[:, 0], value)
+        if not improved and value - value_prev <= value_tol:
+            break
+        value_prev = value
+        x = _normalize_columns(np.vstack([x_kicked, np.zeros((1, n))]))
+    return _solution(x, m, lam, iters_total, grad_tol, restart_index), lam
 
 
 def solve_sdp(a: SymMatrix, seed: int = 0, threads: int = 1) -> SdpSolution:
@@ -257,7 +278,7 @@ def solve_sdp(a: SymMatrix, seed: int = 0, threads: int = 1) -> SdpSolution:
 
     starts = [rng.standard_normal((n, rank0)) for _ in range(RESTARTS)]
 
-    def run_restart(ridx: int) -> SdpSolution:
+    def run_restart(ridx: int) -> tuple[SdpSolution, np.ndarray]:
         return _solve_single(mat, starts[ridx], ridx)
 
     if threads > 1:
@@ -267,14 +288,14 @@ def solve_sdp(a: SymMatrix, seed: int = 0, threads: int = 1) -> SdpSolution:
             solutions = list(pool.map(run_restart, range(len(starts))))
     else:
         solutions = [run_restart(r) for r in range(len(starts))]
-    best = max(solutions, key=lambda s: (s.value, s.restart_index))
+    best, lam = max(solutions, key=lambda s: (s[0].value, s[0].restart_index))
 
     # the identity Gram is feasible with value tr(A); fall back to ascending
     # from it if every restart somehow landed below that floor
     if best.value < float(np.trace(mat)) - cert_tol:
         fallback = _solve_single(mat, np.eye(n), len(starts))
-        if fallback.value > best.value:
-            best = fallback
+        if fallback[0].value > best.value:
+            best, lam = fallback
 
     if not best.converged:
         warnings.warn(
@@ -282,11 +303,11 @@ def solve_sdp(a: SymMatrix, seed: int = 0, threads: int = 1) -> SdpSolution:
             f" > {grad_tol:.3e}",
             NotConvergedWarning,
         )
-    return _with_dual_upper(mat, best)
+    return _with_dual_upper(mat, best, lam)
 
 
 def ascend_from(a: SymMatrix, vectors: np.ndarray) -> SdpSolution:
-    """Polish an explicit feasible configuration (norms <= 1 allowed).
+    """Polish an explicit feasible (n, d) configuration (norms <= 1 allowed).
 
     Used for the lower-bound chain: the Gram system of any clustering,
     (v_sigma(i) - w(B)) / R(B), is feasible, and ascending from it can only
@@ -296,8 +317,9 @@ def ascend_from(a: SymMatrix, vectors: np.ndarray) -> SdpSolution:
     grad_tol = _tolerances(mat)[0]
     # do not pre-normalize: the first ascent step from the interior point
     # already lands on the spheres without decreasing the value
-    x, m, iters = _ascend(mat, np.asarray(vectors, dtype=float), grad_tol, MAX_ITERS)
-    return _with_dual_upper(mat, _solution(x, m, iters, grad_tol)[0])
+    x0 = np.ascontiguousarray(np.asarray(vectors, dtype=float).T)
+    x, m, lam, iters = _ascend(mat, x0, grad_tol, MAX_ITERS)
+    return _with_dual_upper(mat, _solution(x, m, lam, iters, grad_tol), lam)
 
 
 def certify_sandwich(

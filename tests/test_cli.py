@@ -145,6 +145,19 @@ class TestCluster:
         assert scaled["rounding"]["sigma"] == base["rounding"]["sigma"]
 
 
+    def test_small_b_interval_holds_clust(self):
+        # every threshold of the B half is relative to B, so a tiny B is not
+        # mistaken for a degenerate one and the interval still holds Clust
+        a = random_centered_psd(6, np.random.default_rng(1))
+        b = SymMatrix(np.eye(3) * 2.0 ** -70)
+        report = gramclust.cluster(a, b, trials=16, seed=0)
+        clust, _ = brute_force_clust(a, b)
+        lo, hi = report["certified_interval"]
+        assert report["degenerate"] is False
+        assert report["ball"]["r2"] == pytest.approx(math.ldexp(2.0 / 3.0, -70), rel=1e-12)
+        assert lo <= clust * (1.0 + 1e-12) and clust <= hi
+
+
 class TestValidationErrors:
     def test_corrupted_json_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -251,6 +264,15 @@ class TestValidationErrors:
         m = (1e-12 * np.array([[1.0, -1.0], [0.0, 1.0]])).tolist()
         assert main([command, write_json(tmp_path, {"A": m, "B": m})]) == 2
         assert "asymmetry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("e", [-70, 0, 40])
+    def test_small_indefinite_exit_2(self, tmp_path, e):
+        # the PSD test is relative to the spectral norm, at any scale
+        a = np.array([[1.0, 0.0, -1.0], [0.0, -1.0, 1.0], [-1.0, 1.0, 0.0]]) * 2.0 ** e
+        b = np.array([[1.0, 2.0], [2.0, 1.0]]) * 2.0 ** e
+        doc_a = {"A": a.tolist(), "B": np.eye(3).tolist()}
+        assert main(["cluster", write_json(tmp_path, doc_a, "a.json")]) == 2
+        assert main(["analyze-b", write_json(tmp_path, {"B": b.tolist()}, "b.json")]) == 2
 
     @pytest.mark.parametrize(
         "matrix",

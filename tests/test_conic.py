@@ -16,6 +16,7 @@ from gramclust import (
     NotPSD,
     PartitionValue,
     SymMatrix,
+    analyze_b,
     cone_moment_closed_2d,
     formula_bc,
     partition_moments_mc,
@@ -717,6 +718,36 @@ class TestSearchCb:
     def test_degenerate_b(self):
         with pytest.raises(DegenerateB):
             search_cb(SymMatrix.from_array([[1.0, 1.0], [1.0, 1.0]]))
+
+    @pytest.mark.parametrize("e", [-35, 20])
+    def test_degenerate_b_at_any_scale(self, e):
+        with pytest.raises(DegenerateB):
+            search_cb(SymMatrix(np.ones((2, 2)) * 4.0 ** e))
+
+    @pytest.mark.parametrize("e", [-35, 20])
+    @pytest.mark.parametrize("name", ["I3", "diag-half", "wishart-0", "wishart-1"])
+    def test_b_half_scale_free(self, name, e):
+        # B * 4^e scales the Gram vectors by 2^e exactly; every threshold of
+        # the ball and the search is relative to B
+        rng = np.random.default_rng(5)
+        wisharts = [g @ g.T / 6 for g in (rng.standard_normal((4, 6)) for _ in range(2))]
+        b = {
+            "I3": np.eye(3),
+            "diag-half": np.diag([1.0, 1.0, 0.5]),
+            "wishart-0": wisharts[0],
+            "wishart-1": wisharts[1],
+        }[name]
+        base = analyze_b(SymMatrix(b), seed=0)
+        scaled = analyze_b(SymMatrix(b * 4.0 ** e), seed=0)
+        assert scaled["degenerate"] is False
+        assert scaled["ball"]["r2"] == pytest.approx(
+            math.ldexp(base["ball"]["r2"], 2 * e), rel=1e-12
+        )
+        assert scaled["cb"]["c_estimate"] == pytest.approx(
+            math.ldexp(base["cb"]["c_estimate"], 2 * e), rel=1e-12
+        )
+        assert scaled["ball"]["support"] == base["ball"]["support"]
+        assert scaled["cb"]["active"] == base["cb"]["active"]
 
     def test_not_psd(self):
         with pytest.raises(NotPSD):

@@ -34,6 +34,22 @@ class TestValidatePsd:
         assert validate_psd(m, 1e-9)  # -1e-4 >= -1e-9 * 1e6
         assert not validate_psd(m, 1e-12)
 
+    @pytest.mark.parametrize("e", [-70, 0, 40])
+    @pytest.mark.parametrize(
+        "values",
+        [[[1, 0, -1], [0, -1, 1], [-1, 1, 0]], [[1, 2], [2, 1]]],
+        ids=["indefinite-3", "indefinite-2"],
+    )
+    def test_indefinite_rejected_at_any_scale(self, values, e):
+        assert not validate_psd(sym(np.array(values) * 2.0 ** e))
+
+    @pytest.mark.parametrize("e", [-70, 0, 40])
+    def test_zero_and_rank_deficient_accepted_at_any_scale(self, e):
+        g = np.random.default_rng(6).standard_normal((5, 2))
+        assert validate_psd(sym(np.zeros((4, 4))))
+        assert validate_psd(sym(g @ g.T * 2.0 ** e))
+        assert validate_psd(sym(np.ones((3, 3)) * 2.0 ** e))
+
     def test_eigenvalues_computed_once_per_matrix(self, monkeypatch):
         calls = []
         eigvalsh = np.linalg.eigvalsh

@@ -19,13 +19,66 @@ from gramclust import (
     validate_psd,
 )
 from gramclust import sdp
-from gramclust.sdp import _ascend, _normalize_rows, _plain_step, _solve_single
+from gramclust.sdp import _ascend, _normalize_columns, _plain_step, _solve_single
 
 ANTIPODAL = SymMatrix.from_array([[1.0, -1.0], [-1.0, 1.0]])
 
 
+def start(x0):
+    """The (rank, n) iterate of the (n, rank) start x0, as _solve_single
+    makes it: transposed, C-contiguous, unit columns."""
+    return _normalize_columns(np.ascontiguousarray(x0.T))
+
+
+def row_normalize(x):
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def row_major_ascend(a, x, grad_tol, max_iters):
+    """Reference: the ascent with the points as rows of an (n, rank) X, and
+    the product A X, as it ran before the coordinate-first layout.  It
+    leaves out the dead-row branch, which a random A never takes.  Returns
+    X, A X and the step count."""
+
+    def residual(m, x):
+        lam = np.sum(m * x, axis=1, keepdims=True)
+        return float(np.linalg.norm(2.0 * (m - lam * x)))
+
+    m = a @ x
+    value = float(np.sum(m * x))
+    x_prev = x
+    beta = sdp._BETA_START
+    iters = 0
+    for _ in range(max_iters):
+        iters += 1
+        x_new = row_normalize(m)
+        y = row_normalize(x_new + beta * (x_new - x_prev))
+        m_y = a @ y
+        value_y = float(np.sum(m_y * y))
+        x_prev = x
+        if value_y >= value:
+            x, m, value = y, m_y, value_y
+            beta = min(sdp._BETA_MAX, sdp._BETA_GROWTH * beta)
+        else:
+            x, m = x_new, a @ x_new
+            value = float(np.sum(m * x))
+            beta *= 0.5
+        moved = float(np.max(np.linalg.norm(x - x_prev, axis=1)))
+        if moved < 1e-16 or residual(m, x) <= 0.1 * grad_tol:
+            break
+    return x, m, iters
+
+
+def row_major_reference(a, x, grad_tol, max_iters):
+    """row_major_ascend behind sdp._ascend's contract: a (rank, n) X in,
+    and X, X A, lambda and the step count out."""
+    x_rows, m_rows, iters = row_major_ascend(a, x.T, grad_tol, max_iters)
+    x, m = np.ascontiguousarray(x_rows.T), np.ascontiguousarray(m_rows.T)
+    return x, m, np.einsum("ij,ij->j", m, x), iters
+
+
 def ascent_trajectory(mat, x0, steps):
-    """Iterates (X_t, A X_t) of the ascent, t = 0..steps.
+    """Iterates (X_t, X_t A) of the ascent from the (rank, n) x0, t = 0..steps.
 
     The ascent is deterministic, so the run capped at t steps ends at the
     t-th iterate of an uncapped run.
@@ -58,7 +111,7 @@ def dense_reference(mat, restarts, seed):
     rng = np.random.default_rng(seed)
     n = len(mat)
     return max(
-        _solve_single(mat, rng.standard_normal((n, n)), r).value for r in range(restarts)
+        _solve_single(mat, rng.standard_normal((n, n)), r)[0].value for r in range(restarts)
     )
 
 
@@ -97,7 +150,7 @@ class TestSolveSdp:
         # a rank-one start forces the +2 escalation path; the value must
         # still reach the reference optimum
         a = random_centered_psd(7, np.random.default_rng(31))
-        low = _solve_single(a.mat, np.random.default_rng(31).standard_normal((7, 1)), 0)
+        low = _solve_single(a.mat, np.random.default_rng(31).standard_normal((7, 1)), 0)[0]
         assert low.rank > 1
         assert low.value == pytest.approx(dense_reference(a.mat, 8, 32), rel=1e-6)
 
@@ -251,33 +304,33 @@ class TestAscent:
     @staticmethod
     def assert_monotone(mat, x0, steps=60):
         trajectory = ascent_trajectory(mat, x0, steps)
-        values = [float(np.sum((mat @ x) * x)) for x, _ in trajectory]
+        values = [float(np.sum((x @ mat) * x)) for x, _ in trajectory]
         slack = 1e-12 * max(1.0, abs(values[-1]))
         assert all(b >= a - slack for a, b in zip(values, values[1:]))
         return trajectory
 
     def test_value_never_decreases_from_random_start(self):
         a = random_centered_psd(20, np.random.default_rng(70))
-        x0 = _normalize_rows(np.random.default_rng(71).standard_normal((20, 8)))
+        x0 = start(np.random.default_rng(71).standard_normal((20, 8)))
         self.assert_monotone(a.mat, x0)
 
     def test_value_never_decreases_from_interior_start(self):
         # ascend_from takes rows of norm <= 1 and does not pre-normalize
         a = random_centered_psd(20, np.random.default_rng(72))
         rng = np.random.default_rng(73)
-        x0 = _normalize_rows(rng.standard_normal((20, 3))) * rng.uniform(0.1, 1.0, (20, 1))
+        x0 = start(rng.standard_normal((20, 3))) * rng.uniform(0.1, 1.0, 20)
         self.assert_monotone(a.mat, x0)
-        assert float(np.sum((a.mat @ x0) * x0)) <= ascend_from(a, x0).value
+        assert float(np.sum((x0 @ a.mat) * x0)) <= ascend_from(a, x0.T).value
 
     def test_value_never_decreases_with_zero_row(self):
         # row and column 0 of A vanish, so (A X)_0 = 0: the dead-row branch
         inner = random_centered_psd(11, np.random.default_rng(73)).mat
         mat = np.zeros((12, 12))
         mat[1:, 1:] = inner
-        x0 = _normalize_rows(np.random.default_rng(74).standard_normal((12, 6)))
+        x0 = start(np.random.default_rng(74).standard_normal((12, 6)))
         trajectory = self.assert_monotone(mat, x0)
         x_last = trajectory[-1][0]
-        np.testing.assert_allclose(np.linalg.norm(x_last, axis=1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(x_last, axis=0), 1.0, atol=1e-12)
         sol = solve_sdp(SymMatrix.from_array(mat), seed=74)
         assert sol.converged
         assert sol.dual_upper - sol.value <= 1e-7 * sol.value
@@ -287,7 +340,7 @@ class TestAscent:
         a = random_centered_psd(n, np.random.default_rng(seed))
         # the first restart's start, drawn as solve_sdp draws it
         rank0 = math.isqrt(2 * n - 1) + 2
-        x0 = _normalize_rows(np.random.default_rng(seed).standard_normal((n, rank0)))
+        x0 = start(np.random.default_rng(seed).standard_normal((n, rank0)))
         assert rejected_steps(a.mat, ascent_trajectory(a.mat, x0, 40)) > 0
         serial = solve_sdp(a, seed=seed)
         threaded = solve_sdp(a, seed=seed, threads=2)
@@ -298,10 +351,55 @@ class TestAscent:
         n = 150
         a = random_centered_psd(n, np.random.default_rng(76))
         sol = solve_sdp(a, seed=76)
-        x0 = _normalize_rows(np.random.default_rng(77).standard_normal((n, sol.rank)))
+        x0 = row_normalize(np.random.default_rng(77).standard_normal((n, sol.rank)))
         ref = plain_ascent_value(a.mat, x0, 1e-10 * np.linalg.norm(a.mat))
         assert sol.value == pytest.approx(ref, rel=1e-7)
         assert (sol.dual_upper - sol.value) / sol.value <= 1e-7
+
+
+class TestCoordinateFirstLayout:
+    @pytest.mark.parametrize("n", [60, 150, 300])
+    def test_matches_row_major_reference(self, monkeypatch, n):
+        a = random_centered_psd(n, np.random.default_rng([n, 17]))
+        sol = solve_sdp(a, seed=n)
+        monkeypatch.setattr(sdp, "_ascend", row_major_reference)
+        ref = solve_sdp(a, seed=n)
+        assert sol.value == pytest.approx(ref.value, rel=1e-12)
+        assert sol.dual_upper - sol.value <= 1e-8 * sol.value
+        assert ref.dual_upper - ref.value <= 1e-8 * ref.value
+
+    def test_steps_match_row_major_reference(self):
+        # the two layouts differ only in rounding, so early iterates agree
+        a = random_centered_psd(80, np.random.default_rng(18)).mat
+        x0 = np.random.default_rng(19).standard_normal((80, 14))
+        for steps in (1, 2, 5, 10):
+            x, m, lam, _ = _ascend(a, start(x0), 0.0, steps)
+            x_ref, m_ref, lam_ref, _ = row_major_reference(a, start(x0), 0.0, steps)
+            np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(m, m_ref, rtol=1e-12, atol=1e-12 * np.abs(m).max())
+            np.testing.assert_allclose(lam, lam_ref, rtol=1e-12)
+
+    def test_vectors_are_unit_rows(self):
+        n = 40
+        sol = solve_sdp(random_centered_psd(n, np.random.default_rng(20)), seed=20)
+        assert sol.vectors.shape == (n, sol.rank)
+        assert sol.vectors.flags.c_contiguous
+        np.testing.assert_allclose(np.linalg.norm(sol.vectors, axis=1), 1.0, atol=1e-12)
+
+    def test_ascend_from_takes_interior_rows(self):
+        n, d = 40, 3
+        a = random_centered_psd(n, np.random.default_rng(21))
+        rng = np.random.default_rng(22)
+        vectors = row_normalize(rng.standard_normal((n, d))) * rng.uniform(0.1, 1.0, (n, 1))
+        sol = ascend_from(a, vectors)
+        assert sol.vectors.shape == (n, d)
+        np.testing.assert_allclose(np.linalg.norm(sol.vectors, axis=1), 1.0, atol=1e-12)
+        assert sol.value >= float(np.sum((a.mat @ vectors) * vectors))
+        grad_tol = sdp._tolerances(a.mat)[0]
+        x_ref, _, _ = row_major_ascend(a.mat, vectors, grad_tol, sdp.MAX_ITERS)
+        ref = float(np.sum((a.mat @ x_ref) * x_ref))
+        assert sol.value == pytest.approx(ref, rel=1e-12)
+        assert sol.dual_upper >= sol.value
 
 
 class TestCertifySandwich:
