@@ -35,11 +35,15 @@ TWO_PI = 2.0 * math.pi
 @dataclass
 class CriterionResult:
     name: str
-    passed: bool
     elapsed: float
     budget: float
     rows: list[dict] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        """Every row passed and the runtime stayed within the budget."""
+        return all(row["ok"] for row in self.rows) and self.elapsed <= self.budget
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -98,39 +102,32 @@ def criterion_1_section6_regression(shared: Shared) -> CriterionResult:
     """R^2, C, ratio for diag(1,1,c) match the closed forms within 1%."""
     t0 = time.time()
     rows = []
-    ok = True
     for c in (0.25, 0.5, 1.0, 2.0, 5.0):
         b = SymMatrix.from_array(np.diag([1.0, 1.0, c]))
         r2_ref, c_ref, ratio_ref = formula_bc(c)
         r2 = radius_squared(b)
         c_est, _, _ = search_cb(b)
         ratio = r2 / c_est
-        errs = {
-            "r2": abs(r2 - r2_ref) / r2_ref,
-            "c": abs(c_est - c_ref) / c_ref,
-            "ratio": abs(ratio - ratio_ref) / ratio_ref,
-        }
-        row_ok = max(errs.values()) <= 0.01
-        ok &= row_ok
+        err = max(abs(r2 - r2_ref) / r2_ref, abs(c_est - c_ref) / c_ref,
+                  abs(ratio - ratio_ref) / ratio_ref)
         rows.append({"check": f"c={c}", "measured": ratio, "expected": ratio_ref,
-                     "max_rel_err": max(errs.values()), "ok": row_ok})
+                     "max_rel_err": err, "ok": err <= 0.01})
     # the two branch formulas must agree at the phase point c = 1/2
     left_branch = (2.0 * 0.5 + 1.0) ** 2 / (8.0 * math.pi * 0.5)
     right_branch = 1.0 / math.pi
-    branch_ok = abs(left_branch - right_branch) <= 1e-9
     rows.append({"check": "branch agreement c=1/2", "measured": left_branch,
-                 "expected": right_branch, "ok": branch_ok})
+                 "expected": right_branch,
+                 "ok": abs(left_branch - right_branch) <= 1e-9})
     ratio_half = formula_bc(0.5)[2]
-    half_ok = abs(ratio_half - 9.0 * math.pi / 16.0) <= 1e-9
     rows.append({"check": "ratio(1/2) = 9pi/16", "measured": ratio_half,
-                 "expected": 9.0 * math.pi / 16.0, "ok": half_ok})
-    one_ok = abs(formula_bc(1.0)[2] - 16.0 * math.pi / 27.0) <= 1e-12
-    rows.append({"check": "ratio(1) = 16pi/27", "measured": formula_bc(1.0)[2],
-                 "expected": 16.0 * math.pi / 27.0, "ok": one_ok})
-    ok &= branch_ok and half_ok and one_ok
-    elapsed = time.time() - t0
-    return CriterionResult("1: section-6 regression table", ok and elapsed < 120,
-                           elapsed, 120, rows)
+                 "expected": 9.0 * math.pi / 16.0,
+                 "ok": abs(ratio_half - 9.0 * math.pi / 16.0) <= 1e-9})
+    ratio_one = formula_bc(1.0)[2]
+    rows.append({"check": "ratio(1) = 16pi/27", "measured": ratio_one,
+                 "expected": 16.0 * math.pi / 27.0,
+                 "ok": abs(ratio_one - 16.0 * math.pi / 27.0) <= 1e-12})
+    return CriterionResult("1: section-6 regression table", time.time() - t0,
+                           120, rows)
 
 
 def criterion_2_grothendieck_anchor(shared: Shared) -> CriterionResult:
@@ -145,34 +142,27 @@ def criterion_2_grothendieck_anchor(shared: Shared) -> CriterionResult:
         {"check": "ratio", "measured": ratio, "expected": math.pi / 2.0,
          "ok": abs(ratio - math.pi / 2.0) <= 0.01 * math.pi / 2.0},
     ]
-    ok = all(r["ok"] for r in rows)
-    elapsed = time.time() - t0
-    return CriterionResult("2: Grothendieck anchor (pi/2)", ok and elapsed < 30,
-                           elapsed, 30, rows)
+    return CriterionResult("2: Grothendieck anchor (pi/2)", time.time() - t0, 30, rows)
 
 
 def criterion_3_sandwich(shared: Shared) -> CriterionResult:
     """Clust/R^2 <= SDP <= Clust/C on 25 oracle-checkable instances."""
     t0 = time.time()
     rows = []
-    ok = True
     for inst in shared.oracle_instances():
         report = certify_sandwich(inst.sdp, inst.clust, inst.r2, inst.c_est, tol=1e-3)
         rows.append({"check": f"seed={inst.seed} n={inst.a.dim} k={inst.b.dim}",
                      "measured": inst.sdp_value,
                      "expected": f"[{report['clust_over_r2']:.6g}, {report['clust_over_c']:.6g}]",
                      "ok": report["passed"]})
-        ok &= report["passed"]
-    elapsed = time.time() - t0
-    return CriterionResult("3: sandwich on oracle instances", ok and elapsed < 300,
-                           elapsed, 300, rows)
+    return CriterionResult("3: sandwich on oracle instances", time.time() - t0,
+                           300, rows)
 
 
 def criterion_4_rounding_expectation(shared: Shared) -> CriterionResult:
     """Mean of 500 trials >= C(B) * SDP - 3 stderr on 5 fixed instances."""
     t0 = time.time()
     rows = []
-    ok = True
     for i in range(5):
         seed = 2000 + i
         a = random_centered_psd(10, np.random.default_rng(seed))
@@ -182,13 +172,10 @@ def criterion_4_rounding_expectation(shared: Shared) -> CriterionResult:
         _, values = round_best_of(a, b, sol.vectors, partition, trials=500, seed=seed)
         mean, stderr = estimate_expectation(values)
         bound = c_est * sol.value - 3.0 * stderr
-        row_ok = mean >= bound
-        ok &= row_ok
         rows.append({"check": f"seed={seed}", "measured": mean,
-                     "expected": f">= {bound:.6g}", "ok": row_ok})
-    elapsed = time.time() - t0
-    return CriterionResult("4: rounding expectation bound", ok and elapsed < 180,
-                           elapsed, 180, rows)
+                     "expected": f">= {bound:.6g}", "ok": mean >= bound})
+    return CriterionResult("4: rounding expectation bound", time.time() - t0,
+                           180, rows)
 
 
 def criterion_5_end_to_end(shared: Shared) -> CriterionResult:
@@ -196,7 +183,6 @@ def criterion_5_end_to_end(shared: Shared) -> CriterionResult:
     the 0.98 clause is empirical and only warns."""
     t0 = time.time()
     rows = []
-    ok = True
     warnings = []
     near_optimal = 0
     for inst in shared.oracle_instances():
@@ -208,7 +194,6 @@ def criterion_5_end_to_end(shared: Shared) -> CriterionResult:
         row_ok = best.value >= floor
         # the guarantee also caps the value by the optimum
         row_ok &= best.value <= inst.clust + 1e-9 * max(1.0, abs(inst.clust))
-        ok &= row_ok
         if best.value >= 0.98 * inst.clust - 1e-12:
             near_optimal += 1
         rows.append({"check": f"seed={inst.seed}", "measured": best.value,
@@ -219,8 +204,7 @@ def criterion_5_end_to_end(shared: Shared) -> CriterionResult:
             f"only {near_optimal}/25 instances reached 0.98 of the optimum "
             "(empirical clause, not a failure)"
         )
-    elapsed = time.time() - t0
-    return CriterionResult("5: end-to-end desk-scale optimality", ok, elapsed,
+    return CriterionResult("5: end-to-end desk-scale optimality", time.time() - t0,
                            300, rows, warnings)
 
 
@@ -229,7 +213,6 @@ def criterion_6_moment_quadrature(shared: Shared) -> CriterionResult:
     t0 = time.time()
     samples = 200_000
     rows = []
-    ok = True
 
     def ray_partition(apertures):
         """Directions realizing planar cells of the given apertures
@@ -248,43 +231,39 @@ def criterion_6_moment_quadrature(shared: Shared) -> CriterionResult:
         z_norm = math.sqrt(expected)
         # 3-sigma band for the squared norm, first order in the moment error
         band = 3.0 * (2.0 * z_norm * stderr + stderr ** 2)
-        row_ok = abs(measured - expected) <= band
         rows.append({"check": label, "measured": measured, "expected": expected,
-                     "ok": row_ok})
-        return row_ok
+                     "ok": abs(measured - expected) <= band})
 
     # alpha = pi/3 and 2pi/3 as genuine cells of three-cone partitions
     for alpha, rest in ((math.pi / 3.0, (5 * math.pi / 6, 5 * math.pi / 6)),
                         (2 * math.pi / 3.0, (2 * math.pi / 3, 2 * math.pi / 3))):
         part = ray_partition([alpha, *rest])
         pv = partition_moments_mc(part, b3, samples, seed=42)
-        ok &= check(alpha, float(np.sum(pv.moments[0] ** 2)), pv.mc_stderr,
-                    f"alpha={alpha:.4f}")
+        check(alpha, float(np.sum(pv.moments[0] ** 2)), pv.mc_stderr,
+              f"alpha={alpha:.4f}")
 
     # alpha = pi: the half-line cell of the 1-dimensional two-cell partition
     part2 = ConicalPartition(k=2, active=(0, 1), directions=np.array([[1.0], [-1.0]]))
     pv2 = partition_moments_mc(part2, SymMatrix.from_array(np.eye(2)), samples, seed=42)
-    ok &= check(math.pi, float(np.sum(pv2.moments[0] ** 2)), pv2.mc_stderr,
-                "alpha=pi (half-space)")
+    check(math.pi, float(np.sum(pv2.moments[0] ** 2)), pv2.mc_stderr,
+          "alpha=pi (half-space)")
 
     # alpha = 3pi/2 is not convex; measure it as the union of two cells,
     # whose moment is the sum of the cell moments
     part4 = ray_partition([math.pi / 2.0, 3 * math.pi / 4.0, 3 * math.pi / 4.0])
     pv4 = partition_moments_mc(part4, b3, samples, seed=42)
     union = pv4.moments[1] + pv4.moments[2]
-    ok &= check(3 * math.pi / 2.0, float(np.sum(union ** 2)),
-                2.0 * pv4.mc_stderr, "alpha=3pi/2 (union)")
+    check(3 * math.pi / 2.0, float(np.sum(union ** 2)), 2.0 * pv4.mc_stderr,
+          "alpha=3pi/2 (union)")
 
-    elapsed = time.time() - t0
-    return CriterionResult("6: Gaussian moment quadrature", ok and elapsed < 120,
-                           elapsed, 120, rows)
+    return CriterionResult("6: Gaussian moment quadrature", time.time() - t0,
+                           120, rows)
 
 
 def criterion_7_invariants(shared: Shared) -> CriterionResult:
     """Structural invariants on random hypothesis matrices."""
     t0 = time.time()
     rows = []
-    ok = True
     rng = np.random.default_rng(777)
 
     violations = []
@@ -332,6 +311,8 @@ def criterion_7_invariants(shared: Shared) -> CriterionResult:
     rows.append({"check": "50 random B: C<=R^2, moments, fp residual, ball",
                  "measured": f"{len(violations)} violations", "expected": "0",
                  "ok": not violations})
+    if violations:
+        rows[0]["detail"] = violations[:5]
     rows.append({"check": f"label permutation equivariance ({perm_checked} cases)",
                  "measured": "included above", "expected": "", "ok": True})
 
@@ -356,19 +337,14 @@ def criterion_7_invariants(shared: Shared) -> CriterionResult:
     rows.append({"check": "orthonormal basis invariants (50 random mu)",
                  "measured": f"{basis_bad} violations", "expected": "0",
                  "ok": basis_bad == 0})
-    ok = all(r["ok"] for r in rows)
-    if violations:
-        ok = False
-        rows[0]["detail"] = violations[:5]
-    elapsed = time.time() - t0
-    return CriterionResult("7: structural invariants suite", ok, elapsed, 600, rows)
+    return CriterionResult("7: structural invariants suite", time.time() - t0,
+                           600, rows)
 
 
 def criterion_8_hardness_gadget(shared: Shared) -> CriterionResult:
     """Dictatorship objective >= R^2 - eps; exact 2/3 for uniform I_3."""
     t0 = time.time()
     rows = []
-    ok = True
     bad = 0
     for i in range(20):
         k = 2 + i % 3
@@ -382,18 +358,14 @@ def criterion_8_hardness_gadget(shared: Shared) -> CriterionResult:
                 bad += 1
     rows.append({"check": "20 random B x eps in {1e-2, 1e-4}",
                  "measured": f"{bad} violations", "expected": "0", "ok": bad == 0})
-    ok &= bad == 0
 
     i3 = SymMatrix.from_array(np.eye(3))
     ball3 = min_enclosing_ball(gram_factorize(i3))
     dist3 = build_mu(ball3, 1e-3)
     val3 = dictatorship_objective(i3, dist3)
-    exact_ok = abs(val3 - 2.0 / 3.0) <= 1e-12
     rows.append({"check": "I_3 uniform equals 2/3", "measured": val3,
-                 "expected": 2.0 / 3.0, "ok": exact_ok})
-    ok &= exact_ok
-    elapsed = time.time() - t0
-    return CriterionResult("8: hardness gadget", ok, elapsed, 120, rows)
+                 "expected": 2.0 / 3.0, "ok": abs(val3 - 2.0 / 3.0) <= 1e-12})
+    return CriterionResult("8: hardness gadget", time.time() - t0, 120, rows)
 
 
 ALL_CRITERIA = [
@@ -417,23 +389,18 @@ def quick_oracle_check() -> CriterionResult:
     """Small formula/oracle consistency block for selftest --quick."""
     t0 = time.time()
     rows = []
-    ok = True
     for c in (0.25, 1.0, 2.0):
         b = SymMatrix.from_array(np.diag([1.0, 1.0, c]))
         ref = formula_bc(c)[1]
         val = brute_force_c3(b, grid=240)
-        row_ok = abs(val - ref) <= 1e-3 * ref
         rows.append({"check": f"planar oracle c={c}", "measured": val,
-                     "expected": ref, "ok": row_ok})
-        ok &= row_ok
+                     "expected": ref, "ok": abs(val - ref) <= 1e-3 * ref})
     a = SymMatrix.from_array([[1.0, -1.0], [-1.0, 1.0]])
     val, sigma = brute_force_clust(a, SymMatrix.from_array(np.eye(2)))
-    row_ok = abs(val - 2.0) < 1e-12 and sigma[0] != sigma[1]
     rows.append({"check": "exhaustive oracle antipodal", "measured": val,
-                 "expected": 2.0, "ok": row_ok})
-    ok &= row_ok
-    elapsed = time.time() - t0
-    return CriterionResult("quick oracle consistency", ok, elapsed, 30, rows)
+                 "expected": 2.0,
+                 "ok": abs(val - 2.0) < 1e-12 and sigma[0] != sigma[1]})
+    return CriterionResult("quick oracle consistency", time.time() - t0, 30, rows)
 
 
 def run_suite(quick: bool = False) -> list[CriterionResult]:

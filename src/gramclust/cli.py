@@ -3,9 +3,11 @@
 Subcommands: cluster, analyze-b, oracle, selftest.  Exit codes: 0 ok,
 2 parse/validation error, 3 numerical failure, 4 selftest failure.
 Reports are deterministic for fixed inputs and seed except the timestamp
-field, whatever the thread count.  The solvers have no other tunables:
-``cluster`` takes --seed, --trials and --threads, the C(B) search and the
-SDP run on their modules' constants.
+field.  The solvers have no other tunables: ``cluster`` takes --seed and
+--trials, the C(B) search and the SDP run on their modules' constants.
+``cluster`` still accepts and validates --threads, an integer of at least
+1, and ignores it: the pipeline runs in one thread and BLAS does the
+parallel work.
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ def run_cluster(args) -> dict:
     a, b, digest = _load_inputs(args)
     report = _base_report(args, digest, a, b)
     report.update(pipeline.cluster(
-        a, b, trials=args.trials, seed=args.seed, threads=args.threads,
+        a, b, trials=args.trials, seed=args.seed,
         mu_epsilon=args.mu_epsilon if args.with_hardness else None,
     ))
     return report
@@ -257,11 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     cluster = sub.add_parser("cluster", help="full pipeline on (A, B)")
     _add_inputs(cluster)
     _add_b_options(cluster)
-    # a string default goes through the type, so a bad GRAMCLUST_THREADS
-    # fails like a bad flag, and only for this subcommand
-    cluster.add_argument("--threads", type=_int_at_least(1),
-                         default=os.environ.get("GRAMCLUST_THREADS", "1"),
-                         help="worker threads (default: env GRAMCLUST_THREADS or 1)")
+    cluster.add_argument("--threads", type=_int_at_least(1), default=1,
+                         help="accepted for compatibility and ignored")
     cluster.add_argument("--trials", type=_int_at_least(1), default=100)
     cluster.add_argument("--with-hardness", action="store_true",
                          help="include the hardness gadget block")

@@ -14,9 +14,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotPSD
 
-# Relative tolerance for reproducing B from its Gram vectors, and for the
-# centered check.  Chosen with double-precision headroom for n up to ~1e4.
-GRAM_TOL = 1e-8
+# Relative tolerances of the validators: |sum of entries| against the sum of
+# |entries| for the centered check, and the most negative eigenvalue against
+# the spectral norm for the PSD check and the Gram factor's clamp band.
 CENTERED_TOL = 1e-8
 PSD_TOL = 1e-9
 

@@ -76,14 +76,13 @@ def cluster(
     b: SymMatrix,
     trials: int = 100,
     seed: int = 0,
-    threads: int = 1,
     mu_epsilon: float | None = None,
 ) -> dict:
     """The whole pipeline on a centered PSD A and a PSD B.
 
     ``seed`` drives the C(B) search, the SDP starts and the rounding
-    trials; ``threads`` runs the SDP restarts and the rounding trials in
-    parallel without changing the report.  The report holds the
+    trials, which all run in one thread; BLAS parallelizes the products
+    inside them.  The report holds the
     :func:`analyze_b` blocks, plus ``sdp``, ``rounding`` and the
     ``certified_interval`` [best rounded value, R(B)^2 * dual_upper].
     """
@@ -99,10 +98,8 @@ def cluster(
         report["certified_interval"] = [0.0, 0.0]
         return report
 
-    sol = solve_sdp(a, seed, threads)
-    best, trial_values = round_best_of(
-        a, b, sol.vectors, partition, trials=trials, seed=seed, threads=threads
-    )
+    sol = solve_sdp(a, seed)
+    best, trial_values = round_best_of(a, b, sol.vectors, partition, trials, seed)
     report["sdp"] = {
         "value": sol.value,
         "rank": sol.rank,

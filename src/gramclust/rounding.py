@@ -80,32 +80,24 @@ def round_best_of(
     partition: ConicalPartition,
     trials: int = 100,
     seed: int = 0,
-    threads: int = 1,
 ) -> tuple[Clustering, list[float]]:
     """Best clustering over ``trials`` independent draws.
 
     The k constant assignments are included as safety candidates, so on a
     centered instance the best value is never below 0.  Returns the winner
     plus the list of random-trial values (for the expectation test).
-    Candidates reduce by (value, trial_index) lexicographic max regardless
-    of evaluation order.
+    Trial t draws from its own Philox stream keyed by (seed, t), and the
+    candidates reduce by (value, trial_index) lexicographic max.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     n = a.dim
     k = b.dim
 
-    def run_trial(t: int) -> Clustering:
+    results = []
+    for t in range(trials):
         sigma = round_once(x_vectors, partition, _trial_rng(seed, t))
-        return Clustering(sigma, clustering_value(a, b, sigma), t, seed)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_trial, range(trials)))
-    else:
-        results = [run_trial(t) for t in range(trials)]
+        results.append(Clustering(sigma, clustering_value(a, b, sigma), t, seed))
 
     candidates = list(results)
     for lab in range(k):

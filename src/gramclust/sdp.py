@@ -31,8 +31,8 @@ mu_min in ``dual_upper`` comes from one values-only eigvalsh, run for the
 solution :func:`solve_sdp` returns and for each :func:`ascend_from`
 polish, not for every restart.
 
-The solver has no tunables beyond the seed and the thread count: each
-solve runs RESTARTS random starts at rank min(n, isqrt(2n - 1) + 2), each
+The solver has no tunables beyond the seed: each solve runs, one after
+the other, RESTARTS random starts at rank min(n, isqrt(2n - 1) + 2), each
 capped at MAX_ITERS ascent steps, and stops at Riemannian gradient
 GRAD_TOL * ||A||_F.  Every threshold is relative to A alone, so the solver
 is scale-free: A * 2^e gives the same iterates, and values times 2^e.
@@ -258,15 +258,14 @@ def _solve_single(a, x0, restart_index):
     return _solution(x, m, lam, iters_total, grad_tol, restart_index), lam
 
 
-def solve_sdp(a: SymMatrix, seed: int = 0, threads: int = 1) -> SdpSolution:
+def solve_sdp(a: SymMatrix, seed: int = 0) -> SdpSolution:
     """First-order stationary point of the sphere-constrained relaxation.
 
-    RESTARTS random starts, drawn from ``seed``, run independently (on
-    ``threads`` threads when above 1) and reduce by (value, restart_index)
-    lexicographic max, so the result does not depend on the thread count.
-    If MAX_ITERS is hit with the Riemannian gradient above tolerance the
-    result is returned flagged (converged False) and a NotConvergedWarning
-    is emitted.
+    RESTARTS random starts, drawn from ``seed``, run in turn and reduce by
+    (value, restart_index) lexicographic max; the parallel work is BLAS's,
+    inside each product and factorization.  If MAX_ITERS is hit with the
+    Riemannian gradient above tolerance the result is returned flagged
+    (converged False) and a NotConvergedWarning is emitted.
     """
     if not validate_psd(a):
         raise NotPSD("data matrix is not PSD")
@@ -277,17 +276,7 @@ def solve_sdp(a: SymMatrix, seed: int = 0, threads: int = 1) -> SdpSolution:
     rank0 = min(n, math.isqrt(2 * n - 1) + 2)
 
     starts = [rng.standard_normal((n, rank0)) for _ in range(RESTARTS)]
-
-    def run_restart(ridx: int) -> tuple[SdpSolution, np.ndarray]:
-        return _solve_single(mat, starts[ridx], ridx)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solutions = list(pool.map(run_restart, range(len(starts))))
-    else:
-        solutions = [run_restart(r) for r in range(len(starts))]
+    solutions = [_solve_single(mat, x0, r) for r, x0 in enumerate(starts)]
     best, lam = max(solutions, key=lambda s: (s[0].value, s[0].restart_index))
 
     # the identity Gram is feasible with value tr(A); fall back to ascending

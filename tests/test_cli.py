@@ -362,15 +362,12 @@ class TestValidationErrors:
         assert self.exit_code([command, path, flag, "1"]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_bad_threads_env_fails_cluster_alone(self, tmp_path, monkeypatch):
+    def test_threads_env_ignored(self, tmp_path, monkeypatch):
+        # --threads is the one way to pass a thread count, and it is ignored
         path = write_json(tmp_path, ANTIPODAL_DOC)
-        for value in ("abc", "0"):
-            monkeypatch.setenv("GRAMCLUST_THREADS", value)
-            assert self.exit_code(["cluster", path]) == 2
-            out = tmp_path / "analyze.json"
-            assert main(["analyze-b", path, "--out", str(out)]) == 0
-        monkeypatch.setenv("GRAMCLUST_THREADS", "2")
-        assert parse(["cluster", path]).threads == 2
+        monkeypatch.setenv("GRAMCLUST_THREADS", "abc")
+        assert main(["cluster", path, "--out", str(tmp_path / "c.json")]) == 0
+        assert parse(["cluster", path]).threads == 1
 
     @pytest.mark.parametrize("command", ["cluster", "analyze-b", "oracle"])
     def test_negative_seed_exit_2(self, tmp_path, command):
@@ -455,8 +452,8 @@ class TestImports:
         assert proc.stdout.strip() == "[]"
 
     def test_cli_import_defers_pool_and_acceptance(self):
-        # the thread pool loads only for --threads > 1, the suite only for
-        # selftest; neither is paid by every cluster run
+        # nothing loads a thread pool, and the suite loads only for
+        # selftest, so neither is paid by every cluster run
         code = (
             "import sys, gramclust.cli; "
             "print(sorted(m for m in ('concurrent.futures', 'gramclust.acceptance')"
@@ -467,6 +464,31 @@ class TestImports:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_threads_flag_changes_nothing(self, tmp_path):
+        # the restarts and the trials run serially at any --threads, so the
+        # reports match byte for byte and no thread pool is imported
+        a = random_centered_psd(8, np.random.default_rng(2))
+        g = np.random.default_rng(3).standard_normal((4, 4))
+        path = write_json(tmp_path, {"A": a.mat.tolist(), "B": (g @ g.T / 4).tolist()})
+        outs = [tmp_path / f"t{t}.json" for t in (1, 2)]
+        runs = [
+            ["cluster", path, "--trials", "8", "--threads", str(t), "--out", str(out)]
+            for t, out in zip((1, 2), outs)
+        ]
+        code = (
+            "import sys; from gramclust.cli import main; "
+            f"print([main(argv) for argv in {runs!r}], "
+            "'concurrent.futures' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[0, 0] False", proc.stdout
+        texts = [out.read_text().splitlines() for out in outs]
+        strip = [[ln for ln in t if '"timestamp"' not in ln] for t in texts]
+        assert strip[0] == strip[1]
 
     def test_runtime_runs_with_scipy_blocked(self, tmp_path):
         # n = 6 starts the SDP at rank 5 and escalates, so the certificate's

@@ -136,17 +136,6 @@ class TestRoundBestOf:
         assert v1 == v2
         np.testing.assert_array_equal(b1.sigma, b2.sigma)
 
-    def test_threaded_matches_serial(self):
-        a = random_centered_psd(5, np.random.default_rng(9))
-        b = SymMatrix.from_array(np.eye(3))
-        _, part, _ = search_cb(b)
-        sol = solve_sdp(a, seed=9)
-        serial, vs = round_best_of(a, b, sol.vectors, part, trials=24, seed=5)
-        threaded, vt = round_best_of(a, b, sol.vectors, part, trials=24, seed=5,
-                                     threads=4)
-        assert vs == vt
-        np.testing.assert_array_equal(serial.sigma, threaded.sigma)
-
     def test_mean_reproducible_across_seeds(self):
         a = random_centered_psd(8, np.random.default_rng(15))
         b = SymMatrix.from_array(np.eye(3))

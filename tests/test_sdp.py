@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -153,13 +152,6 @@ class TestSolveSdp:
         low = _solve_single(a.mat, np.random.default_rng(31).standard_normal((7, 1)), 0)[0]
         assert low.rank > 1
         assert low.value == pytest.approx(dense_reference(a.mat, 8, 32), rel=1e-6)
-
-    def test_threaded_restarts_match_serial(self):
-        a = random_centered_psd(8, np.random.default_rng(33))
-        serial = solve_sdp(a, seed=33)
-        threaded = solve_sdp(a, seed=33, threads=4)
-        assert serial.value == threaded.value
-        np.testing.assert_array_equal(serial.vectors, threaded.vectors)
 
     def test_matches_dense_multirestart_reference(self):
         # convexity: spurious strict local maxima are rank-deficient, so a
@@ -335,17 +327,14 @@ class TestAscent:
         assert sol.converged
         assert sol.dual_upper - sol.value <= 1e-7 * sol.value
 
-    def test_threads_match_serial_with_rejected_steps(self):
+    def test_safeguard_rejects_extrapolated_steps(self):
+        # the first restart's start, drawn as solve_sdp draws it, takes
+        # steps whose extrapolation the safeguard turns down
         n, seed = 60, 75
         a = random_centered_psd(n, np.random.default_rng(seed))
-        # the first restart's start, drawn as solve_sdp draws it
         rank0 = math.isqrt(2 * n - 1) + 2
         x0 = start(np.random.default_rng(seed).standard_normal((n, rank0)))
         assert rejected_steps(a.mat, ascent_trajectory(a.mat, x0, 40)) > 0
-        serial = solve_sdp(a, seed=seed)
-        threaded = solve_sdp(a, seed=seed, threads=2)
-        np.testing.assert_array_equal(serial.vectors, threaded.vectors)
-        assert replace(serial, vectors=None) == replace(threaded, vectors=None)
 
     def test_matches_plain_ascent_reference(self):
         n = 150
