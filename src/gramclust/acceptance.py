@@ -18,9 +18,11 @@ import numpy as np
 from .ball import min_enclosing_ball, radius_squared
 from .conic import (
     ConicalPartition,
+    _halfline_cells,
+    _planar_cells,
+    _spherical_cells,
     fixed_point_residual,
     formula_bc,
-    partition_moments_mc,
     search_cb,
 )
 from .hardness import LabelDistribution, build_basis, build_mu, dictatorship_objective
@@ -209,12 +211,11 @@ def criterion_5_end_to_end(shared: Shared) -> CriterionResult:
 
 
 def criterion_6_moment_quadrature(shared: Shared) -> CriterionResult:
-    """Monte-Carlo planar cone moments match sin^2(alpha/2)/(2 pi)."""
+    """The search's exact cell kernels match sin^2(alpha/2)/(2 pi)."""
     t0 = time.time()
-    samples = 200_000
     rows = []
 
-    def ray_partition(apertures):
+    def ray_directions(apertures):
         """Directions realizing planar cells of the given apertures
         (each < pi): bisector / cos(aperture/2) ties scores on the rays."""
         bounds = np.concatenate([[0.0], np.cumsum(apertures)])
@@ -222,39 +223,46 @@ def criterion_6_moment_quadrature(shared: Shared) -> CriterionResult:
         for j, ap in enumerate(apertures):
             mid = (bounds[j] + bounds[j + 1]) / 2.0
             w.append(np.array([math.cos(mid), math.sin(mid)]) / math.cos(ap / 2.0))
-        return ConicalPartition(k=3, active=(0, 1, 2), directions=np.array(w))
+        return np.array(w)
 
-    b3 = SymMatrix.from_array(np.eye(3))
-
-    def check(alpha, measured, stderr, label):
-        expected = math.sin(alpha / 2.0) ** 2 / TWO_PI
-        z_norm = math.sqrt(expected)
-        # 3-sigma band for the squared norm, first order in the moment error
-        band = 3.0 * (2.0 * z_norm * stderr + stderr ** 2)
+    def check(label, measured, expected):
         rows.append({"check": label, "measured": measured, "expected": expected,
-                     "ok": abs(measured - expected) <= band})
+                     "ok": abs(measured - expected) <= 1e-12})
+
+    def squared_norm(alpha):
+        return math.sin(alpha / 2.0) ** 2 / TWO_PI
 
     # alpha = pi/3 and 2pi/3 as genuine cells of three-cone partitions
     for alpha, rest in ((math.pi / 3.0, (5 * math.pi / 6, 5 * math.pi / 6)),
                         (2 * math.pi / 3.0, (2 * math.pi / 3, 2 * math.pi / 3))):
-        part = ray_partition([alpha, *rest])
-        pv = partition_moments_mc(part, b3, samples, seed=42)
-        check(alpha, float(np.sum(pv.moments[0] ** 2)), pv.mc_stderr,
-              f"alpha={alpha:.4f}")
+        moments, _ = _planar_cells(ray_directions([alpha, *rest])[None])
+        check(f"alpha={alpha:.4f}", float(np.sum(moments[0, 0] ** 2)),
+              squared_norm(alpha))
 
     # alpha = pi: the half-line cell of the 1-dimensional two-cell partition
-    part2 = ConicalPartition(k=2, active=(0, 1), directions=np.array([[1.0], [-1.0]]))
-    pv2 = partition_moments_mc(part2, SymMatrix.from_array(np.eye(2)), samples, seed=42)
-    check(math.pi, float(np.sum(pv2.moments[0] ** 2)), pv2.mc_stderr,
-          "alpha=pi (half-space)")
+    moments, _ = _halfline_cells(np.array([[[1.0], [-1.0]]]))
+    check("alpha=pi (half-space)", float(np.sum(moments[0, 0] ** 2)),
+          squared_norm(math.pi))
 
     # alpha = 3pi/2 is not convex; measure it as the union of two cells,
     # whose moment is the sum of the cell moments
-    part4 = ray_partition([math.pi / 2.0, 3 * math.pi / 4.0, 3 * math.pi / 4.0])
-    pv4 = partition_moments_mc(part4, b3, samples, seed=42)
-    union = pv4.moments[1] + pv4.moments[2]
-    check(3 * math.pi / 2.0, float(np.sum(union ** 2)), 2.0 * pv4.mc_stderr,
-          "alpha=3pi/2 (union)")
+    moments, _ = _planar_cells(
+        ray_directions([math.pi / 2.0, 3 * math.pi / 4.0, 3 * math.pi / 4.0])[None]
+    )
+    check("alpha=3pi/2 (union)", float(np.sum((moments[0, 1] + moments[0, 2]) ** 2)),
+          squared_norm(3 * math.pi / 2.0))
+
+    # three coplanar directions and one inside their triangle: the outer
+    # cells are wedges, with the planar moments and none along the normal
+    w = ray_directions([math.pi / 3.0, 5 * math.pi / 6, 5 * math.pi / 6])
+    planar, _ = _planar_cells(w[None])
+    w4 = np.zeros((4, 3))
+    w4[:3, :2] = w
+    w4[3, :2] = 0.5 * w[0] + 0.25 * w[1] + 0.25 * w[2]
+    spherical, _ = _spherical_cells(w4[None])
+    check("coplanar wedges (cone dimension 3)",
+          float(np.max(np.abs(spherical[0, :3] - np.pad(planar[0], ((0, 0), (0, 1)))))),
+          0.0)
 
     return CriterionResult("6: Gaussian moment quadrature", time.time() - t0,
                            120, rows)
@@ -277,10 +285,10 @@ def criterion_7_invariants(shared: Shared) -> CriterionResult:
             violations.append(f"C(B) > R(B)^2 at seed {3000+i}")
         if value.moments.size:
             mom_sum = float(np.max(np.abs(value.moments.sum(axis=0))))
-            if mom_sum > max(3.0 * value.mc_stderr, 1e-9):
+            if mom_sum > 1e-9:
                 violations.append(f"moment sum {mom_sum:.2e} at seed {3000+i}")
         res = fixed_point_residual(b, partition, value)
-        if res > max(1e-6, 3.0 * value.mc_stderr):
+        if res > 1e-6:
             violations.append(f"fp residual {res:.2e} at seed {3000+i}")
         # enclosing-ball invariants
         gf = gram_factorize(b)

@@ -8,9 +8,9 @@ by such conical ones.  The search below is closed-form for pairs and a
 seeded fixed point on exact moments for triples and quadruples, with one
 seed source per subset size: each triple starts from the six best distinct
 configurations of a planar aperture grid of ANGLE_GRID (180) steps per
-turn, each quadruple from its Gram geometry plus one shared 64-point Sobol
-net.  Its constants are fixed, so C(B) depends on B and the net's seed
-alone.
+turn, each quadruple from its Gram geometry plus one shared 64-point
+uniform random net drawn by numpy's default_rng.  Its constants are fixed,
+so C(B) depends on B and the net's seed alone.
 
 The fixed-point map z -> moments(cells of B z) runs for all seeds of one
 active subset at once: the seeds form an (S, l, l-1) array, one array step
@@ -22,8 +22,8 @@ cap; a second run then polishes the subset's best live seed.  Cell
 moments are exact up to cone dimension 3: two half-lines, closed-form arcs
 in the plane, and spherical triangles in dimension 3 by the divergence
 identity.  No search and no residual goes above cone dimension 3; the
-Monte-Carlo partition_moments_mc is a separate cross-check on a Sobol
-Gaussian pool.
+Monte-Carlo partition_moments_mc is a separate cross-check on a
+default_rng Gaussian pool.
 
 Labels are 0-based throughout.
 """
@@ -48,7 +48,7 @@ ARC_CONST = 1.0 / (2.0 * math.sqrt(TWO_PI))
 SPHERE_CONST = TWO_PI ** -1.5
 EMPTY_CELL_MASS = 1e-6
 DEFAULT_MC_SAMPLES = 200_000
-QUADRUPLE_NET_POINTS = 64  # Sobol seeds shared by every quadruple
+QUADRUPLE_NET_POINTS = 64  # random seeds shared by every quadruple
 ANGLE_GRID = 180  # aperture-grid steps per turn for the triples' seeds
 FP_TOL = 1e-6  # fixed-point residual at which a seed stops
 RACE_STEPS = 40  # step cap of the batched fixed point over a subset's seeds
@@ -158,121 +158,7 @@ def psi_value(b: SymMatrix, moments, active: tuple[int, ...] | None = None) -> f
 
 
 # ---------------------------------------------------------------------------
-# fixed-seed low-discrepancy Gaussian streams
-
-
-# Joe & Kuo (2008) primitive polynomials and initial direction numbers
-# m_1..m_s for Sobol dimensions 2..63; dimension 1 is van der Corput.
-_JOE_KUO = (
-    (3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)),
-    (19, (1, 1, 3, 3)), (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)),
-    (41, (1, 1, 5, 5, 5)), (47, (1, 1, 7, 11, 19)), (55, (1, 1, 5, 1, 1)),
-    (59, (1, 1, 1, 3, 11)), (61, (1, 3, 5, 5, 31)), (67, (1, 3, 3, 9, 7, 49)),
-    (91, (1, 1, 1, 15, 21, 21)), (97, (1, 3, 1, 13, 27, 49)),
-    (103, (1, 1, 1, 15, 7, 5)), (109, (1, 3, 1, 15, 13, 25)),
-    (115, (1, 1, 5, 5, 19, 61)), (131, (1, 3, 7, 11, 23, 15, 103)),
-    (137, (1, 3, 7, 13, 13, 15, 69)), (143, (1, 1, 3, 13, 7, 35, 63)),
-    (145, (1, 3, 5, 9, 1, 25, 53)), (157, (1, 3, 1, 13, 9, 35, 107)),
-    (167, (1, 3, 1, 5, 27, 61, 31)), (171, (1, 1, 5, 11, 19, 41, 61)),
-    (185, (1, 3, 5, 3, 3, 13, 69)), (191, (1, 1, 7, 13, 1, 19, 1)),
-    (193, (1, 3, 7, 5, 13, 19, 59)), (203, (1, 1, 3, 9, 25, 29, 41)),
-    (211, (1, 3, 5, 13, 23, 1, 55)), (213, (1, 3, 7, 3, 13, 59, 17)),
-    (229, (1, 3, 1, 3, 5, 53, 69)), (239, (1, 1, 5, 5, 23, 33, 13)),
-    (241, (1, 1, 7, 7, 1, 61, 123)), (247, (1, 1, 7, 9, 13, 61, 49)),
-    (253, (1, 3, 3, 5, 3, 55, 33)), (285, (1, 3, 1, 15, 31, 13, 49, 245)),
-    (299, (1, 3, 5, 15, 31, 59, 63, 97)),
-    (301, (1, 3, 1, 11, 11, 11, 77, 249)), (333, (1, 3, 1, 11, 27, 43, 71, 9)),
-    (351, (1, 1, 7, 15, 21, 11, 81, 45)), (355, (1, 3, 7, 3, 25, 31, 65, 79)),
-    (357, (1, 3, 1, 1, 19, 11, 3, 205)), (361, (1, 1, 5, 9, 19, 21, 29, 157)),
-    (369, (1, 3, 7, 11, 1, 33, 89, 185)), (391, (1, 3, 3, 3, 15, 9, 79, 71)),
-    (397, (1, 3, 7, 11, 15, 39, 119, 27)),
-    (425, (1, 1, 3, 1, 11, 31, 97, 225)), (451, (1, 1, 1, 3, 23, 43, 57, 177)),
-    (463, (1, 3, 7, 7, 17, 17, 37, 71)), (487, (1, 3, 1, 5, 27, 63, 123, 213)),
-    (501, (1, 1, 3, 5, 11, 43, 53, 133)),
-    (529, (1, 3, 5, 5, 29, 17, 47, 173, 479)),
-    (539, (1, 3, 3, 11, 3, 1, 109, 9, 69)),
-    (545, (1, 1, 1, 5, 17, 39, 23, 5, 343)),
-    (557, (1, 3, 1, 5, 25, 15, 31, 103, 499)),
-    (563, (1, 1, 1, 11, 11, 17, 63, 105, 183)),
-    (601, (1, 1, 5, 11, 9, 29, 97, 231, 363)),
-    (607, (1, 1, 5, 15, 19, 45, 41, 7, 383)),
-    (617, (1, 3, 7, 7, 31, 19, 83, 137, 221)),
-    (623, (1, 1, 1, 3, 23, 15, 111, 223, 83)),
-    (631, (1, 1, 5, 13, 31, 15, 55, 25, 161)),
-)
-SOBOL_MAX_DIM = len(_JOE_KUO) + 1
-_SOBOL_BITS = 30
-# bit weights, most significant first: _MSB[c] = 2^(29 - c)
-_MSB = np.int64(1) << np.arange(_SOBOL_BITS - 1, -1, -1)
-
-
-def _sobol_directions(dim: int) -> np.ndarray:
-    """Unscrambled direction numbers as 30-bit integers, (dim, 30)."""
-    v = np.ones((dim, _SOBOL_BITS), dtype=np.int64)
-    for d in range(1, dim):
-        poly, init = _JOE_KUO[d - 1]
-        deg = len(init)
-        row = list(init)
-        for j in range(deg, _SOBOL_BITS):
-            new = row[j - deg]
-            for t in range(1, deg + 1):
-                if (poly >> (deg - t)) & 1:
-                    new ^= row[j - t] << t
-            row.append(new)
-        v[d] = row
-    return v * _MSB
-
-
-def _sobol(dim: int, count: int, seed: int) -> np.ndarray:
-    """Scrambled Sobol points in [0, 1)^dim, shape (count, dim).
-
-    Equal bit for bit to scipy.stats.qmc.Sobol(dim, scramble=True,
-    seed=seed).random(count): one default_rng(seed) stream draws the
-    digital shift, then a random lower-triangular bit matrix per dimension
-    (unit diagonal) that scrambles the direction numbers (LMS + shift).
-    Point i is the shift XOR the scrambled direction numbers at the set
-    bits of its Gray code i ^ (i >> 1), so consecutive points differ by
-    the direction number at the lowest set bit of i.
-    """
-    if not 1 <= dim <= SOBOL_MAX_DIM:
-        raise ValueError(
-            f"Sobol dimension must lie in [1, {SOBOL_MAX_DIM}], got {dim}"
-        )
-    rng = np.random.default_rng(seed)
-    shift_bits = rng.integers(2, size=(dim, _SOBOL_BITS), dtype=np.uint32)
-    ltm = np.tril(
-        rng.integers(2, size=(dim, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32)
-    )
-    ltm[:, np.arange(_SOBOL_BITS), np.arange(_SOBOL_BITS)] = 1
-    shift = (shift_bits @ _MSB[::-1]).astype(np.uint32)
-    # over GF(2), scrambled bit p of v[d, j] = <row p of ltm[d], bits of v[d, j]>
-    v_bits = (_sobol_directions(dim)[:, :, None] & _MSB) != 0  # (dim, j, c)
-    parity = np.einsum("dpc,djc->djp", ltm, v_bits.astype(np.uint32)) & 1
-    sv = (parity @ _MSB).astype(np.uint32)  # (dim, 30)
-    points = np.empty((count, dim), dtype=np.uint32)
-    if count:
-        points[0] = shift
-        i = np.arange(1, count)
-        lowest = np.frexp((i & -i).astype(float))[1] - 1
-        points[1:] = shift ^ np.bitwise_xor.accumulate(sv[:, lowest].T, axis=0)
-    return points * 2.0 ** -_SOBOL_BITS
-
-
-def gaussian_pool(dim: int, count: int, seed: int) -> np.ndarray:
-    """Gaussian sample pool, (count, dim): scrambled Sobol points mapped by
-    Box-Muller (Box & Muller 1958).
-
-    Each pair (u, u') of Sobol coordinates gives the two independent normals
-    sqrt(-2 log(1 - u)) (cos 2pi u', sin 2pi u'); an odd dim drops the last
-    sine, so dim may be at most SOBOL_MAX_DIM - 1.
-    """
-    u = _sobol(2 * ((dim + 1) // 2), count, seed)
-    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
-    angle = TWO_PI * u[:, 1::2]
-    pool = np.empty_like(u)
-    pool[:, 0::2] = radius * np.cos(angle)
-    pool[:, 1::2] = radius * np.sin(angle)
-    return pool[:, :dim]
+# Monte-Carlo cross-check
 
 
 def partition_moments_mc(
@@ -281,7 +167,8 @@ def partition_moments_mc(
     samples: int = DEFAULT_MC_SAMPLES,
     seed: int = 0,
 ) -> PartitionValue:
-    """Monte-Carlo cell moments z_j and the induced psi.
+    """Monte-Carlo cell moments z_j and the induced psi, over the pool of
+    ``samples`` standard normal points that default_rng(seed) draws.
 
     Per-coordinate standard errors are aggregated conservatively: the
     reported mc_stderr is the largest per-cell Euclidean aggregate.
@@ -291,7 +178,7 @@ def partition_moments_mc(
     dim = partition.cone_dim
     if dim == 0:
         return PartitionValue(moments=np.zeros((1, 0)), psi=0.0, mc_stderr=0.0)
-    pool = gaussian_pool(dim, samples, seed)
+    pool = np.random.default_rng(seed).standard_normal((samples, dim))
     # argmax keeps the first maximum: ties go to the smallest label
     cells = _onehot(np.argmax(pool @ partition.directions.T, axis=1), partition.ell)
     moments = cells @ pool / samples
@@ -680,10 +567,14 @@ def _angle_grid_candidates(
     return z
 
 
-def _sobol_moment_seeds(ell: int, count: int, scale: float, seed: int) -> np.ndarray:
-    """Low-discrepancy seed tuples (z_1..z_ell) with sum z = 0, (count, ell, ell-1)."""
+def _random_moment_seeds(ell: int, count: int, scale: float, seed: int) -> np.ndarray:
+    """Uniform random seed tuples (z_1..z_ell) with sum z = 0, (count, ell, ell-1).
+
+    One default_rng(seed) stream fills the free rows in order, so a smaller
+    count reads a prefix of a larger one.
+    """
     dim = (ell - 1) * (ell - 1)
-    u = _sobol(dim, count, seed)
+    u = np.random.default_rng(seed).random((count, dim))
     free = (2.0 * u - 1.0).reshape(count, ell - 1, ell - 1) * scale
     return np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1)
 
@@ -741,9 +632,10 @@ def search_cb(
     grid of ANGLE_GRID steps per turn (one scan of each configuration, on
     the a1 <= a2 <= a3 domain of _angle_grid), 6 seeds; the grid only picks
     a basin for the fixed point.  Quadruples are seeded by the Gram
-    geometry (3 seeds, none when the labels coincide) and one Sobol net of
-    QUADRUPLE_NET_POINTS tuples, drawn from ``seed`` and shared by every
-    quadruple.  Subsets of five or more cells are not searched.
+    geometry (3 seeds, none when the labels coincide) and one uniform
+    random net of QUADRUPLE_NET_POINTS tuples, drawn by default_rng from
+    ``seed`` and shared by every quadruple; like the grid, it only picks
+    basins.  Subsets of five or more cells are not searched.
     The returned psi is the value of the exact cell moments of one conical
     partition, so a lower bound on C(B); the reported directions B z give
     that partition at a fixed point.  For k >= 4 psi comes with no
@@ -797,7 +689,7 @@ def search_cb(
     if k >= 3:
         grid = _angle_grid(ANGLE_GRID)
     if k >= 4:
-        net = _sobol_moment_seeds(4, QUADRUPLE_NET_POINTS, 0.4, seed + 13)
+        net = _random_moment_seeds(4, QUADRUPLE_NET_POINTS, 0.4, seed + 13)
     for ell in (3, 4):
         for subset in itertools.combinations(range(k), ell):
             b_sub = bc[np.ix_(subset, subset)]

@@ -25,7 +25,7 @@ from gramclust import (
     search_cb,
 )
 from gramclust import conic
-from gramclust.conic import classify_batch, clear_search_cache, gaussian_pool
+from gramclust.conic import classify_batch, clear_search_cache
 
 TWO_PI = 2.0 * math.pi
 
@@ -132,15 +132,13 @@ class TestPartitionMomentsMc:
                 halfline_partition(), SymMatrix.from_array(np.eye(2)), 10, seed=0
             )
 
-    def test_box_muller_pool(self):
-        # odd dimensions drop the last sine of the next even one
-        even = gaussian_pool(4, 50_000, 3)
-        np.testing.assert_array_equal(gaussian_pool(3, 50_000, 3), even[:, :3])
-        u = conic._sobol(4, 50_000, 3)
-        radius = np.sqrt(-2.0 * np.log1p(-u[:, 2]))
-        np.testing.assert_array_equal(even[:, 3], radius * np.sin(TWO_PI * u[:, 3]))
-        np.testing.assert_allclose(even.mean(axis=0), 0.0, atol=1e-3)
-        np.testing.assert_allclose(np.cov(even.T), np.eye(4), atol=5e-3)
+    def test_runs_above_cone_dimension_63(self):
+        # the pool has no dimension ceiling: 65 cells in cone dimension 64
+        w = np.random.default_rng(8).standard_normal((65, 64))
+        part = ConicalPartition(k=65, active=tuple(range(65)), directions=w)
+        pv = partition_moments_mc(part, SymMatrix.from_array(np.eye(65)), 20_000, seed=2)
+        assert pv.moments.shape == (65, 64)
+        assert np.max(np.abs(pv.moments.sum(axis=0))) <= 3.0 * pv.mc_stderr
 
     def test_matches_per_cell_loop(self):
         w = np.array([[1.0, 0.2, -0.3], [-0.4, 0.9, 0.1], [0.0, -1.0, 0.5], [-0.6, 0.1, -0.8]])
@@ -148,7 +146,7 @@ class TestPartitionMomentsMc:
         b = SymMatrix.from_array(np.eye(5))
         pv = partition_moments_mc(part, b, 20_000, seed=4)
         # oracle: per-cell means and variances over the same pool
-        pool = gaussian_pool(3, 20_000, 4)
+        pool = np.random.default_rng(4).standard_normal((20_000, 3))
         labels = classify_batch(pool, part)
         stderr = 0.0
         for row, lab in enumerate(part.active):
@@ -178,6 +176,21 @@ def planar_reference(w):
         moments[row] += cone_moment_closed_2d(b - a, u)
         masses[row] += (b - a) / TWO_PI
     return moments, masses
+
+
+def sobol_gaussian_pool(dim, count, seed):
+    """Gaussian pool (count, dim): scrambled Sobol points of the next even
+    dimension mapped by Box-Muller, each coordinate pair (u, u') giving
+    sqrt(-2 log(1 - u)) (cos 2pi u', sin 2pi u')."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # balance warning for non-2^m counts
+        u = qmc.Sobol(d=2 * ((dim + 1) // 2), scramble=True, seed=seed).random(count)
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0::2]))
+    angle = TWO_PI * u[:, 1::2]
+    pool = np.empty_like(u)
+    pool[:, 0::2] = radius * np.cos(angle)
+    pool[:, 1::2] = radius * np.sin(angle)
+    return pool[:, :dim]
 
 
 def pool_cells_one(pool):
@@ -264,7 +277,7 @@ class TestSphericalCells:
         moments, masses = conic._spherical_cells(w)
         # oracle: a 2M-point scrambled Sobol Gaussian pool (standard error
         # of each moment coordinate below 1/sqrt(2e6) = 7e-4, far less for QMC)
-        cells = pool_cells_one(gaussian_pool(3, 2_000_000, 5))
+        cells = pool_cells_one(sobol_gaussian_pool(3, 2_000_000, 5))
         ref_moments, ref_masses = (np.array(r) for r in zip(*map(cells, w)))
         np.testing.assert_allclose(moments, ref_moments, rtol=0, atol=3e-4)
         np.testing.assert_allclose(masses, ref_masses, rtol=0, atol=3e-4)
@@ -468,52 +481,6 @@ class TestAngleGrid:
         assert set(kept) == everything
 
 
-def scipy_sobol(dim, count, seed):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # balance warning for non-2^m counts
-        return qmc.Sobol(d=dim, scramble=True, seed=seed).random(count)
-
-
-class TestSobol:
-    @pytest.mark.parametrize(
-        "dim, count, seed",
-        [
-            (3, 4096, 101),  # long streams in an odd dimension
-            (3, 32768, 102),
-            (3, 200_000, 103),
-            (1, 200_000, 0),
-            (2, 200_000, 0),  # partition_moments_mc pools up to cone dimension 2
-            (3, 200_000, 0),
-            (4, 64, 11),  # the former triple net, which the seed-set
-            (4, 128, 11),  # reference in TestSeedSet rebuilds
-            (9, 512, 13),  # the quadruple stream; the search reads its first 64
-        ],
-    )
-    def test_matches_scipy_on_search_streams(self, dim, count, seed):
-        ours = conic._sobol(dim, count, seed)
-        np.testing.assert_array_equal(ours, scipy_sobol(dim, count, seed))
-
-    def test_every_net_size_is_a_prefix(self):
-        # each count reads a prefix of its stream, so the search's 64-point
-        # quadruple net is the head of the 512-point reference net
-        for dim, seed, top in ((4, 11, 128), (9, 13, 512)):
-            ref = scipy_sobol(dim, top, seed)
-            for count in range(64, top + 1):
-                np.testing.assert_array_equal(conic._sobol(dim, count, seed), ref[:count])
-
-    @pytest.mark.parametrize("dim", [1, 10, 33, 63])
-    @pytest.mark.parametrize("count", [1, 2, 3, 1000])
-    def test_matches_scipy_across_dims(self, dim, count):
-        seed = 1000 * dim + count
-        ours = conic._sobol(dim, count, seed)
-        np.testing.assert_array_equal(ours, scipy_sobol(dim, count, seed))
-
-    @pytest.mark.parametrize("dim", [0, 64, 100])
-    def test_dimension_outside_table_rejected(self, dim):
-        with pytest.raises(ValueError, match="63"):
-            conic._sobol(dim, 8, 0)
-
-
 class TestPsiValue:
     def test_zero_moments(self):
         assert psi_value(SymMatrix.from_array(np.eye(2)), np.zeros((2, 1))) == 0.0
@@ -570,7 +537,7 @@ class TestFormulaBc:
 
 def wide_seed_reference(b):
     """Best psi of the wider seed set search_cb used to start from: per
-    triple the six grid seeds, the Gram geometry and a 128-point Sobol net;
+    triple the six grid seeds, the Gram geometry and a 128-point random net;
     per quadruple the Gram geometry and a 512-point net; each followed by
     the same polish of the best seed.  Pairs are closed-form."""
     bm = b.mat
@@ -581,8 +548,8 @@ def wide_seed_reference(b):
     )
     grid = conic._angle_grid(720)
     nets = {
-        3: conic._sobol_moment_seeds(3, 128, 0.45, 11),
-        4: conic._sobol_moment_seeds(4, 512, 0.4, 13),
+        3: conic._random_moment_seeds(3, 128, 0.45, 11),
+        4: conic._random_moment_seeds(4, 512, 0.4, 13),
     }
     for ell, net in nets.items():
         for subset in itertools.combinations(range(k), ell):
@@ -627,6 +594,27 @@ class TestSeedSet:
                         expected.append((ell, 1, 2000))
             assert [c[:3] for c in calls] == expected
             assert sum(c[2] == 2000 for c in calls) > 0
+
+    def test_quadruple_net_heads_the_reference_net(self, monkeypatch):
+        # wide_seed_reference's 512-point quadruple net starts with the
+        # search's 64-point net, and every net tuple sums to 0
+        races = []
+        fixed_point = conic._fixed_point
+
+        def recording(b_sub, z0, fp_tol, max_iters):
+            if len(b_sub) == 4 and max_iters == conic.RACE_STEPS:
+                races.append(z0)
+            return fixed_point(b_sub, z0, fp_tol, max_iters)
+
+        monkeypatch.setattr(conic, "_fixed_point", recording)
+        f = np.random.default_rng(49).standard_normal((4, 4))
+        clear_search_cache()
+        search_cb(SymMatrix.from_array(f @ f.T / 4), seed=0)
+        [seeds] = races
+        reference = conic._random_moment_seeds(4, 512, 0.4, 13)
+        np.testing.assert_array_equal(seeds[-conic.QUADRUPLE_NET_POINTS:], reference[:64])
+        for net in (reference, conic._random_moment_seeds(3, 128, 0.45, 11)):
+            assert np.max(np.abs(net.sum(axis=1))) <= 1e-15
 
     def test_quadruple_race_converges(self, monkeypatch):
         # a Wishart B whose quadruple seeds all stay above FP_TOL after
