@@ -2,9 +2,11 @@
 
 Subcommands: cluster, analyze-b, oracle, selftest.  Exit codes: 0 ok,
 2 parse/validation error, 3 numerical failure, 4 selftest failure.
-Reports are deterministic for fixed inputs and seed except the timestamp
-field.  The solvers have no other tunables: ``cluster`` takes --seed and
---trials, the C(B) search and the SDP run on their modules' constants.
+Reports are deterministic except the timestamp field: ``analyze-b`` and
+``oracle`` in their inputs alone, ``cluster`` in its inputs, --seed and
+--trials.  The solvers have no other tunables: the C(B) search and the
+SDP run on their modules' constants, and --seed drives only the SDP
+starts and the rounding trials.
 ``cluster`` still accepts and validates --threads, an integer of at least
 1, and ignores it: the pipeline runs in one thread and BLAS does the
 parallel work.
@@ -145,14 +147,13 @@ def _emit(report: dict, args) -> None:
         print(text)
 
 
-def _base_report(args, digest: str, a: SymMatrix | None, b: SymMatrix) -> dict:
+def _base_report(digest: str, a: SymMatrix | None, b: SymMatrix) -> dict:
     return {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "versions": {
             "gramclust": __version__,
             "numpy": np.__version__,
         },
-        "seed": args.seed,
         "inputs": {
             "n": a.dim if a is not None else None,
             "k": b.dim,
@@ -167,7 +168,8 @@ def _base_report(args, digest: str, a: SymMatrix | None, b: SymMatrix) -> dict:
 
 def run_cluster(args) -> dict:
     a, b, digest = _load_inputs(args)
-    report = _base_report(args, digest, a, b)
+    report = _base_report(digest, a, b)
+    report["seed"] = args.seed
     report.update(pipeline.cluster(
         a, b, trials=args.trials, seed=args.seed,
         mu_epsilon=args.mu_epsilon if args.with_hardness else None,
@@ -177,14 +179,14 @@ def run_cluster(args) -> dict:
 
 def run_analyze_b(args) -> dict:
     _, b, digest = _load_inputs(args, need_a=False)
-    report = _base_report(args, digest, None, b)
-    report.update(pipeline.analyze_b(b, args.seed, args.mu_epsilon))
+    report = _base_report(digest, None, b)
+    report.update(pipeline.analyze_b(b, args.mu_epsilon))
     return report
 
 
 def run_oracle(args) -> dict:
     a, b, digest = _load_inputs(args)
-    report = _base_report(args, digest, a, b)
+    report = _base_report(digest, a, b)
     value, sigma = brute_force_clust(a, b, max_states=args.max_states)
     report["clust_value"] = value
     report["sigma"] = sigma.tolist()
@@ -239,7 +241,6 @@ def _add_inputs(p: argparse.ArgumentParser, with_a: bool = True) -> None:
     if with_a:
         p.add_argument("--a", help="CSV file with matrix A")
     p.add_argument("--b", help="CSV file with matrix B")
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
 
 
@@ -259,6 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     cluster = sub.add_parser("cluster", help="full pipeline on (A, B)")
     _add_inputs(cluster)
     _add_b_options(cluster)
+    cluster.add_argument("--seed", type=_int_at_least(0), default=0,
+                         help="seed of the SDP starts and the rounding trials")
     cluster.add_argument("--threads", type=_int_at_least(1), default=1,
                          help="accepted for compatibility and ignored")
     cluster.add_argument("--trials", type=_int_at_least(1), default=100)

@@ -8,22 +8,21 @@ by such conical ones.  The search below is closed-form for pairs and a
 seeded fixed point on exact moments for triples and quadruples, with one
 seed source per subset size: each triple starts from the six best distinct
 configurations of a planar aperture grid of ANGLE_GRID (180) steps per
-turn, each quadruple from its Gram geometry plus one shared 64-point
-uniform random net drawn by numpy's default_rng.  Its constants are fixed,
-so C(B) depends on B and the net's seed alone.
+turn, each quadruple from its Gram geometry (three seeds).  Its constants
+are fixed and it draws nothing at random, so C(B) depends on B alone.
 
 The fixed-point map z -> moments(cells of B z) runs for all seeds of one
 active subset at once: the seeds form an (S, l, l-1) array, one array step
 advances every live seed, and each seed keeps its own stopping rules and
 best state as masks.  Each step maps a point extrapolated from the seed's
 last two images, under a monotone safeguard that falls back to the plain
-step and keeps only exact images.  That stage is raced to a short step
-cap; a second run then polishes the subset's best live seed.  Cell
-moments are exact up to cone dimension 3: two half-lines, closed-form arcs
-in the plane, and spherical triangles in dimension 3 by the divergence
-identity.  No search and no residual goes above cone dimension 3; the
-Monte-Carlo partition_moments_mc is a separate cross-check on a
-default_rng Gaussian pool.
+step and keeps only exact images.  Each subset runs once, up to
+POLISH_STEPS steps, and keeps its best live seed.  Cell moments are exact
+up to cone dimension 3: two half-lines, closed-form arcs in the plane, and
+spherical triangles in dimension 3 by the divergence identity.  No search
+and no residual goes above cone dimension 3; the Monte-Carlo
+partition_moments_mc is a separate cross-check on a default_rng Gaussian
+pool.
 
 Labels are 0-based throughout.
 """
@@ -48,11 +47,9 @@ ARC_CONST = 1.0 / (2.0 * math.sqrt(TWO_PI))
 SPHERE_CONST = TWO_PI ** -1.5
 EMPTY_CELL_MASS = 1e-6
 DEFAULT_MC_SAMPLES = 200_000
-QUADRUPLE_NET_POINTS = 64  # random seeds shared by every quadruple
 ANGLE_GRID = 180  # aperture-grid steps per turn for the triples' seeds
 FP_TOL = 1e-6  # fixed-point residual at which a seed stops
-RACE_STEPS = 40  # step cap of the batched fixed point over a subset's seeds
-POLISH_STEPS = 2000  # step cap of the polish of a subset's best seed
+POLISH_STEPS = 2000  # step cap of the fixed point over a subset's seeds
 
 
 @dataclass(frozen=True)
@@ -567,18 +564,6 @@ def _angle_grid_candidates(
     return z
 
 
-def _random_moment_seeds(ell: int, count: int, scale: float, seed: int) -> np.ndarray:
-    """Uniform random seed tuples (z_1..z_ell) with sum z = 0, (count, ell, ell-1).
-
-    One default_rng(seed) stream fills the free rows in order, so a smaller
-    count reads a prefix of a larger one.
-    """
-    dim = (ell - 1) * (ell - 1)
-    u = np.random.default_rng(seed).random((count, dim))
-    free = (2.0 * u - 1.0).reshape(count, ell - 1, ell - 1) * scale
-    return np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1)
-
-
 def _structured_seeds(b_sub: np.ndarray) -> np.ndarray:
     """Seeds from the Gram geometry: centered label vectors embedded in the
     cone dimension, at a few moment-scale radii; (0 or 3, ell, ell-1)."""
@@ -596,12 +581,6 @@ def _structured_seeds(b_sub: np.ndarray) -> np.ndarray:
     return np.array([base * s for s in (0.12, 0.25, 0.4)])
 
 
-def _ranked(psi: np.ndarray, alive: np.ndarray) -> np.ndarray:
-    """Indices of the alive seeds by psi, best first; ties keep seed order."""
-    idx = np.flatnonzero(alive)
-    return idx[np.argsort(-psi[idx], kind="stable")]
-
-
 def _unit_scale_shift(b: np.ndarray) -> int:
     """The s with max_i b_ii / 4^s in [1, 4); 0 for B = 0."""
     top = float(np.max(np.diag(b)))
@@ -616,53 +595,49 @@ class _Candidate:
     moments: np.ndarray
 
 
-def search_cb(
-    b: SymMatrix, seed: int = 0
-) -> tuple[float, ConicalPartition, PartitionValue]:
+def search_cb(b: SymMatrix) -> tuple[float, ConicalPartition, PartitionValue]:
     """Estimate C(B) and the partition attaining it.
 
     Exhausts active subsets by size: pairs are closed-form, and each triple
-    and quadruple runs one batched fixed-point iteration over all its seeds,
-    raced to RACE_STEPS steps, then a polish of its best live state alone
+    and quadruple runs one batched fixed-point iteration over all its seeds
     for up to POLISH_STEPS steps, on exact cell moments (planar arcs for
-    triples, spherical triangles for quadruples).  The iteration is
-    extrapolated under a monotone safeguard (see _fixed_point), which cuts
-    its step count, and only its exact images are kept.  Triples are
-    seeded by the six best distinct configurations of a planar aperture
-    grid of ANGLE_GRID steps per turn (one scan of each configuration, on
-    the a1 <= a2 <= a3 domain of _angle_grid), 6 seeds; the grid only picks
-    a basin for the fixed point.  Quadruples are seeded by the Gram
-    geometry (3 seeds, none when the labels coincide) and one uniform
-    random net of QUADRUPLE_NET_POINTS tuples, drawn by default_rng from
-    ``seed`` and shared by every quadruple; like the grid, it only picks
-    basins.  Subsets of five or more cells are not searched.
+    triples, spherical triangles for quadruples), and keeps its best live
+    seed.  The iteration is extrapolated under a monotone safeguard (see
+    _fixed_point), which cuts its step count, and only its exact images are
+    kept.  Triples are seeded by the six best distinct configurations of a
+    planar aperture grid of ANGLE_GRID steps per turn (one scan of each
+    configuration, on the a1 <= a2 <= a3 domain of _angle_grid), 6 seeds;
+    the grid only picks a basin for the fixed point.  Quadruples are seeded
+    by the Gram geometry, 3 seeds, none when the labels coincide.  Subsets
+    of five or more cells are not searched.
     The returned psi is the value of the exact cell moments of one conical
     partition, so a lower bound on C(B); the reported directions B z give
     that partition at a fixed point.  For k >= 4 psi comes with no
     optimality claim (heuristic flag set).  mc_stderr is 0 for every k.
-    Candidates reduce by (psi, index) lexicographic max, so the result is
-    deterministic for a fixed seed, and it is cached per B and seed.
+    Nothing is drawn at random and candidates reduce by (psi, index)
+    lexicographic max, so the result depends on B alone, and it is cached
+    per B.
 
     The search runs on B / 4^s, whose largest diagonal entry lies in
     [1, 4).  A power of 4 scales psi, R(B)^2 and the directions exactly and
     leaves every cell unchanged, so B * 4^e gets the same partition and
-    C(B) times 4^e; B is degenerate when R(B)^2 < 1e-12 * 4^s.
+    C(B) times 4^e; B is degenerate when R(B)^2 / 4^s < 1e-12, a single
+    Gram vector (k = 1) included.
     """
     if not validate_psd(b):
         raise NotPSD("hypothesis matrix is not PSD")
     k = b.dim
     shift = _unit_scale_shift(b.mat)
-    if radius_squared(b) < math.ldexp(1e-12, 2 * shift):
+    # scaled before the comparison: 1e-12 * 4^s underflows for subnormal B
+    if math.ldexp(radius_squared(b), -2 * shift) < 1e-12:
         raise DegenerateB(
             "all Gram vectors coincide; every clustering of a centered matrix "
             "has value 0"
         )
-    if k < 2:
-        raise ValueError("search_cb requires k >= 2")
 
     # exact bytes: a rounded key lets B matrices that differ only below the
     # rounding step share one entry (SymMatrix is bit-exactly symmetric)
-    cache_key = (b.mat.tobytes(), seed)
+    cache_key = b.mat.tobytes()
     cached = _SEARCH_CACHE.get(cache_key)
     if cached is not None:
         return cached
@@ -684,27 +659,22 @@ def search_cb(
         z = np.array([[HALFLINE_MOMENT], [-HALFLINE_MOMENT]])
         candidates.append(_Candidate(gap / TWO_PI, next(counter), (i, j), z))
 
-    # l = 3, 4: batched fixed point on exact moments, raced to RACE_STEPS,
-    # then a polish of the best live seed
+    # l = 3, 4: batched fixed point on exact moments, best live seed kept
+    # (ties to the earliest seed)
     if k >= 3:
         grid = _angle_grid(ANGLE_GRID)
-    if k >= 4:
-        net = _random_moment_seeds(4, QUADRUPLE_NET_POINTS, 0.4, seed + 13)
     for ell in (3, 4):
         for subset in itertools.combinations(range(k), ell):
             b_sub = bc[np.ix_(subset, subset)]
             if ell == 3:
                 seeds = _angle_grid_candidates(b_sub, grid, top=6)
             else:
-                seeds = np.concatenate([_structured_seeds(b_sub), net])
-            z, psi, _, alive = _fixed_point(b_sub, seeds, FP_TOL, RACE_STEPS)
-            if not alive.any():
-                continue
-            best_seed = _ranked(psi, alive)[:1]
-            z, psi, _, alive = _fixed_point(b_sub, z[best_seed], FP_TOL, POLISH_STEPS)
-            if alive[0]:
+                seeds = _structured_seeds(b_sub)
+            z, psi, _, alive = _fixed_point(b_sub, seeds, FP_TOL, POLISH_STEPS)
+            if alive.any():
+                best = int(np.argmax(np.where(alive, psi, -np.inf)))
                 candidates.append(
-                    _Candidate(float(psi[0]), next(counter), subset, z[0])
+                    _Candidate(float(psi[best]), next(counter), subset, z[best])
                 )
 
     best = max(candidates, key=lambda c: (c.psi, c.index))

@@ -20,7 +20,7 @@ from .sdp import ascend_from, solve_sdp
 
 
 def _b_half(
-    b: SymMatrix, seed: int, mu_epsilon: float | None
+    b: SymMatrix, mu_epsilon: float | None
 ) -> tuple[dict, EnclosingBall, ConicalPartition | None]:
     """The blocks that depend on B alone, the ball, and the C(B) partition
     (None when B is degenerate)."""
@@ -39,7 +39,7 @@ def _b_half(
         }
     }
     try:
-        c_est, partition, value = search_cb(b, seed)
+        c_est, partition, value = search_cb(b)
     except DegenerateB:
         report["degenerate"] = True
         return report, ball, None
@@ -64,11 +64,11 @@ def _b_half(
     return report, ball, partition
 
 
-def analyze_b(b: SymMatrix, seed: int = 0, mu_epsilon: float | None = 1e-4) -> dict:
-    """R(B)^2 and the ball, C(B) and its partition (searched with ``seed``),
-    the approximation ratio R(B)^2 / C(B), and the hardness gadget at
-    ``mu_epsilon`` (left out when it is None or B is degenerate)."""
-    return _b_half(b, seed, mu_epsilon)[0]
+def analyze_b(b: SymMatrix, mu_epsilon: float | None = 1e-4) -> dict:
+    """R(B)^2 and the ball, C(B) and its partition, the approximation ratio
+    R(B)^2 / C(B), and the hardness gadget at ``mu_epsilon`` (left out when
+    it is None or B is degenerate).  Deterministic in B and ``mu_epsilon``."""
+    return _b_half(b, mu_epsilon)[0]
 
 
 def cluster(
@@ -80,9 +80,9 @@ def cluster(
 ) -> dict:
     """The whole pipeline on a centered PSD A and a PSD B.
 
-    ``seed`` drives the C(B) search, the SDP starts and the rounding
-    trials, which all run in one thread; BLAS parallelizes the products
-    inside them.  The report holds the
+    ``seed`` drives the SDP starts and the rounding trials, which run in
+    one thread; BLAS parallelizes the products inside them.  The C(B)
+    search reads B alone.  The report holds the
     :func:`analyze_b` blocks, plus ``sdp``, ``rounding`` and the
     ``certified_interval`` [best rounded value, R(B)^2 * dual_upper].
     """
@@ -90,7 +90,7 @@ def cluster(
         raise NotPSD("A is not positive semidefinite (within 1e-9)")
     if not validate_centered(a):
         raise NotCentered("A is not centered: entries must sum to zero")
-    report, ball, partition = _b_half(b, seed, mu_epsilon)
+    report, ball, partition = _b_half(b, mu_epsilon)
     if partition is None:
         # all Gram vectors coincide: every clustering of a centered matrix
         # has value 0, so report the trivial certified answer

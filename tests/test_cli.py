@@ -119,6 +119,20 @@ class TestCluster:
         if command == "cluster":
             assert report["certified_interval"] == [0.0, 0.0]
 
+    @pytest.mark.parametrize("command", ["cluster", "analyze-b"])
+    @pytest.mark.parametrize(
+        "b", [[[5e-324]], [[5e-324, 5e-324], [5e-324, 5e-324]]], ids=["1x1", "2x2"]
+    )
+    def test_subnormal_b_is_degenerate(self, tmp_path, command, b):
+        # B at the bottom of the subnormal range gets the degenerate report
+        # that [[1.0]] and ones((2, 2)) get
+        doc = {"A": [[1.0, -1.0], [-1.0, 1.0]], "B": b}
+        out = tmp_path / "report.json"
+        assert main([command, write_json(tmp_path, doc), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["degenerate"] is True
+        assert "cb" not in report
+
     def test_library_entry_point_matches_cli(self, tmp_path):
         a = random_centered_psd(6, np.random.default_rng(2))
         b = SymMatrix.from_array(np.diag([1.0, 1.0, 2.0]))
@@ -356,8 +370,8 @@ class TestValidationErrors:
         ],
     )
     def test_removed_search_flags_rejected(self, tmp_path, capsys, command, flag):
-        # the C(B) search and the SDP have fixed constants and take only --seed
-        # (and --threads for the SDP)
+        # the C(B) search and the SDP have fixed constants; cluster's --seed
+        # drives the SDP starts and the rounding alone
         path = write_json(tmp_path, ANTIPODAL_DOC)
         assert self.exit_code([command, path, flag, "1"]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
@@ -369,11 +383,21 @@ class TestValidationErrors:
         assert main(["cluster", path, "--out", str(tmp_path / "c.json")]) == 0
         assert parse(["cluster", path]).threads == 1
 
-    @pytest.mark.parametrize("command", ["cluster", "analyze-b", "oracle"])
+    @pytest.mark.parametrize("command", ["cluster"])
     def test_negative_seed_exit_2(self, tmp_path, command):
-        # the SDP and the C(B) search seed numpy generators, which reject them
+        # the SDP and the rounding seed numpy generators, which reject them
         path = write_json(tmp_path, ANTIPODAL_DOC)
         assert self.exit_code([command, path, "--seed", "-1"]) == 2
+
+    @pytest.mark.parametrize("command", ["analyze-b", "oracle"])
+    def test_seed_flag_removed(self, tmp_path, capsys, command):
+        # nothing these commands compute draws at random
+        path = write_json(tmp_path, ANTIPODAL_DOC)
+        assert self.exit_code([command, path, "--seed", "1"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        out = tmp_path / "report.json"
+        assert main([command, path, "--out", str(out)]) == 0
+        assert "seed" not in json.loads(out.read_text())
 
     def test_coarse_oracle_grid_exit_2(self, tmp_path):
         path = write_json(tmp_path, ANTIPODAL_DOC)
@@ -495,10 +519,10 @@ class TestImports:
         # eigenvector serves a curvilinear kick
         a = random_centered_psd(6, np.random.default_rng(1))
         path = write_json(tmp_path, {"A": a.mat.tolist(), "B": np.eye(3).tolist()})
-        # a 5 x 5 B reaches the quadruple net and the spherical kernel
+        # a 5 x 5 B reaches the quadruple seeds and the spherical kernel
         g = np.random.default_rng(0).standard_normal((5, 8))
         path5 = write_json(tmp_path, {"B": (g @ g.T / 8).tolist()}, "b5.json")
-        # n = 8 with a 4 x 4 B runs the raced triple and quadruple stages
+        # n = 8 with a 4 x 4 B runs the triple and quadruple fixed points
         # inside a whole cluster run
         a8 = random_centered_psd(8, np.random.default_rng(2))
         g4 = np.random.default_rng(3).standard_normal((4, 4))

@@ -536,10 +536,10 @@ class TestFormulaBc:
 
 
 def wide_seed_reference(b):
-    """Best psi of the wider seed set search_cb used to start from: per
-    triple the six grid seeds, the Gram geometry and a 128-point random net;
-    per quadruple the Gram geometry and a 512-point net; each followed by
-    the same polish of the best seed.  Pairs are closed-form."""
+    """Best psi of a wider seed set than search_cb starts from: per triple
+    the six grid seeds of a 720-step grid, the Gram geometry and a 128-point
+    uniform random net; per quadruple the Gram geometry and a 512-point net;
+    each followed by a polish of the best seed.  Pairs are closed-form."""
     bm = b.mat
     k = len(bm)
     best = max(
@@ -547,10 +547,13 @@ def wide_seed_reference(b):
         for i in range(k) for j in range(i + 1, k)
     )
     grid = conic._angle_grid(720)
-    nets = {
-        3: conic._random_moment_seeds(3, 128, 0.45, 11),
-        4: conic._random_moment_seeds(4, 512, 0.4, 13),
-    }
+    nets = {}
+    for ell, count, scale, stream in ((3, 128, 0.45, 11), (4, 512, 0.4, 13)):
+        u = np.random.default_rng(stream).random((count, ell - 1, ell - 1))
+        free = (2.0 * u - 1.0) * scale
+        nets[ell] = np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1)
+        # each net tuple is a moment tuple: it sums to 0
+        assert np.max(np.abs(nets[ell].sum(axis=1))) <= 1e-15
     for ell, net in nets.items():
         for subset in itertools.combinations(range(k), ell):
             b_sub = bm[np.ix_(subset, subset)]
@@ -559,7 +562,7 @@ def wide_seed_reference(b):
                 seeds.insert(0, conic._angle_grid_candidates(b_sub, grid, top=6))
             z, psi, _, alive = conic._fixed_point(b_sub, np.concatenate(seeds), 1e-6, 200)
             if alive.any():
-                top = conic._ranked(psi, alive)[:1]
+                top = [int(np.argmax(np.where(alive, psi, -np.inf)))]
                 _, psi, _, alive = conic._fixed_point(b_sub, z[top], 1e-6, 2000)
                 if alive[0]:
                     best = max(best, psi[0])
@@ -572,9 +575,8 @@ class TestSeedSet:
         fixed_point = conic._fixed_point
 
         def recording(b_sub, z0, fp_tol, max_iters):
-            result = fixed_point(b_sub, z0, fp_tol, max_iters)
-            calls.append((len(b_sub), len(z0), max_iters, bool(result[3].any())))
-            return result
+            calls.append((len(b_sub), len(z0), max_iters))
+            return fixed_point(b_sub, z0, fp_tol, max_iters)
 
         monkeypatch.setattr(conic, "_fixed_point", recording)
         rng = np.random.default_rng(21)
@@ -583,58 +585,34 @@ class TestSeedSet:
             calls.clear()
             clear_search_cache()
             search_cb(SymMatrix.from_array(f @ f.T / (k + 3)))
-            # per subset one stage raced to 40 steps over its seeds, then a
-            # polish of its best seed when one stayed live
-            expected = []
-            stages = iter(c for c in calls if c[2] == 40)
-            for ell, seeds in ((3, 6), (4, 67)):
-                for _ in range(math.comb(k, ell)):
-                    expected.append((ell, seeds, 40))
-                    if next(stages)[3]:
-                        expected.append((ell, 1, 2000))
-            assert [c[:3] for c in calls] == expected
-            assert sum(c[2] == 2000 for c in calls) > 0
+            # one run per subset: six grid seeds per triple, the three Gram
+            # geometry seeds per quadruple
+            expected = [
+                (ell, seeds, conic.POLISH_STEPS)
+                for ell, seeds in ((3, 6), (4, 3))
+                for _ in range(math.comb(k, ell))
+            ]
+            assert calls == expected
 
-    def test_quadruple_net_heads_the_reference_net(self, monkeypatch):
-        # wide_seed_reference's 512-point quadruple net starts with the
-        # search's 64-point net, and every net tuple sums to 0
-        races = []
-        fixed_point = conic._fixed_point
-
-        def recording(b_sub, z0, fp_tol, max_iters):
-            if len(b_sub) == 4 and max_iters == conic.RACE_STEPS:
-                races.append(z0)
-            return fixed_point(b_sub, z0, fp_tol, max_iters)
-
-        monkeypatch.setattr(conic, "_fixed_point", recording)
-        f = np.random.default_rng(49).standard_normal((4, 4))
-        clear_search_cache()
-        search_cb(SymMatrix.from_array(f @ f.T / 4), seed=0)
-        [seeds] = races
-        reference = conic._random_moment_seeds(4, 512, 0.4, 13)
-        np.testing.assert_array_equal(seeds[-conic.QUADRUPLE_NET_POINTS:], reference[:64])
-        for net in (reference, conic._random_moment_seeds(3, 128, 0.45, 11)):
-            assert np.max(np.abs(net.sum(axis=1))) <= 1e-15
-
-    def test_quadruple_race_converges(self, monkeypatch):
-        # a Wishart B whose quadruple seeds all stay above FP_TOL after
-        # RACE_STEPS plain steps (the best at 2e-5); extrapolated, its best
-        # seed converges within the race
-        races = []
+    def test_quadruple_best_seed_converges(self, monkeypatch):
+        # a Wishart B whose quadruple seeds all stay above FP_TOL after 40
+        # plain steps; extrapolated, its best seed ends below FP_TOL
+        runs = []
         fixed_point = conic._fixed_point
 
         def recording(b_sub, z0, fp_tol, max_iters):
             result = fixed_point(b_sub, z0, fp_tol, max_iters)
-            if len(b_sub) == 4 and max_iters == conic.RACE_STEPS:
-                races.append(result)
+            if len(b_sub) == 4:
+                runs.append(result)
             return result
 
         monkeypatch.setattr(conic, "_fixed_point", recording)
         f = np.random.default_rng(49).standard_normal((4, 4))
         clear_search_cache()
         search_cb(SymMatrix.from_array(f @ f.T / 4))
-        [(_, psi, residual, alive)] = races
-        best = conic._ranked(psi, alive)[0]
+        [(_, psi, residual, alive)] = runs
+        best = np.argmax(np.where(alive, psi, -np.inf))
+        assert alive[best]
         assert residual[best] < conic.FP_TOL
 
     @pytest.mark.parametrize("k", [3, 4, 5])
@@ -707,10 +685,17 @@ class TestSearchCb:
         with pytest.raises(DegenerateB):
             search_cb(SymMatrix.from_array([[1.0, 1.0], [1.0, 1.0]]))
 
-    @pytest.mark.parametrize("e", [-35, 20])
-    def test_degenerate_b_at_any_scale(self, e):
+    @pytest.mark.parametrize(
+        "b",
+        [np.ones((2, 2)) * 4.0 ** -35, np.ones((2, 2)) * 4.0 ** 20,
+         np.array([[5e-324]]), np.ones((2, 2)) * 5e-324],
+        ids=["-35", "20", "subnormal-1x1", "subnormal-2x2"],
+    )
+    def test_degenerate_b_at_any_scale(self, b):
+        # R(B)^2 is compared after scaling: 1e-12 * 4^s underflows to 0 for
+        # subnormal B
         with pytest.raises(DegenerateB):
-            search_cb(SymMatrix(np.ones((2, 2)) * 4.0 ** e))
+            search_cb(SymMatrix(b))
 
     @pytest.mark.parametrize("e", [-35, 20])
     @pytest.mark.parametrize("name", ["I3", "diag-half", "wishart-0", "wishart-1"])
@@ -725,8 +710,8 @@ class TestSearchCb:
             "wishart-0": wisharts[0],
             "wishart-1": wisharts[1],
         }[name]
-        base = analyze_b(SymMatrix(b), seed=0)
-        scaled = analyze_b(SymMatrix(b * 4.0 ** e), seed=0)
+        base = analyze_b(SymMatrix(b))
+        scaled = analyze_b(SymMatrix(b * 4.0 ** e))
         assert scaled["degenerate"] is False
         assert scaled["ball"]["r2"] == pytest.approx(
             math.ldexp(base["ball"]["r2"], 2 * e), rel=1e-12
@@ -784,13 +769,13 @@ class TestSearchCb:
         assert c_second == c_cold > c_first
         np.testing.assert_array_equal(part_second.directions, part_cold.directions)
 
-    def test_deterministic_for_fixed_seed(self):
+    def test_deterministic_in_b_alone(self):
         rng = np.random.default_rng(4)
         f = rng.standard_normal((4, 4))
         b = SymMatrix.from_array(f @ f.T)
-        first = search_cb(b, seed=3)
+        first = search_cb(b)
         clear_search_cache()
-        second = search_cb(b, seed=3)
+        second = search_cb(b)
         assert second is not first
         assert first[0] == second[0]
         assert first[1].active == second[1].active
