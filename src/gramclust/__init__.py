@@ -12,10 +12,8 @@ from .ball import EnclosingBall, min_enclosing_ball, radius_squared
 from .conic import (
     ConicalPartition,
     PartitionValue,
-    cone_moment_closed_2d,
     formula_bc,
     partition_moments_mc,
-    psi_value,
     search_cb,
 )
 from .errors import (
@@ -72,9 +70,7 @@ __all__ = [
     "radius_squared",
     "ConicalPartition",
     "PartitionValue",
-    "cone_moment_closed_2d",
     "partition_moments_mc",
-    "psi_value",
     "search_cb",
     "formula_bc",
     "SdpSolution",

@@ -247,7 +247,8 @@ def _add_inputs(p: argparse.ArgumentParser, with_a: bool = True) -> None:
 def _add_b_options(p: argparse.ArgumentParser) -> None:
     """Flags of the part that reads B alone: the hardness gadget."""
     p.add_argument("--mu-epsilon", type=_positive_float, default=1e-4,
-                   help="epsilon for the perturbed support distribution")
+                   help="epsilon of the perturbed support distribution, "
+                        "as a share of R(B)^2")
 
 
 def build_parser() -> argparse.ArgumentParser:

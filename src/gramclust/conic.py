@@ -5,11 +5,9 @@ where <x, w_j> is maximal.  Its quality is the quadratic form
 psi = sum_{ij} b_ij <z_i, z_j> over the cells' Gaussian first moments z_j,
 and C(B) is the supremum of psi over all measurable partitions, attained
 by such conical ones.  The search below is closed-form for pairs and a
-seeded fixed point on exact moments for triples and quadruples, with one
-seed source per subset size: each triple starts from the six best distinct
-configurations of a planar aperture grid of ANGLE_GRID (180) steps per
-turn, each quadruple from its Gram geometry (three seeds).  Its constants
-are fixed and it draws nothing at random, so C(B) depends on B alone.
+seeded fixed point on exact moments for triples and quadruples, each
+started from the subset's Gram geometry (three seeds).  Its constants are
+fixed and it draws nothing at random, so C(B) depends on B alone.
 
 The fixed-point map z -> moments(cells of B z) runs for all seeds of one
 active subset at once: the seeds form an (S, l, l-1) array, one array step
@@ -17,7 +15,9 @@ advances every live seed, and each seed keeps its own stopping rules and
 best state as masks.  Each step maps a point extrapolated from the seed's
 last two images, under a monotone safeguard that falls back to the plain
 step and keeps only exact images.  Each subset runs once, up to
-POLISH_STEPS steps, and keeps its best live seed.  Cell moments are exact
+POLISH_STEPS steps, and keeps its best seed that did not end on an
+emptying cell (such a seed is covered by a smaller subset, and its last
+state is no fixed point).  Cell moments are exact
 up to cone dimension 3: two half-lines, closed-form arcs in the plane, and
 spherical triangles in dimension 3 by the divergence identity.  No search
 and no residual goes above cone dimension 3; the Monte-Carlo
@@ -47,7 +47,6 @@ ARC_CONST = 1.0 / (2.0 * math.sqrt(TWO_PI))
 SPHERE_CONST = TWO_PI ** -1.5
 EMPTY_CELL_MASS = 1e-6
 DEFAULT_MC_SAMPLES = 200_000
-ANGLE_GRID = 180  # aperture-grid steps per turn for the triples' seeds
 FP_TOL = 1e-6  # fixed-point residual at which a seed stops
 POLISH_STEPS = 2000  # step cap of the fixed point over a subset's seeds
 
@@ -122,38 +121,6 @@ def classify_batch(points: np.ndarray, partition: ConicalPartition) -> np.ndarra
     return np.asarray(partition.active, dtype=int)[idx]
 
 
-def cone_moment_closed_2d(alpha: float, bisector) -> np.ndarray:
-    """Exact Gaussian moment of the planar cone of opening alpha.
-
-    The moment points along the bisector with |z|^2 = sin^2(alpha/2)/(2 pi).
-    """
-    if not 0.0 <= alpha <= TWO_PI + 1e-12:
-        raise ValueError("opening angle must lie in [0, 2pi]")
-    u = np.asarray(bisector, dtype=float)
-    norm = np.linalg.norm(u)
-    if norm == 0.0:
-        raise ValueError("bisector must be a nonzero vector")
-    return (math.sin(min(alpha, TWO_PI) / 2.0) * HALFLINE_MOMENT) * (u / norm)
-
-
-def psi_value(b: SymMatrix, moments, active: tuple[int, ...] | None = None) -> float:
-    """Quadratic form sum_{i,j in J} b_ij <z_i, z_j>.
-
-    Nonnegative for PSD B: it equals || sum_i v_i (x) z_i ||^2.
-    """
-    z = np.asarray(moments, dtype=float)
-    if z.ndim != 2:
-        z = np.atleast_2d(z)
-    if active is None:
-        active = tuple(range(b.dim))
-    if len(active) != z.shape[0]:
-        raise DimensionMismatch(
-            f"{len(active)} active labels but {z.shape[0]} moment vectors"
-        )
-    sub = b.mat[np.ix_(active, active)]
-    return float(np.sum(sub * (z @ z.T)))
-
-
 # ---------------------------------------------------------------------------
 # Monte-Carlo cross-check
 
@@ -181,7 +148,8 @@ def partition_moments_mc(
     moments = cells @ pool / samples
     var = np.maximum(cells @ (pool * pool) / samples - moments * moments, 0.0)
     stderr = float(np.max(np.sqrt(np.sum(var, axis=1) / samples)))
-    psi = psi_value(b, moments, partition.active)
+    sub = b.mat[np.ix_(partition.active, partition.active)]
+    psi = float(_psi(sub, moments[None])[0])
     return PartitionValue(moments=moments, psi=psi, mc_stderr=stderr)
 
 
@@ -349,10 +317,13 @@ def _fixed_point(
     when its directions coincide, a cell's Gaussian mass falls below
     EMPTY_CELL_MASS or its cell moments do not sum to 0; at an extrapolated
     point these are rejections.  A seed also stops when its residual
-    |image - y| of an accepted or plain step falls below fp_tol, or after
-    max_iters steps.  alive=False means the seed never had a live state (it
-    degenerated to fewer cells, covered by a smaller subset); its moments
-    are then z0 and psi their value.
+    |image - y| of an accepted or plain step falls below fp_tol and that
+    step raised psi by at most fp_tol^2 |psi|, or after max_iters steps.
+    The psi test keeps a seed going on a slow stretch, where the residual
+    stays below fp_tol for many steps while psi still rises.  alive=False
+    means the seed ended on a failed plain step, its residual inf: it
+    degenerates to fewer cells, covered by a smaller subset.  Its moments
+    are its best state, z0 if it never had one, and psi their value.
     """
     y = np.array(z0, dtype=float)
     best_z = y.copy()
@@ -381,6 +352,7 @@ def _fixed_point(
         )
         up &= plain[pos] | (psi > prev_psi[pos])
         pos, z_new, psi = pos[up], z_new[up], psi[up]
+        gain = psi - prev_psi[pos]
         step = z_new - y[pos]
         res = np.sqrt((step * step).sum(axis=2)).max(axis=1)
         moved = seeds[pos]
@@ -393,18 +365,22 @@ def _fixed_point(
         y[pos] = z_new + beta[pos, None, None] * (z_new - prev[pos])
         prev[pos], prev_psi[pos] = z_new, psi
         # a rejected extrapolation steps back for a plain step; a failed
-        # plain step ends the seed
+        # plain step ends the seed on a state with no valid image
+        failed = plain.copy()
+        failed[pos] = False
+        residual[seeds[failed]] = np.inf
         plain = ~plain
         plain[pos] = False
         y[plain] = prev[plain]
         beta[plain] *= 0.5
         keep = plain.copy()
-        keep[pos] = ~(res < fp_tol)
+        keep[pos] = ~((res < fp_tol) & (gain <= fp_tol * fp_tol * np.abs(psi)))
         if not keep.all():
             seeds, y, prev = seeds[keep], y[keep], prev[keep]
             prev_psi, beta, plain = prev_psi[keep], beta[keep], plain[keep]
-    alive = np.isfinite(best_psi)
-    best_psi[~alive] = _psi(b_sub, best_z[~alive])
+    alive = np.isfinite(residual)
+    never = np.isneginf(best_psi)
+    best_psi[never] = _psi(b_sub, best_z[never])
     return best_z, best_psi, residual, alive
 
 
@@ -465,105 +441,6 @@ def _canonical_label_order(b: np.ndarray) -> np.ndarray:
     return np.array([i for *_, i in sorted(keys)], dtype=int)
 
 
-# slot pairs (s, t), s <= t, of the three cyclic cells in the angle grid,
-# and the 6 assignments of three labels to the slots (label perm[s] in slot s)
-_SLOT_PAIRS = tuple(itertools.combinations_with_replacement(range(3), 2))
-_SLOT_S, _SLOT_T = np.array(_SLOT_PAIRS).T
-_PAIR_WEIGHT = np.where(_SLOT_S == _SLOT_T, 1.0, 2.0)
-_SLOT_PERMS = np.array(list(itertools.permutations(range(3))))
-
-
-def _slot_geometry(apertures: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bisector angles and moment lengths of three cyclic planar cells."""
-    a1, a2, a3 = apertures
-    beta = np.stack([a1 / 2.0, a1 + a2 / 2.0, a1 + a2 + a3 / 2.0])
-    mag = np.sin(apertures / 2.0)
-    mag *= HALFLINE_MOMENT
-    return beta, mag
-
-
-def _angle_grid(grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Aperture grid of three cyclic planar cells and its psi terms.
-
-    The apertures are lattice multiples (i, j, grid - i - j) of 2pi/grid.
-    psi is invariant under rotations and reflections of the plane, which
-    permute the three apertures together with the assignment of labels to
-    slots, so with all 6 assignments scanned the grid needs only the
-    fundamental domain a1 <= a2 <= a3, i.e. i <= j and i + 2j <= grid,
-    about a sixth of the simplex.  Returns its apertures, shape (3, V); the
-    terms mag_s mag_t cos(beta_s - beta_t) for the slot pairs in
-    _SLOT_PAIRS, shape (6, V); and a (6, V) mask of the assignments in
-    _SLOT_PERMS that repeat another one at the same point.  On the domain's
-    boundary a reflection fixes the point: where two apertures are equal it
-    swaps the labels of their slots, and where a1 = 0 (two cells) swapping
-    the other two labels negates every moment.  Of each such pair the mask
-    keeps the assignment with the larger label in the earlier slot, which
-    fixes the mirror image that a symmetric B such as I_3 reports.  The
-    terms and the mask do not depend on B, so one grid serves every triple.
-
-    The domain is generated row by row, i = 0..grid/3 and j = i..(grid-i)/2,
-    and every term is read from two tables over the half-steps h pi/grid,
-    h = 0..2 grid: in half-steps the apertures halve to i, j, grid - i - j
-    (sin gives the moment lengths), and the bisectors i, 2i + j, i + j + grid
-    are i + j, j + grid and grid - i apart (cos gives their gaps).
-    """
-    i = np.arange(grid // 3 + 1)
-    counts = (grid - i) // 2 - i + 1
-    start = np.cumsum(counts) - counts
-    i = np.repeat(i, counts)
-    j = i + np.arange(len(i)) - np.repeat(start, counts)
-    rest = grid - i - j
-    apertures = np.linspace(0.0, TWO_PI, grid + 1)[np.stack([i, j, rest])]
-    half = np.arange(2 * grid + 1) * (math.pi / grid)
-    length = np.sin(half[: grid + 1])
-    length *= HALFLINE_MOMENT
-    gap = np.cos(half)
-    m1, m2, m3 = length[i], length[j], length[rest]
-    terms = np.stack([  # rows in _SLOT_PAIRS order
-        m1 * m1, m1 * m2 * gap[i + j], m1 * m3 * gap[j + grid],
-        m2 * m2, m2 * m3 * gap[grid - i], m3 * m3,
-    ])
-    first, middle, last = _SLOT_PERMS.T[:, :, None]
-    redundant = ((i == j) & (first < middle)) | (
-        ((i + 2 * j == grid) | (i == 0)) & (middle < last)
-    )
-    return apertures, terms, redundant
-
-
-def _angle_grid_candidates(
-    b_sub: np.ndarray, grid: tuple[np.ndarray, np.ndarray, np.ndarray], top: int
-) -> np.ndarray:
-    """Best three-ray planar configurations on an aperture grid.
-
-    Cells are parametrized by apertures in cyclic order on the fundamental
-    domain of _angle_grid; all 6 assignments of the three labels to the
-    slots are scored at once, so each configuration is scanned once.
-    Returns the moment tuples of the ``top`` best (assignment, grid point)
-    pairs by psi, ties to the smallest flat index, (top, 3, 2): distinct
-    configurations, because repeated assignments are left out.
-    """
-    apertures, terms, redundant = grid
-    coeffs = b_sub[_SLOT_PERMS[:, _SLOT_S], _SLOT_PERMS[:, _SLOT_T]] * _PAIR_WEIGHT
-    # einsum rather than `coeffs @ terms`: OpenBLAS runs that thin gemm on
-    # all its threads, several times slower on 2 cores and at the mercy of
-    # how they are scheduled
-    psi = np.einsum("pr,rv->pv", coeffs, terms)
-    psi[redundant] = -np.inf
-    # the top pairs sit at points whose best assignment reaches the top-th
-    # largest per-point maximum, so only those points need ranking
-    best = psi.max(axis=0)
-    points = np.flatnonzero(best >= np.partition(best, -top)[-top])
-    size = apertures.shape[1]
-    flat = (np.arange(len(_SLOT_PERMS))[:, None] * size + points).ravel()
-    flat = flat[np.lexsort((flat, -psi[:, points].ravel()))[:top]]
-    perm, point = np.divmod(flat, size)
-    beta, mag = _slot_geometry(apertures[:, point])
-    slots = mag[:, :, None] * np.stack([np.cos(beta), np.sin(beta)], axis=2)
-    z = np.empty((top, 3, 2))
-    z[np.arange(top)[:, None], _SLOT_PERMS[perm]] = slots.transpose(1, 0, 2)
-    return z
-
-
 def _structured_seeds(b_sub: np.ndarray) -> np.ndarray:
     """Seeds from the Gram geometry: centered label vectors embedded in the
     cone dimension, at a few moment-scale radii; (0 or 3, ell, ell-1)."""
@@ -604,12 +481,9 @@ def search_cb(b: SymMatrix) -> tuple[float, ConicalPartition, PartitionValue]:
     triples, spherical triangles for quadruples), and keeps its best live
     seed.  The iteration is extrapolated under a monotone safeguard (see
     _fixed_point), which cuts its step count, and only its exact images are
-    kept.  Triples are seeded by the six best distinct configurations of a
-    planar aperture grid of ANGLE_GRID steps per turn (one scan of each
-    configuration, on the a1 <= a2 <= a3 domain of _angle_grid), 6 seeds;
-    the grid only picks a basin for the fixed point.  Quadruples are seeded
-    by the Gram geometry, 3 seeds, none when the labels coincide.  Subsets
-    of five or more cells are not searched.
+    kept.  Every triple and quadruple is seeded by its Gram geometry, 3
+    seeds, none when its labels coincide; the seeds only pick a basin for
+    the fixed point.  Subsets of five or more cells are not searched.
     The returned psi is the value of the exact cell moments of one conical
     partition, so a lower bound on C(B); the reported directions B z give
     that partition at a fixed point.  For k >= 4 psi comes with no
@@ -659,17 +533,12 @@ def search_cb(b: SymMatrix) -> tuple[float, ConicalPartition, PartitionValue]:
         z = np.array([[HALFLINE_MOMENT], [-HALFLINE_MOMENT]])
         candidates.append(_Candidate(gap / TWO_PI, next(counter), (i, j), z))
 
-    # l = 3, 4: batched fixed point on exact moments, best live seed kept
-    # (ties to the earliest seed)
-    if k >= 3:
-        grid = _angle_grid(ANGLE_GRID)
+    # l = 3, 4: batched fixed point on exact moments from the Gram geometry,
+    # best live seed kept (ties to the earliest seed)
     for ell in (3, 4):
         for subset in itertools.combinations(range(k), ell):
             b_sub = bc[np.ix_(subset, subset)]
-            if ell == 3:
-                seeds = _angle_grid_candidates(b_sub, grid, top=6)
-            else:
-                seeds = _structured_seeds(b_sub)
+            seeds = _structured_seeds(b_sub)
             z, psi, _, alive = _fixed_point(b_sub, seeds, FP_TOL, POLISH_STEPS)
             if alive.any():
                 best = int(np.argmax(np.where(alive, psi, -np.inf)))

@@ -10,6 +10,8 @@ report.
 
 from __future__ import annotations
 
+import math
+
 from .ball import EnclosingBall, min_enclosing_ball
 from .conic import ConicalPartition, search_cb
 from .errors import DegenerateB, GramclustError, NotCentered, NotPSD
@@ -53,7 +55,10 @@ def _b_half(
     }
     report["approx_ratio"] = r2 / c_est if c_est > 0 else None
     if mu_epsilon is not None:
-        dist = build_mu(ball, mu_epsilon)
+        # mu_epsilon is a share of R(B)^2.  Below the normal range the
+        # product loses precision and the floor keeps an underflowed one
+        # positive: there the gadget is not scale-free
+        dist = build_mu(ball, max(mu_epsilon * r2, math.ulp(0.0)))
         report["hardness"] = {
             "epsilon": mu_epsilon,
             "beta": dist.beta,
@@ -66,8 +71,9 @@ def _b_half(
 
 def analyze_b(b: SymMatrix, mu_epsilon: float | None = 1e-4) -> dict:
     """R(B)^2 and the ball, C(B) and its partition, the approximation ratio
-    R(B)^2 / C(B), and the hardness gadget at ``mu_epsilon`` (left out when
-    it is None or B is degenerate).  Deterministic in B and ``mu_epsilon``."""
+    R(B)^2 / C(B), and the hardness gadget at ``mu_epsilon`` times R(B)^2
+    (left out when it is None or B is degenerate).  Deterministic in B and
+    ``mu_epsilon``."""
     return _b_half(b, mu_epsilon)[0]
 
 

@@ -31,7 +31,6 @@ class Clustering:
     sigma: np.ndarray = field(repr=False)
     value: float = 0.0
     trial_index: int = 0
-    seed: int = 0
 
 
 def clustering_value(a: SymMatrix, b: SymMatrix, sigma) -> float:
@@ -97,13 +96,13 @@ def round_best_of(
     results = []
     for t in range(trials):
         sigma = round_once(x_vectors, partition, _trial_rng(seed, t))
-        results.append(Clustering(sigma, clustering_value(a, b, sigma), t, seed))
+        results.append(Clustering(sigma, clustering_value(a, b, sigma), t))
 
     candidates = list(results)
     for lab in range(k):
         sigma = np.full(n, lab, dtype=int)
         candidates.append(
-            Clustering(sigma, clustering_value(a, b, sigma), trials + lab, seed)
+            Clustering(sigma, clustering_value(a, b, sigma), trials + lab)
         )
     best = max(candidates, key=lambda c: (c.value, c.trial_index))
     return best, [r.value for r in results]

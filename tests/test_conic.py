@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import warnings
@@ -17,10 +18,8 @@ from gramclust import (
     PartitionValue,
     SymMatrix,
     analyze_b,
-    cone_moment_closed_2d,
     formula_bc,
     partition_moments_mc,
-    psi_value,
     radius_squared,
     search_cb,
 )
@@ -59,6 +58,13 @@ class TestClassify:
     def test_distinct_directions_enforced(self):
         with pytest.raises(DimensionMismatch):
             ConicalPartition(k=2, active=(0, 1), directions=np.array([[1.0], [1.0]]))
+
+
+def cone_moment_closed_2d(alpha, bisector):
+    """Exact Gaussian moment of the planar cone of opening alpha: along the
+    bisector, with |z|^2 = sin^2(alpha/2)/(2 pi)."""
+    u = np.asarray(bisector, dtype=float)
+    return math.sin(alpha / 2.0) / math.sqrt(TWO_PI) * u / np.linalg.norm(u)
 
 
 class TestConeMomentClosed2d:
@@ -210,7 +216,8 @@ def spherical_cells_one(w):
 
 def fixed_point_reference(b_sub, z0, fp_tol, max_iters, cells):
     """One seed, one step at a time, extrapolated under the monotone
-    safeguard; returns (alive, best psi)."""
+    safeguard; returns (alive, best psi).  alive: the seed ended on a state
+    whose plain step is valid."""
     y, prev, prev_psi, beta, plain = z0, z0, -np.inf, 0.5, True
     best_psi, alive = -np.inf, False
     ell = len(z0)
@@ -230,18 +237,19 @@ def fixed_point_reference(b_sub, z0, fp_tol, max_iters, cells):
                 and (plain or psi > prev_psi)
             )
         if not ok:
-            if plain:  # a plain step that fails ends the seed
-                break
+            if plain:  # a plain step that fails ends the seed, dead
+                return False, best_psi
             y, plain, beta = prev, True, 0.5 * beta  # step back
             continue
         residual = float(np.max(np.linalg.norm(z_new - y, axis=1)))
+        gain = psi - prev_psi
         if psi > best_psi:
             best_psi, alive = psi, True
         if not plain:
             beta = min(1.0, 1.1 * beta)
         y = z_new + beta * (z_new - prev)
         prev, prev_psi, plain = z_new, psi, False
-        if residual < fp_tol:
+        if residual < fp_tol and gain <= fp_tol * fp_tol * abs(psi):
             break
     return alive, best_psi
 
@@ -311,24 +319,26 @@ class TestBatchedKernels:
     def test_exact_fixed_point_matches_single_seed_loop(self, fp_tol):
         rng = np.random.default_rng(6)
         f = rng.standard_normal((4, 4))
-        b_sub = f @ f.T
         free = rng.normal(scale=0.3, size=(30, 3, 3))
         free[0] = 0.0  # coincident directions
-        seeds = np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1)
-        # a direction inside the hull of the others: an empty cell
         w = rng.standard_normal((4, 3))
-        w[:, 2] = 0.5
-        w[3] = w[:3].mean(axis=0)
-        seeds[1] = np.linalg.solve(b_sub, w)
-        _, psi, _, alive = conic._fixed_point(b_sub, seeds, fp_tol, 60)
-        for s in range(len(seeds)):
-            ref_alive, ref_psi = fixed_point_reference(
-                b_sub, seeds[s], fp_tol, 60, spherical_cells_one
-            )
-            assert alive[s] == ref_alive
-            if ref_alive:
-                assert psi[s] == ref_psi
-        assert not alive[:2].any() and alive[2:].all()
+        # the Wishart B's four-cell optimum degenerates, so every seed ends
+        # on an emptying cell; I_4's is the propeller, which some seeds reach
+        for b_sub, lives in ((f @ f.T, False), (np.eye(4), True)):
+            seeds = np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1)
+            # a direction inside the hull of the others: an empty cell
+            w[:, 2] = 0.5
+            w[3] = w[:3].mean(axis=0)
+            seeds[1] = np.linalg.solve(b_sub, w)
+            _, psi, _, alive = conic._fixed_point(b_sub, seeds, fp_tol, 60)
+            for s in range(len(seeds)):
+                ref_alive, ref_psi = fixed_point_reference(
+                    b_sub, seeds[s], fp_tol, 60, spherical_cells_one
+                )
+                assert alive[s] == ref_alive
+                if np.isfinite(ref_psi):
+                    assert psi[s] == ref_psi
+            assert not alive[:2].any() and alive[2:].any() == lives
 
     def test_no_four_cell_fixed_point_beats_propeller(self):
         # C(I_4) = 9/(8 pi) (Heilman, Jagannath & Naor, arXiv:1112.2993), and
@@ -356,162 +366,60 @@ def simplex_apertures(grid):
     return np.stack([steps[i], steps[j], TWO_PI - steps[i] - steps[j]])
 
 
-def cyclic_moments(apertures, perm=(0, 1, 2)):
-    """Moments of three cyclic planar cells with label perm[s] in slot s,
-    (V, 3, 2)."""
-    beta, mag = conic._slot_geometry(apertures)
+def cyclic_moments(apertures):
+    """Moments of three cyclic planar cells, label s in slot s, (V, 3, 2):
+    cell s has length sin(a_s/2)/sqrt(2 pi) along its bisector."""
+    a1, a2, a3 = apertures
+    beta = np.stack([a1 / 2.0, a1 + a2 / 2.0, a1 + a2 + a3 / 2.0])
+    mag = np.sin(apertures / 2.0) / math.sqrt(TWO_PI)
     slots = mag[:, :, None] * np.stack([np.cos(beta), np.sin(beta)], axis=2)
-    z = np.empty((apertures.shape[1], 3, 2))
-    z[:, list(perm)] = slots.transpose(1, 0, 2)
-    return z
+    return slots.transpose(1, 0, 2)
 
 
-class TestAngleGrid:
-    @pytest.mark.parametrize("grid", [240, 720])
-    def test_best_matches_full_square(self, grid):
-        # the fundamental domain with 6 assignments scans every configuration
-        # of the full square with labels in slot order
-        reference = cyclic_moments(simplex_apertures(grid))
-        domain = conic._angle_grid(grid)
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            f = rng.standard_normal((3, 3))
-            b_sub = f @ f.T
-            best = conic._psi(b_sub, conic._angle_grid_candidates(b_sub, domain, 6)[:1])
-            expected = np.max(conic._psi(b_sub, reference))
-            assert best[0] == pytest.approx(expected, rel=1e-15, abs=0)
+@functools.cache
+def reference_grid_grams(grid):
+    """Moments and Gram matrices z z^T of the full aperture lattice.  With
+    the labels in slot order it reaches every three-cell configuration up to
+    rotation and reflection, which leave psi unchanged."""
+    z = cyclic_moments(simplex_apertures(grid))
+    return z, (z @ z.transpose(0, 2, 1)).reshape(len(z), 9)
 
-    @pytest.mark.parametrize("family", ["wishart", "near-identity", "diagonal"])
-    def test_six_seeds_are_distinct_configurations(self, family):
-        # rotations and reflections leave z z^T unchanged, so equal Gram
-        # matrices mean one configuration seeded twice
-        domain = conic._angle_grid(720)
-        rng = np.random.default_rng(32)
-        for _ in range(20):
-            if family == "wishart":
-                f = rng.standard_normal((3, 3))
-                b_sub = f @ f.T
-            elif family == "near-identity":
-                g = rng.standard_normal((3, 1))
-                b_sub = np.eye(3) + 0.3 * g @ g.T
-            else:
-                b_sub = np.diag(rng.uniform(0.6, 3.0, 3))
-            z = conic._angle_grid_candidates(b_sub, domain, 6)
-            gram = z @ z.transpose(0, 2, 1)
-            for s in range(6):
-                for t in range(s + 1, 6):
-                    assert np.max(np.abs(gram[s] - gram[t])) > 1e-12
 
-    @pytest.mark.parametrize("grid", [12, 13, 240, 720])
-    def test_domain_is_sorted_simplex(self, grid):
-        steps = np.linspace(0.0, TWO_PI, grid + 1)
-        lattice = simplex_lattice(grid)
-        assert lattice.shape[1] == (grid + 1) * (grid + 2) // 2
-        sorted_points = np.unique(np.sort(steps[lattice], axis=0).T, axis=0)
-        apertures, terms, redundant = conic._angle_grid(grid)
-        assert terms.shape == redundant.shape == (6, apertures.shape[1])
-        np.testing.assert_array_equal(np.unique(apertures.T, axis=0), sorted_points)
-        assert len(sorted_points) == apertures.shape[1]
-
-    @pytest.mark.parametrize("grid", [12, 13, 240, 719, 720])
-    def test_lattice_tables_match_direct_construction(self, grid):
-        # the domain in triu order, apertures and terms straight from sin/cos
-        steps = np.linspace(0.0, TWO_PI, grid + 1)
-        i, j = np.triu_indices(grid // 2 + 1)
-        keep = i + 2 * j <= grid
-        expected = steps[np.stack([i[keep], j[keep], grid - i[keep] - j[keep]])]
-        bisectors = np.stack([
-            expected[0] / 2.0,
-            expected[0] + expected[1] / 2.0,
-            expected[0] + expected[1] + expected[2] / 2.0,
-        ])
-        lengths = np.sin(expected / 2.0) / math.sqrt(TWO_PI)
-        direct = np.stack([
-            lengths[s] * lengths[t] * np.cos(bisectors[s] - bisectors[t])
-            for s, t in conic._SLOT_PAIRS
-        ])
-        apertures, terms, _ = conic._angle_grid(grid)
-        np.testing.assert_array_equal(apertures, expected)
-        np.testing.assert_allclose(terms, direct, rtol=0, atol=2e-16)
-
-    def test_candidates_match_full_selection(self):
-        # rank every (assignment, point) pair of the grid: psi descending,
-        # flat index ascending
-        grid = conic._angle_grid(720)
-        apertures, terms, redundant = grid
-        rng = np.random.default_rng(33)
-        blocks = [np.eye(3), np.ones((3, 3)), np.diag([1.0, 1.0, 0.0])]
-        while len(blocks) < 200:
-            f = rng.standard_normal((3, 1 + len(blocks) % 3))  # ranks 1, 2, 3
-            blocks.append(f @ f.T)
-        for b_sub in blocks:
-            coeffs = np.array([
-                [(1.0 if s == t else 2.0) * b_sub[perm[s], perm[t]]
-                 for s, t in conic._SLOT_PAIRS]
-                for perm in conic._SLOT_PERMS
-            ])
-            psi = np.einsum("pr,rv->pv", coeffs, terms)
-            psi[redundant] = -np.inf
-            psi = psi.ravel()
-            flat = np.flatnonzero(psi >= np.partition(psi, -6)[-6])
-            flat = flat[np.lexsort((flat, -psi[flat]))][:6]
-            perm, point = np.divmod(flat, apertures.shape[1])
-            expected = np.stack([
-                cyclic_moments(apertures[:, [v]], conic._SLOT_PERMS[p])[0]
-                for p, v in zip(perm, point)
-            ])
-            np.testing.assert_array_equal(
-                conic._angle_grid_candidates(b_sub, grid, 6), expected
-            )
-
-    @pytest.mark.parametrize("grid", [12, 13, 30])
-    def test_kept_assignments_are_the_distinct_configurations(self, grid):
-        def grams(z):
-            return [tuple(g) for g in np.round(z @ z.transpose(0, 2, 1), 9).reshape(-1, 9)]
-
-        full = simplex_apertures(grid)
-        everything = set()
-        for perm in conic._SLOT_PERMS:
-            everything.update(grams(cyclic_moments(full, perm)))
-        apertures, _, redundant = conic._angle_grid(grid)
-        kept = []
-        for row, perm in enumerate(conic._SLOT_PERMS):
-            kept.extend(grams(cyclic_moments(apertures[:, ~redundant[row]], perm)))
-        assert len(kept) == len(set(kept)) == len(everything)
-        assert set(kept) == everything
+def reference_grid_seeds(b_sub):
+    """The 6 best configurations of the 720-step lattice by psi, best first."""
+    z, grams = reference_grid_grams(720)
+    psi = grams @ b_sub.ravel()
+    best = np.argpartition(-psi, 6)[:6]
+    return z[best[np.lexsort((best, -psi[best]))]]
 
 
 class TestPsiValue:
     def test_zero_moments(self):
-        assert psi_value(SymMatrix.from_array(np.eye(2)), np.zeros((2, 1))) == 0.0
+        assert conic._psi(np.eye(2), np.zeros((1, 2, 1)))[0] == 0.0
 
     def test_identity2_halflines(self):
         z = 1.0 / math.sqrt(TWO_PI)
-        val = psi_value(SymMatrix.from_array(np.eye(2)), [[z], [-z]])
+        val = conic._psi(np.eye(2), np.array([[[z], [-z]]]))[0]
         assert val == pytest.approx(1.0 / math.pi, abs=1e-14)
 
     def test_identity3_propeller(self):
         m = math.sqrt(3.0 / (8.0 * math.pi))
-        moments = [
+        moments = np.array([[
             [m, 0.0],
             [-m / 2.0, m * math.sqrt(3) / 2],
             [-m / 2.0, -m * math.sqrt(3) / 2],
-        ]
-        val = psi_value(SymMatrix.from_array(np.eye(3)), moments)
+        ]])
+        val = conic._psi(np.eye(3), moments)[0]
         assert val == pytest.approx(9.0 / (8.0 * math.pi), abs=1e-14)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            psi_value(SymMatrix.from_array(np.eye(3)), np.zeros((2, 1)))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 5), st.integers(0, 10_000))
     def test_nonnegative_for_psd(self, k, seed):
         rng = np.random.default_rng(seed)
         f = rng.standard_normal((k, k))
-        b = SymMatrix.from_array(f @ f.T)
-        z = rng.standard_normal((k, k - 1))
-        assert psi_value(b, z) >= -1e-10 * max(1.0, np.max(np.abs(b.mat)))
+        b = f @ f.T
+        z = rng.standard_normal((3, k, k - 1))
+        assert np.all(conic._psi(b, z) >= -1e-10 * max(1.0, np.max(np.abs(b))))
 
 
 class TestFormulaBc:
@@ -537,16 +445,16 @@ class TestFormulaBc:
 
 def wide_seed_reference(b):
     """Best psi of a wider seed set than search_cb starts from: per triple
-    the six grid seeds of a 720-step grid, the Gram geometry and a 128-point
-    uniform random net; per quadruple the Gram geometry and a 512-point net;
-    each followed by a polish of the best seed.  Pairs are closed-form."""
+    the six best configurations of the full 720-step aperture lattice, the
+    Gram geometry and a 128-point uniform random net; per quadruple the Gram
+    geometry and a 512-point net; each followed by a polish of the best
+    seed.  Pairs are closed-form."""
     bm = b.mat
     k = len(bm)
     best = max(
         (bm[i, i] - 2.0 * bm[i, j] + bm[j, j]) / TWO_PI
         for i in range(k) for j in range(i + 1, k)
     )
-    grid = conic._angle_grid(720)
     nets = {}
     for ell, count, scale, stream in ((3, 128, 0.45, 11), (4, 512, 0.4, 13)):
         u = np.random.default_rng(stream).random((count, ell - 1, ell - 1))
@@ -559,7 +467,7 @@ def wide_seed_reference(b):
             b_sub = bm[np.ix_(subset, subset)]
             seeds = [conic._structured_seeds(b_sub), net]
             if ell == 3:
-                seeds.insert(0, conic._angle_grid_candidates(b_sub, grid, top=6))
+                seeds.insert(0, reference_grid_seeds(b_sub))
             z, psi, _, alive = conic._fixed_point(b_sub, np.concatenate(seeds), 1e-6, 200)
             if alive.any():
                 top = [int(np.argmax(np.where(alive, psi, -np.inf)))]
@@ -585,11 +493,10 @@ class TestSeedSet:
             calls.clear()
             clear_search_cache()
             search_cb(SymMatrix.from_array(f @ f.T / (k + 3)))
-            # one run per subset: six grid seeds per triple, the three Gram
-            # geometry seeds per quadruple
+            # one run per subset, from the three Gram geometry seeds
             expected = [
-                (ell, seeds, conic.POLISH_STEPS)
-                for ell, seeds in ((3, 6), (4, 3))
+                (ell, 3, conic.POLISH_STEPS)
+                for ell in (3, 4)
                 for _ in range(math.comb(k, ell))
             ]
             assert calls == expected
@@ -701,7 +608,7 @@ class TestSearchCb:
     @pytest.mark.parametrize("name", ["I3", "diag-half", "wishart-0", "wishart-1"])
     def test_b_half_scale_free(self, name, e):
         # B * 4^e scales the Gram vectors by 2^e exactly; every threshold of
-        # the ball and the search is relative to B
+        # the ball, the search and the hardness gadget is relative to B
         rng = np.random.default_rng(5)
         wisharts = [g @ g.T / 6 for g in (rng.standard_normal((4, 6)) for _ in range(2))]
         b = {
@@ -721,6 +628,22 @@ class TestSearchCb:
         )
         assert scaled["ball"]["support"] == base["ball"]["support"]
         assert scaled["cb"]["active"] == base["cb"]["active"]
+        # --mu-epsilon is a share of R(B)^2, so the hardness gadget scales too
+        assert scaled["hardness"]["beta"] == pytest.approx(
+            base["hardness"]["beta"], rel=1e-12
+        )
+        assert scaled["hardness"]["dictatorship_objective"] == pytest.approx(
+            math.ldexp(base["hardness"]["dictatorship_objective"], 2 * e), rel=1e-12
+        )
+
+    def test_hardness_at_subnormal_scale(self):
+        # mu_epsilon * R(B)^2 underflows to 0 here; the gadget still builds,
+        # at epsilon = the smallest positive double instead of 1e-4 R(B)^2
+        b = np.eye(3) * 1e-320
+        report = analyze_b(SymMatrix(b))
+        assert report["degenerate"] is False
+        r2 = report["ball"]["r2"]
+        assert report["hardness"]["beta"] == math.ulp(0.0) / (7.0 * r2)
 
     def test_not_psd(self):
         with pytest.raises(NotPSD):
@@ -743,7 +666,8 @@ class TestSearchCb:
         c_est, part, val = search_cb(b)
         assert c_est <= radius_squared(b) * (1.0 + 1e-9)
         assert np.max(np.abs(val.moments.sum(axis=0))) <= 1e-9
-        assert c_est == pytest.approx(psi_value(b, val.moments, part.active), rel=1e-12)
+        sub = b.mat[np.ix_(part.active, part.active)]
+        assert c_est == pytest.approx(conic._psi(sub, val.moments[None])[0], rel=1e-12)
 
     def test_quadruples_exact_without_pools(self):
         rng = np.random.default_rng(3017)  # a B whose best partition has 4 cells
