@@ -7,6 +7,7 @@ p_i > 0 only for boundary vectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,7 +179,8 @@ def _min_norm_simplex_weights(
     recon = np.linalg.norm(p @ (vectors - center))
     if recon > 10.0 * BALL_TOL * scale or abs(p.sum() - 1.0) > 10.0 * BALL_TOL:
         raise Infeasible(
-            f"no support weights reproduce the center (residual {recon:.3e})"
+            f"no support weights reproduce the center (residual {recon / scale:.3e}"
+            " of the radius)"
         )
     total = p.sum()
     if total > 0:
@@ -196,9 +198,13 @@ def min_enclosing_ball(gram: GramFactor) -> EnclosingBall:
     error of the distances; so B * 4^e gives the same support and weights
     and the radius times 2^e.
     """
-    vectors = gram.vectors
     if gram.k < 1:
         raise ValueError("need at least one vector")
+    # the ball runs on the vectors times 2^-shift, largest entry in [1/2, 1):
+    # the scaling is exact, and the squared distances of a B at the bottom
+    # of the double range no longer underflow
+    shift = math.frexp(float(np.max(np.abs(gram.vectors), initial=0.0)))[1]
+    vectors = np.ldexp(gram.vectors, -shift)
     if gram.ambient_dim == 0:
         # B = 0: every vector is the origin
         center = np.zeros(0)
@@ -217,8 +223,8 @@ def min_enclosing_ball(gram: GramFactor) -> EnclosingBall:
     support = _support_indices(vectors, center, radius, scale)
     weights = _min_norm_simplex_weights(vectors, center, support, scale)
     return EnclosingBall(
-        center=center,
-        radius=float(radius),
+        center=np.ldexp(center, shift),
+        radius=math.ldexp(radius, shift),
         support=tuple(support),
         weights=weights,
         gram=gram,

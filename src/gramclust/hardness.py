@@ -71,7 +71,7 @@ def build_mu(ball: EnclosingBall, epsilon: float) -> LabelDistribution:
     beta = min(BETA_CAP, epsilon / (7.0 * r2))
     mu = (1.0 - beta) * ball.weights + beta / k
     spread = _spread(ball.gram.gram(), mu)
-    assert spread >= r2 - epsilon - 1e-12 * max(1.0, r2), (
+    assert spread >= r2 - epsilon - 1e-12 * r2, (
         f"perturbed spread {spread} fell below {r2} - {epsilon}"
     )
     return LabelDistribution(mu=mu, beta=beta, p=ball.weights.copy())

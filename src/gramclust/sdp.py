@@ -18,24 +18,23 @@ per accepted step, and the lambda computed from it once, serve the step,
 the value sum lambda_i, the residual and the certificate.  The solution's
 ``vectors`` are the transpose, (n, rank) with unit rows.
 
-First-order stationary points are screened with the dual matrix
-S = diag(lambda) - A; S >= 0 certifies global optimality, and for any
-lambda, sum lambda_i + n max(0, -mu_min(S)) is a certified upper bound
-(``dual_upper``).  A restart stops once mu_min(S) >= -cert_tol, decided by
-whether S + cert_tol I has a Cholesky factor (n^3/3 flops).  Only when the
-factorization fails does an eigendecomposition run: its negative
-eigenvector gives a curvilinear ascent direction into a fresh coordinate
-after rank escalation, which appends rows to X; the starting rank
-~sqrt(2n) suffices generically (Boumal, Voroninski & Bandeira 2016).  The
-mu_min in ``dual_upper`` comes from one values-only eigvalsh, run for the
-solution :func:`solve_sdp` returns and for each :func:`ascend_from`
-polish, not for every restart.
+The solver is first-order only: each restart is one ascent at rank
+r = min(n, isqrt(2n - 1) + 2), which has r(r + 1)/2 > n.  Above that
+bound the second-order critical points of the rank-r problem are
+generically global optima (Boumal, Voroninski & Bandeira 2016), and an
+ascent from a random start does not end at a saddle in practice, so
+there is no second-order step and no rank escalation.  Optimality is not
+assumed but certified: for any lambda the dual matrix S = diag(lambda) - A
+gives SDP <= sum lambda_i + n max(0, -mu_min(S)) (``dual_upper``).  Its
+mu_min comes from one values-only eigvalsh, run for the solution
+:func:`solve_sdp` returns and for each :func:`ascend_from` polish.
 
 The solver has no tunables beyond the seed: each solve runs, one after
-the other, RESTARTS random starts at rank min(n, isqrt(2n - 1) + 2), each
-capped at MAX_ITERS ascent steps, and stops at Riemannian gradient
-GRAD_TOL * ||A||_F.  Every threshold is relative to A alone, so the solver
-is scale-free: A * 2^e gives the same iterates, and values times 2^e.
+the other, RESTARTS random starts at rank r, each capped at MAX_ITERS
+ascent steps, and stops at a tenth of the Riemannian gradient
+GRAD_TOL * ||A||_F above which a solve is flagged as not converged.  Every
+threshold is relative to A alone, so the solver is scale-free: A * 2^e
+gives the same iterates, and values times 2^e.
 """
 
 from __future__ import annotations
@@ -75,13 +74,10 @@ _BETA_GROWTH = 1.1
 _BETA_MAX = 1.0
 
 
-def _tolerances(a: np.ndarray) -> tuple[float, float, float]:
-    """(grad_tol, value_tol, cert_tol) of A: the stopping residual, the least
-    value gain that pays for another rank escalation, and the most negative
-    mu_min(S) still certified.  Each is relative to ||A||_F, so A = 0 stops
-    at once with value 0."""
-    fro = float(np.linalg.norm(a))
-    return GRAD_TOL * fro, 1e-8 * fro, 1e-9 * fro
+def _grad_tol(a: np.ndarray) -> float:
+    """The stopping Riemannian gradient of A, relative to ||A||_F, so A = 0
+    stops at once with value 0."""
+    return GRAD_TOL * float(np.linalg.norm(a))
 
 
 def _dots(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -170,22 +166,12 @@ def _ascend(a, x, grad_tol, max_iters):
             value = float(np.sum(lam))
             beta *= 0.5
         # stopping at grad_tol itself leaves mu_min(S) near -1e-8 ||A||_F,
-        # past the certificate's threshold, and costs rank escalations
+        # which widens dual_upper by n times that
         step = x - x_prev
         moved = math.sqrt(float(np.max(_dots(step, step))))
         if moved < 1e-16 or _residual(m, x, lam) <= 0.1 * grad_tol:
             break
     return x, m, lam, iters
-
-
-def _certified(a, lam, cert_tol) -> bool:
-    """Whether mu_min(S) >= -cert_tol for S = diag(lambda) - A, decided up
-    to rounding by a Cholesky factorization of S + cert_tol I."""
-    try:
-        np.linalg.cholesky(np.diag(lam + cert_tol) - a)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def _solution(x, m, lam, iters, grad_tol, restart_index=0):
@@ -214,75 +200,41 @@ def _with_dual_upper(a, sol, lam):
     return replace(sol, dual_upper=sol.value + len(lam) * max(0.0, -mu_min))
 
 
-def _curvilinear_kick(a, x, u, base):
-    """Second-order escape along x_i(t) = cos(u_i t) x_i + sin(u_i t) e_new.
-
-    Appends a fresh row to the (rank, n) X, the new coordinate; f''(0) =
-    -2 u^T S u > 0 so some small t improves the objective ``base``.
-    """
-    best = np.vstack([x, np.zeros((1, x.shape[1]))])
-    best_val = base
-    for t in [2.0 ** (-j) for j in range(0, 22)]:
-        cand = np.vstack([np.cos(u * t) * x, np.sin(u * t)])
-        val = float(np.sum(_dots(cand @ a, cand)))
-        if val > best_val:
-            best_val, best = val, cand
-    return best, best_val > base
-
-
-def _solve_single(a, x0, restart_index):
-    """One restart from the (n, rank) start x0: the solution and the
+def _restart(a, x0, grad_tol, restart_index):
+    """One ascent from the (n, rank) start x0: the solution and the
     multipliers lambda of its last product."""
-    n = len(a)
-    grad_tol, value_tol, cert_tol = _tolerances(a)
     x = _normalize_columns(np.ascontiguousarray(np.asarray(x0, dtype=float).T))
-    iters_total = 0
-    value_prev = -math.inf
-    while True:
-        x, m, lam, iters = _ascend(a, x, grad_tol, MAX_ITERS - iters_total)
-        iters_total += iters
-        if iters_total >= MAX_ITERS or len(x) >= n or _certified(a, lam, cert_tol):
-            break
-        # the kick needs the eigenvector; the eigenvalue settles the rare
-        # case the factorization rejects within rounding of -cert_tol
-        eigs, vecs = np.linalg.eigh(np.diag(lam) - a)
-        if eigs[0] >= -cert_tol:
-            break
-        # escalate rank by two and kick off the saddle along u
-        value = float(np.sum(lam))
-        x_kicked, improved = _curvilinear_kick(a, x, vecs[:, 0], value)
-        if not improved and value - value_prev <= value_tol:
-            break
-        value_prev = value
-        x = _normalize_columns(np.vstack([x_kicked, np.zeros((1, n))]))
-    return _solution(x, m, lam, iters_total, grad_tol, restart_index), lam
+    x, m, lam, iters = _ascend(a, x, grad_tol, MAX_ITERS)
+    return _solution(x, m, lam, iters, grad_tol, restart_index), lam
 
 
 def solve_sdp(a: SymMatrix, seed: int = 0) -> SdpSolution:
     """First-order stationary point of the sphere-constrained relaxation.
 
-    RESTARTS random starts, drawn from ``seed``, run in turn and reduce by
-    (value, restart_index) lexicographic max; the parallel work is BLAS's,
-    inside each product and factorization.  If MAX_ITERS is hit with the
-    Riemannian gradient above tolerance the result is returned flagged
-    (converged False) and a NotConvergedWarning is emitted.
+    RESTARTS random starts at rank min(n, isqrt(2n - 1) + 2), drawn from
+    ``seed``, each ascend in turn and reduce by (value, restart_index)
+    lexicographic max; the parallel work is BLAS's, inside each product and
+    the eigvalsh.  If MAX_ITERS is hit with the Riemannian gradient above
+    tolerance the result is returned flagged (converged False) and a
+    NotConvergedWarning is emitted.
     """
     if not validate_psd(a):
         raise NotPSD("data matrix is not PSD")
     rng = np.random.default_rng(seed)
     n = a.dim
     mat = a.mat
-    grad_tol, _, cert_tol = _tolerances(mat)
+    grad_tol = _grad_tol(mat)
     rank0 = min(n, math.isqrt(2 * n - 1) + 2)
 
     starts = [rng.standard_normal((n, rank0)) for _ in range(RESTARTS)]
-    solutions = [_solve_single(mat, x0, r) for r, x0 in enumerate(starts)]
+    solutions = [_restart(mat, x0, grad_tol, r) for r, x0 in enumerate(starts)]
     best, lam = max(solutions, key=lambda s: (s[0].value, s[0].restart_index))
 
     # the identity Gram is feasible with value tr(A); fall back to ascending
-    # from it if every restart somehow landed below that floor
-    if best.value < float(np.trace(mat)) - cert_tol:
-        fallback = _solve_single(mat, np.eye(n), len(starts))
+    # from it, at rank n, if every restart landed below that floor by more
+    # than 1e-9 ||A||_F
+    if best.value < float(np.trace(mat)) - 1e-2 * grad_tol:
+        fallback = _restart(mat, np.eye(n), grad_tol, len(starts))
         if fallback[0].value > best.value:
             best, lam = fallback
 
@@ -300,10 +252,10 @@ def ascend_from(a: SymMatrix, vectors: np.ndarray) -> SdpSolution:
 
     Used for the lower-bound chain: the Gram system of any clustering,
     (v_sigma(i) - w(B)) / R(B), is feasible, and ascending from it can only
-    increase the value.  Runs at most MAX_ITERS steps, without escalation.
+    increase the value.  Runs at most MAX_ITERS steps at the rank d.
     """
     mat = a.mat
-    grad_tol = _tolerances(mat)[0]
+    grad_tol = _grad_tol(mat)
     # do not pre-normalize: the first ascent step from the interior point
     # already lands on the spheres without decreasing the value
     x0 = np.ascontiguousarray(np.asarray(vectors, dtype=float).T)

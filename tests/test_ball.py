@@ -9,6 +9,7 @@ import gramclust.ball as ball_mod
 from gramclust import (
     GramFactor,
     SymMatrix,
+    analyze_b,
     gram_factorize,
     min_enclosing_ball,
     radius_squared,
@@ -96,6 +97,13 @@ class TestMinEnclosingBall:
     def test_duplicate_points(self):
         ball = min_enclosing_ball(factor([[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]))
         assert ball.radius == pytest.approx(0.5, abs=1e-12)
+
+    def test_subnormal_b_reports(self):
+        # the Gram vectors are about 1e-159 long, so their squared distances
+        # underflow unless the ball runs on the vectors scaled to unit size
+        report = analyze_b(SymMatrix(np.diag([1.0, 1.0, 0.25]) * 1e-318))
+        assert report["degenerate"] is False
+        assert report["ball"]["r2"] == pytest.approx(0.5208333e-318, rel=1e-5)
 
 
 class TestSupportWeights:

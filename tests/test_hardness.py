@@ -14,6 +14,7 @@ from gramclust import (
     gram_factorize,
     min_enclosing_ball,
 )
+from gramclust import hardness
 
 BC2 = SymMatrix.from_array(np.diag([1.0, 1.0, 2.0]))
 
@@ -63,6 +64,16 @@ class TestBuildMu:
     def test_epsilon_positive(self):
         with pytest.raises(ValueError):
             build_mu(ball_of(BC2), 0.0)
+
+    def test_spread_check_relative_at_small_scale(self, monkeypatch):
+        # R(B)^2 is about 8e-22 here, far below an absolute floor of 1e-12
+        ball = ball_of(SymMatrix(BC2.mat * 4.0**-35))
+        r2 = ball.radius**2
+        epsilon = 0.01 * r2
+        assert build_mu(ball, epsilon).beta == pytest.approx(0.01 / 7.0, rel=1e-9)
+        monkeypatch.setattr(hardness, "_spread", lambda b, w: r2 - epsilon - 1e-9 * r2)
+        with pytest.raises(AssertionError):
+            build_mu(ball, epsilon)
 
 
 class TestBuildBasis:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -18,14 +19,14 @@ from gramclust import (
     validate_psd,
 )
 from gramclust import sdp
-from gramclust.sdp import _ascend, _normalize_columns, _plain_step, _solve_single
+from gramclust.sdp import _ascend, _normalize_columns, _plain_step
 
 ANTIPODAL = SymMatrix.from_array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def start(x0):
-    """The (rank, n) iterate of the (n, rank) start x0, as _solve_single
-    makes it: transposed, C-contiguous, unit columns."""
+    """The (rank, n) iterate of the (n, rank) start x0, as a solve_sdp
+    restart makes it: transposed, C-contiguous, unit columns."""
     return _normalize_columns(np.ascontiguousarray(x0.T))
 
 
@@ -106,11 +107,13 @@ def plain_ascent_value(mat, x, tol, max_iters=100_000):
 
 
 def dense_reference(mat, restarts, seed):
-    """Best of ``restarts`` single solves from full-rank random starts."""
+    """Best of ``restarts`` ascents from full-rank random starts."""
     rng = np.random.default_rng(seed)
     n = len(mat)
+    grad_tol = sdp._grad_tol(mat)
     return max(
-        _solve_single(mat, rng.standard_normal((n, n)), r)[0].value for r in range(restarts)
+        float(np.sum(_ascend(mat, start(rng.standard_normal((n, n))), grad_tol, sdp.MAX_ITERS)[2]))
+        for _ in range(restarts)
     )
 
 
@@ -144,14 +147,6 @@ class TestSolveSdp:
             sol = solve_sdp(a, seed=seed)
             assert sol.value >= float(np.trace(a.mat)) - 1e-7 * np.linalg.norm(a.mat)
             assert sol.value >= 0.0
-
-    def test_escalation_from_rank_one(self):
-        # a rank-one start forces the +2 escalation path; the value must
-        # still reach the reference optimum
-        a = random_centered_psd(7, np.random.default_rng(31))
-        low = _solve_single(a.mat, np.random.default_rng(31).standard_normal((7, 1)), 0)[0]
-        assert low.rank > 1
-        assert low.value == pytest.approx(dense_reference(a.mat, 8, 32), rel=1e-6)
 
     def test_matches_dense_multirestart_reference(self):
         # convexity: spurious strict local maxima are rank-deficient, so a
@@ -226,70 +221,55 @@ class TestSolveSdp:
         np.testing.assert_array_equal(s1.vectors, s2.vectors)
 
 
-def eigh_certified(a, lam, cert_tol):
-    """The certificate before the Cholesky screen: the full eigendecomposition
-    of S = diag(lambda) - A, and mu_min(S) >= -cert_tol."""
-    return bool(np.linalg.eigh(np.diag(lam) - a)[0][0] >= -cert_tol)
+def laplacian(n, edges):
+    adj = np.zeros((n, n))
+    for i, j in edges:
+        adj[i, j] = adj[j, i] = 1.0
+    return np.diag(adj.sum(axis=1)) - adj
 
 
-def eigh_dual_upper(a, sol):
-    x = sol.vectors
-    lam = np.sum((a @ x) * x, axis=1)
-    mu_min = float(np.linalg.eigh(np.diag(lam) - a)[0][0])
-    return sol.value + len(x) * max(0.0, -mu_min)
+def start_rank_cases():
+    """Centered PSD A, named for the test ids: graph Laplacians, I - J/n
+    and random A."""
+    cases = {}
+    for n in (8, 12, 30):
+        half = n // 2
+        cases[f"cycle-{n}"] = laplacian(n, [(i, (i + 1) % n) for i in range(n)])
+        cases[f"path-{n}"] = laplacian(n, [(i, i + 1) for i in range(n - 1)])
+        cases[f"star-{n}"] = laplacian(n, [(0, i) for i in range(1, n)])
+        cases[f"complete-{n}"] = laplacian(n, itertools.combinations(range(n), 2))
+        cases[f"bipartite-{n}"] = laplacian(
+            n, [(i, half + j) for i in range(half) for j in range(half)]
+        )
+        cases[f"centering-{n}"] = np.eye(n) - 1.0 / n
+    for d in (3, 4, 5):
+        edges = [(i, i ^ (1 << b)) for i in range(2**d) for b in range(d) if i < i ^ (1 << b)]
+        cases[f"hypercube-{d}"] = laplacian(2**d, edges)
+    for n in range(4, 41):
+        cases[f"random-{n}"] = random_centered_psd(n, np.random.default_rng([n, 23])).mat
+    return cases
+
+
+START_RANK_CASES = start_rank_cases()
 
 
 class TestCertificate:
-    @pytest.mark.parametrize("n, seed", [(60, 0), (100, 0), (150, 0)])
-    def test_matches_eigh_certificate(self, monkeypatch, n, seed):
-        a = random_centered_psd(n, np.random.default_rng([n, seed]))
-        sol = solve_sdp(a, seed=seed)
-        with monkeypatch.context() as patch:
-            patch.setattr(sdp, "_certified", eigh_certified)
-            ref = solve_sdp(a, seed=seed)
-        assert (sol.value, sol.rank, sol.iterations) == (ref.value, ref.rank, ref.iterations)
-        assert sol.vectors.tobytes() == ref.vectors.tobytes()
-        assert sol.dual_upper == pytest.approx(eigh_dual_upper(a.mat, ref), rel=1e-13)
-
-    def test_eigendecomposition_only_to_escalate(self, monkeypatch):
-        # n = 120 at this seed escalates twice over its four restarts
-        a = random_centered_psd(120, np.random.default_rng([120, 2]))
-        assert validate_psd(a)  # fills the cached spectrum before the spy
-        calls = {"eigh": 0, "eigvalsh": 0, "kick": 0}
-
-        def spy(name, fn):
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return counted
-
-        monkeypatch.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh))
-        monkeypatch.setattr(sdp, "_curvilinear_kick", spy("kick", sdp._curvilinear_kick))
-        sol = solve_sdp(a, seed=2)
-        assert calls["kick"] >= 2
-        assert calls["eigh"] == calls["kick"]
-        assert calls["eigvalsh"] == 1
-        assert sol.dual_upper - sol.value <= 1e-8 * sol.value
-
     def test_zero_matrix_certified_without_escalation(self):
-        # cert_tol is 0 and S = 0 has no Cholesky factor, but mu_min = 0
-        # certifies it: the start rank stays
+        # S = 0 has mu_min = 0, so dual_upper is exactly the value 0, at the
+        # start rank
         sol = solve_sdp(SymMatrix.from_array(np.zeros((10, 10))), seed=0)
         assert (sol.value, sol.rank, sol.dual_upper) == (0.0, 6, 0.0)
 
-    @pytest.mark.parametrize("n", [5, 40, 120])
-    @pytest.mark.parametrize("factor", [10.0, 0.5, -0.5, -10.0])
-    def test_cholesky_agrees_with_mu_min(self, n, factor):
-        a = random_centered_psd(n, np.random.default_rng(n)).mat
-        cert_tol = sdp._tolerances(a)[2]
-        lam = np.sum(a, axis=1) ** 2
-        # shifting lambda by a constant shifts every eigenvalue of S by it
-        lam += factor * cert_tol - np.linalg.eigvalsh(np.diag(lam) - a)[0]
-        mu_min = np.linalg.eigvalsh(np.diag(lam) - a)[0]
-        assert mu_min == pytest.approx(factor * cert_tol, rel=0.01)
-        assert sdp._certified(a, lam, cert_tol) == (mu_min >= -cert_tol)
-        assert sdp._certified(a, lam, cert_tol) == (factor > -1.0)
+    @pytest.mark.parametrize("name", sorted(START_RANK_CASES))
+    def test_start_rank_reaches_optimum(self, name):
+        # r(r + 1)/2 > n at the start rank r, so an ascent there reaches the
+        # full-rank optimum and the dual certificate closes on it
+        mat = START_RANK_CASES[name]
+        n = len(mat)
+        sol = solve_sdp(SymMatrix.from_array(mat), seed=n)
+        assert sol.value == pytest.approx(dense_reference(mat, 4, n + 1), rel=1e-9)
+        assert sol.dual_upper - sol.value <= 1e-7 * sol.value
+        assert sol.rank == min(n, math.isqrt(2 * n - 1) + 2)
 
 
 class TestAscent:
@@ -384,7 +364,7 @@ class TestCoordinateFirstLayout:
         assert sol.vectors.shape == (n, d)
         np.testing.assert_allclose(np.linalg.norm(sol.vectors, axis=1), 1.0, atol=1e-12)
         assert sol.value >= float(np.sum((a.mat @ vectors) * vectors))
-        grad_tol = sdp._tolerances(a.mat)[0]
+        grad_tol = sdp._grad_tol(a.mat)
         x_ref, _, _ = row_major_ascend(a.mat, vectors, grad_tol, sdp.MAX_ITERS)
         ref = float(np.sum((a.mat @ x_ref) * x_ref))
         assert sol.value == pytest.approx(ref, rel=1e-12)
