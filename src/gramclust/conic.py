@@ -4,25 +4,26 @@ A partition is given by distinct direction vectors w_j; cell j is the cone
 where <x, w_j> is maximal.  Its quality is the quadratic form
 psi = sum_{ij} b_ij <z_i, z_j> over the cells' Gaussian first moments z_j,
 and C(B) is the supremum of psi over all measurable partitions, attained
-by such conical ones.  The search below is closed-form for pairs and a
-seeded fixed point on exact moments for triples and quadruples, each
-started from the subset's Gram geometry (three seeds).  Its constants are
-fixed and it draws nothing at random, so C(B) depends on B alone.
+by such conical ones.  The search below runs a fixed point on exact
+moments over every subset of 2, 3 and 4 labels, each subset from one
+seed, its Gram geometry.  Its constants are fixed and it draws nothing at
+random, so C(B) depends on B alone.
 
-The fixed-point map z -> moments(cells of B z) runs for all seeds of one
-active subset at once: the seeds form an (S, l, l-1) array, one array step
-advances every live seed, and each seed keeps its own stopping rules and
-best state as masks.  Each step maps a point extrapolated from the seed's
-last two images, under a monotone safeguard that falls back to the plain
-step and keeps only exact images.  Each subset runs once, up to
-POLISH_STEPS steps, and keeps its best seed that did not end on an
-emptying cell (such a seed is covered by a smaller subset, and its last
-state is no fixed point).  Cell moments are exact
-up to cone dimension 3: two half-lines, closed-form arcs in the plane, and
-spherical triangles in dimension 3 by the divergence identity.  No search
-and no residual goes above cone dimension 3; the Monte-Carlo
-partition_moments_mc is a separate cross-check on a default_rng Gaussian
-pool.
+The fixed-point map z -> moments(cells of B z) runs for many subsets of
+one size at once: their matrices form an (S, l, l) array and their seeds
+an (S, l, l-1) array, one array step advances every live seed, and each
+seed keeps its own stopping rules and best state as masks.  Each step maps
+a point extrapolated from the seed's last two images, under a monotone
+safeguard that falls back to the plain step and keeps only exact images.
+The search runs one such batch per block of SEARCH_BLOCK subsets, up to
+POLISH_STEPS steps, and keeps a subset only at a verified fixed point: its
+seed ended alive with a residual below FP_TOL (a seed that ends on an
+emptying cell is covered by a smaller subset, and its last state is no
+fixed point).  Cell moments are exact up to cone dimension 3: two
+half-lines, closed-form arcs in the plane, and spherical triangles in
+dimension 3 by the divergence identity.  No search and no residual goes
+above cone dimension 3; the Monte-Carlo partition_moments_mc is a
+separate cross-check on a default_rng Gaussian pool.
 
 Labels are 0-based throughout.
 """
@@ -48,7 +49,8 @@ SPHERE_CONST = TWO_PI ** -1.5
 EMPTY_CELL_MASS = 1e-6
 DEFAULT_MC_SAMPLES = 200_000
 FP_TOL = 1e-6  # fixed-point residual at which a seed stops
-POLISH_STEPS = 2000  # step cap of the fixed point over a subset's seeds
+POLISH_STEPS = 2000  # step cap of the fixed point over a block's seeds
+SEARCH_BLOCK = 2048  # subsets per batched fixed point: bounds memory alone
 
 
 @dataclass(frozen=True)
@@ -289,7 +291,7 @@ def _psi(b_sub: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# fixed-point iteration z -> moments(P(B z)), all seeds of a subset at once
+# fixed-point iteration z -> moments(P(B z)), many seeds at once
 
 
 def _fixed_point(
@@ -298,7 +300,8 @@ def _fixed_point(
     fp_tol: float,
     max_iters: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Iterate the self-consistency map from S seeds z0 (S, l, l-1) together.
+    """Iterate the self-consistency map from S seeds z0 (S, l, l-1) together,
+    seed s under its own matrix b_sub[s] (S, l, l).
 
     Returns per-seed arrays (moments, psi, residual, alive).  The map
     z -> moments(cells of B z) is the conditional-gradient step for the
@@ -329,10 +332,10 @@ def _fixed_point(
     best_z = y.copy()
     best_psi = np.full(len(y), -np.inf)
     residual = np.full(len(y), np.inf)
-    # per live seed: its index, the point y it maps next, its last accepted
-    # image (the seed itself before the first step) and that image's psi,
-    # its beta, and whether y is that image, a plain step
-    seeds = np.arange(len(y))
+    # per live seed: its index, its matrix, the point y it maps next, its
+    # last accepted image (the seed itself before the first step) and that
+    # image's psi, its beta, and whether y is that image, a plain step
+    seeds, b = np.arange(len(y)), b_sub
     prev = y.copy()
     prev_psi = np.full(len(y), -np.inf)
     beta = np.full(len(y), _BETA_START)
@@ -340,10 +343,10 @@ def _fixed_point(
     for _ in range(max_iters):
         if seeds.size == 0:
             break
-        w = b_sub @ y
+        w = b @ y
         pos = np.flatnonzero(_directions_distinct(w))
         z_new, masses = _cells(w[pos])
-        psi = _psi(b_sub, z_new)
+        psi = _psi(b[pos], z_new)
         # moments of a partition sum to 0; exact cells reach about 1e-16, so
         # a larger sum marks near-coplanar directions whose cells are wrong
         # and whose psi need not be a lower bound on C(B)
@@ -376,11 +379,11 @@ def _fixed_point(
         keep = plain.copy()
         keep[pos] = ~((res < fp_tol) & (gain <= fp_tol * fp_tol * np.abs(psi)))
         if not keep.all():
-            seeds, y, prev = seeds[keep], y[keep], prev[keep]
+            seeds, b, y, prev = seeds[keep], b[keep], y[keep], prev[keep]
             prev_psi, beta, plain = prev_psi[keep], beta[keep], plain[keep]
     alive = np.isfinite(residual)
     never = np.isneginf(best_psi)
-    best_psi[never] = _psi(b_sub, best_z[never])
+    best_psi[never] = _psi(b_sub[never], best_z[never])
     return best_z, best_psi, residual, alive
 
 
@@ -398,7 +401,7 @@ def fixed_point_residual(
     if partition.ell <= 1:
         return 0.0
     sub = b.mat[np.ix_(partition.active, partition.active)]
-    return float(_fixed_point(sub, value.moments[None], 0.0, 1)[2][0])
+    return float(_fixed_point(sub[None], value.moments[None], 0.0, 1)[2][0])
 
 
 # ---------------------------------------------------------------------------
@@ -441,21 +444,26 @@ def _canonical_label_order(b: np.ndarray) -> np.ndarray:
     return np.array([i for *_, i in sorted(keys)], dtype=int)
 
 
-def _structured_seeds(b_sub: np.ndarray) -> np.ndarray:
-    """Seeds from the Gram geometry: centered label vectors embedded in the
-    cone dimension, at a few moment-scale radii; (0 or 3, ell, ell-1)."""
-    ell = len(b_sub)
+def _structured_seeds(b_sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One seed per subset from its Gram geometry: the centered label
+    vectors of each matrix of the stack b_sub (S, l, l), embedded in the
+    cone dimension with largest norm 1/4.  Returns the (S, l, l-1) seeds and
+    the (S,) mask of the subsets whose labels do not all coincide.  Cells
+    of B z do not change when z is scaled, so the radius enters only the
+    first extrapolation."""
+    ell = b_sub.shape[1]
     ones = np.ones(ell) / ell
-    centered = b_sub - np.outer(ones @ b_sub, np.ones(ell))
-    centered = centered - np.outer(np.ones(ell), b_sub @ ones) + (ones @ b_sub @ ones)
-    eigs, vecs = np.linalg.eigh((centered + centered.T) / 2.0)
-    idx = np.argsort(eigs)[::-1][: ell - 1]
-    coords = vecs[:, idx] * np.sqrt(np.clip(eigs[idx], 0.0, None))
-    norm = float(np.max(np.linalg.norm(coords, axis=1)))
-    if norm < 1e-12:
-        return np.zeros((0, ell, ell - 1))
-    base = coords / norm
-    return np.array([base * s for s in (0.12, 0.25, 0.4)])
+    col, row = ones @ b_sub, b_sub @ ones
+    centered = b_sub - col[:, :, None] - row[:, None, :] + (col @ ones)[:, None, None]
+    eigs, vecs = np.linalg.eigh((centered + centered.transpose(0, 2, 1)) / 2.0)
+    # eigh sorts ascending: the top l-1 in descending order
+    eigs, vecs = eigs[:, :0:-1], vecs[:, :, :0:-1]
+    coords = vecs * np.sqrt(np.clip(eigs, 0.0, None))[:, None, :]
+    norm = np.sqrt((coords * coords).sum(axis=2)).max(axis=1)
+    # below this B z is rounding noise, and psi <= R(B_S)^2 <= norm^2 falls
+    # short of the best pair of any non-degenerate B / 4^s (R^2 >= 1e-12)
+    live = norm > 5e-8
+    return coords / np.where(live, norm, 1.0)[:, None, None] * 0.25, live
 
 
 def _unit_scale_shift(b: np.ndarray) -> int:
@@ -464,33 +472,26 @@ def _unit_scale_shift(b: np.ndarray) -> int:
     return (math.frexp(top)[1] - 1) // 2 if top > 0.0 else 0
 
 
-@dataclass
-class _Candidate:
-    psi: float
-    index: int
-    active: tuple[int, ...]
-    moments: np.ndarray
-
-
 def search_cb(b: SymMatrix) -> tuple[float, ConicalPartition, PartitionValue]:
     """Estimate C(B) and the partition attaining it.
 
-    Exhausts active subsets by size: pairs are closed-form, and each triple
-    and quadruple runs one batched fixed-point iteration over all its seeds
-    for up to POLISH_STEPS steps, on exact cell moments (planar arcs for
-    triples, spherical triangles for quadruples), and keeps its best live
-    seed.  The iteration is extrapolated under a monotone safeguard (see
+    Exhausts active subsets by size l = 2, 3, 4.  Each subset starts from
+    one seed, its Gram geometry, none when its labels coincide; the seed
+    only picks a basin for the fixed point.  Each block of up to
+    SEARCH_BLOCK subsets of one size runs one batched fixed-point iteration
+    for up to POLISH_STEPS steps, on exact cell moments (half-lines for
+    pairs, planar arcs for triples, spherical triangles for quadruples).
+    The iteration is extrapolated under a monotone safeguard (see
     _fixed_point), which cuts its step count, and only its exact images are
-    kept.  Every triple and quadruple is seeded by its Gram geometry, 3
-    seeds, none when its labels coincide; the seeds only pick a basin for
-    the fixed point.  Subsets of five or more cells are not searched.
-    The returned psi is the value of the exact cell moments of one conical
-    partition, so a lower bound on C(B); the reported directions B z give
-    that partition at a fixed point.  For k >= 4 psi comes with no
-    optimality claim (heuristic flag set).  mc_stderr is 0 for every k.
-    Nothing is drawn at random and candidates reduce by (psi, index)
-    lexicographic max, so the result depends on B alone, and it is cached
-    per B.
+    kept.  A subset counts only at a verified fixed point: its seed ended
+    alive with a residual below FP_TOL.  Subsets of five or more cells are
+    not searched.  The returned psi is the value of the exact cell moments
+    of one conical partition, so a lower bound on C(B); the reported
+    directions B z give that partition at a fixed point.  For k >= 4 psi
+    comes with no optimality claim (heuristic flag set).  mc_stderr is 0
+    for every k.  Nothing is drawn at random, each seed runs alone whatever
+    its block, and subsets reduce by (psi, position) lexicographic max, so
+    the result depends on B alone, and it is cached per B.
 
     The search runs on B / 4^s, whose largest diagonal entry lies in
     [1, 4).  A power of 4 scales psi, R(B)^2 and the directions exactly and
@@ -519,39 +520,30 @@ def search_cb(b: SymMatrix) -> tuple[float, ConicalPartition, PartitionValue]:
     perm = _canonical_label_order(b.mat)
     bc = np.ldexp(b.mat[np.ix_(perm, perm)], -2 * shift)
 
-    candidates: list[_Candidate] = []
-    counter = itertools.count()
-
     # l = 1: the whole space, psi = 0.  Baseline for degenerate instances.
-    candidates.append(_Candidate(0.0, next(counter), (0,), np.zeros((1, 0))))
-
-    # l = 2: two half-lines; max over measurable 2-cell partitions is exact.
-    for i, j in itertools.combinations(range(k), 2):
-        gap = bc[i, i] - 2.0 * bc[i, j] + bc[j, j]  # ||v_i - v_j||^2
-        if gap <= 1e-14:
-            continue
-        z = np.array([[HALFLINE_MOMENT], [-HALFLINE_MOMENT]])
-        candidates.append(_Candidate(gap / TWO_PI, next(counter), (i, j), z))
-
-    # l = 3, 4: batched fixed point on exact moments from the Gram geometry,
-    # best live seed kept (ties to the earliest seed)
-    for ell in (3, 4):
-        for subset in itertools.combinations(range(k), ell):
-            b_sub = bc[np.ix_(subset, subset)]
-            seeds = _structured_seeds(b_sub)
-            z, psi, _, alive = _fixed_point(b_sub, seeds, FP_TOL, POLISH_STEPS)
-            if alive.any():
-                best = int(np.argmax(np.where(alive, psi, -np.inf)))
-                candidates.append(
-                    _Candidate(float(psi[best]), next(counter), subset, z[best])
-                )
-
-    best = max(candidates, key=lambda c: (c.psi, c.index))
+    best_psi, best_active, best_z = 0.0, (0,), np.zeros((1, 0))
+    # l = 2, 3, 4: one batched fixed point per block of subsets; a subset
+    # counts only at a verified fixed point, and ties go to the later one
+    for ell in (2, 3, 4):
+        subsets = itertools.combinations(range(k), ell)
+        while block := list(itertools.islice(subsets, SEARCH_BLOCK)):
+            idx = np.array(block)
+            b_sub = bc[idx[:, :, None], idx[:, None, :]]
+            seeds, live = _structured_seeds(b_sub)
+            if not live.any():
+                continue
+            idx, b_sub = idx[live], b_sub[live]
+            z, psi, residual, _ = _fixed_point(b_sub, seeds[live], FP_TOL, POLISH_STEPS)
+            # a dead seed's residual is inf
+            psi = np.where(residual < FP_TOL, psi, -np.inf)
+            last = len(psi) - 1 - int(np.argmax(psi[::-1]))
+            if psi[last] >= best_psi:
+                best_psi, best_active, best_z = float(psi[last]), tuple(idx[last]), z[last]
 
     # map canonical labels back to the caller's ordering
-    active_orig = sorted(int(perm[a]) for a in best.active)
-    reorder = np.argsort([int(perm[a]) for a in best.active])
-    moments = best.moments[reorder]
+    active_orig = sorted(int(perm[a]) for a in best_active)
+    reorder = np.argsort([int(perm[a]) for a in best_active])
+    moments = best_z[reorder]
     b_sub_orig = b.mat[np.ix_(active_orig, active_orig)]
     ell = len(active_orig)
     if ell == 1:
@@ -559,7 +551,7 @@ def search_cb(b: SymMatrix) -> tuple[float, ConicalPartition, PartitionValue]:
     else:
         directions = b_sub_orig @ moments
     partition = ConicalPartition(k=k, active=tuple(active_orig), directions=directions)
-    psi = math.ldexp(best.psi, 2 * shift)
+    psi = math.ldexp(best_psi, 2 * shift)
     value = PartitionValue(
         moments=moments,
         psi=psi,

@@ -322,23 +322,29 @@ class TestBatchedKernels:
         free = rng.normal(scale=0.3, size=(30, 3, 3))
         free[0] = 0.0  # coincident directions
         w = rng.standard_normal((4, 3))
+        # a direction inside the hull of the others: an empty cell
+        w[:, 2] = 0.5
+        w[3] = w[:3].mean(axis=0)
         # the Wishart B's four-cell optimum degenerates, so every seed ends
         # on an emptying cell; I_4's is the propeller, which some seeds reach
-        for b_sub, lives in ((f @ f.T, False), (np.eye(4), True)):
-            seeds = np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1)
-            # a direction inside the hull of the others: an empty cell
-            w[:, 2] = 0.5
-            w[3] = w[:3].mean(axis=0)
-            seeds[1] = np.linalg.solve(b_sub, w)
-            _, psi, _, alive = conic._fixed_point(b_sub, seeds, fp_tol, 60)
-            for s in range(len(seeds)):
+        matrices, lives = [f @ f.T, np.eye(4)], [False, True]
+        seeds = np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1)
+        seeds = np.stack([seeds, seeds])
+        for b_sub, z in zip(matrices, seeds):
+            z[1] = np.linalg.solve(b_sub, w)
+        # one call, each seed under its own matrix
+        stack = np.repeat(np.array(matrices), 30, axis=0)
+        _, psi, _, alive = conic._fixed_point(stack, seeds.reshape(60, 4, 3), fp_tol, 60)
+        psi, alive = psi.reshape(2, 30), alive.reshape(2, 30)
+        for m, b_sub in enumerate(matrices):
+            for s in range(30):
                 ref_alive, ref_psi = fixed_point_reference(
-                    b_sub, seeds[s], fp_tol, 60, spherical_cells_one
+                    b_sub, seeds[m, s], fp_tol, 60, spherical_cells_one
                 )
-                assert alive[s] == ref_alive
+                assert alive[m, s] == ref_alive
                 if np.isfinite(ref_psi):
-                    assert psi[s] == ref_psi
-            assert not alive[:2].any() and alive[2:].any() == lives
+                    assert psi[m, s] == ref_psi
+            assert not alive[m, :2].any() and alive[m, 2:].any() == lives[m]
 
     def test_no_four_cell_fixed_point_beats_propeller(self):
         # C(I_4) = 9/(8 pi) (Heilman, Jagannath & Naor, arXiv:1112.2993), and
@@ -346,7 +352,8 @@ class TestBatchedKernels:
         rng = np.random.default_rng(11)
         free = rng.normal(scale=0.3, size=(500, 3, 3))
         seeds = np.concatenate([free, -free.sum(axis=1, keepdims=True)], axis=1)
-        _, psi, _, alive = conic._fixed_point(np.eye(4), seeds, 1e-9, 400)
+        stack = np.broadcast_to(np.eye(4), (len(seeds), 4, 4))
+        _, psi, _, alive = conic._fixed_point(stack, seeds, 1e-9, 400)
         assert alive.sum() >= 100
         assert np.max(psi[alive]) <= 9.0 / (8.0 * math.pi) + 1e-12
 
@@ -465,13 +472,15 @@ def wide_seed_reference(b):
     for ell, net in nets.items():
         for subset in itertools.combinations(range(k), ell):
             b_sub = bm[np.ix_(subset, subset)]
-            seeds = [conic._structured_seeds(b_sub), net]
+            gram, live = conic._structured_seeds(b_sub[None])
+            seeds = np.concatenate([gram[live], net])
             if ell == 3:
-                seeds.insert(0, reference_grid_seeds(b_sub))
-            z, psi, _, alive = conic._fixed_point(b_sub, np.concatenate(seeds), 1e-6, 200)
+                seeds = np.concatenate([reference_grid_seeds(b_sub), seeds])
+            stack = np.broadcast_to(b_sub, (len(seeds), ell, ell))
+            z, psi, _, alive = conic._fixed_point(stack, seeds, 1e-6, 200)
             if alive.any():
                 top = [int(np.argmax(np.where(alive, psi, -np.inf)))]
-                _, psi, _, alive = conic._fixed_point(b_sub, z[top], 1e-6, 2000)
+                _, psi, _, alive = conic._fixed_point(b_sub[None], z[top], 1e-6, 2000)
                 if alive[0]:
                     best = max(best, psi[0])
     return best
@@ -483,33 +492,38 @@ class TestSeedSet:
         fixed_point = conic._fixed_point
 
         def recording(b_sub, z0, fp_tol, max_iters):
-            calls.append((len(b_sub), len(z0), max_iters))
+            ell = z0.shape[1]
+            assert b_sub.shape == (len(z0), ell, ell)
+            calls.append((ell, len(z0), max_iters))
             return fixed_point(b_sub, z0, fp_tol, max_iters)
 
         monkeypatch.setattr(conic, "_fixed_point", recording)
         rng = np.random.default_rng(21)
-        for k in (4, 5):
+        for k, size in ((4, conic.SEARCH_BLOCK), (5, conic.SEARCH_BLOCK), (5, 4)):
+            monkeypatch.setattr(conic, "SEARCH_BLOCK", size)
             f = rng.standard_normal((k, k + 3))
             calls.clear()
             clear_search_cache()
             search_cb(SymMatrix.from_array(f @ f.T / (k + 3)))
-            # one run per subset, from the three Gram geometry seeds
-            expected = [
-                (ell, 3, conic.POLISH_STEPS)
-                for ell in (3, 4)
-                for _ in range(math.comb(k, ell))
-            ]
+            # one run per size and block, one Gram geometry seed per subset
+            expected = []
+            for ell in (2, 3, 4):
+                count = math.comb(k, ell)
+                expected += [
+                    (ell, min(size, count - start), conic.POLISH_STEPS)
+                    for start in range(0, count, size)
+                ]
             assert calls == expected
 
     def test_quadruple_best_seed_converges(self, monkeypatch):
-        # a Wishart B whose quadruple seeds all stay above FP_TOL after 40
-        # plain steps; extrapolated, its best seed ends below FP_TOL
+        # a Wishart B whose quadruple seed stays above FP_TOL after 40 plain
+        # steps; extrapolated, it ends below FP_TOL
         runs = []
         fixed_point = conic._fixed_point
 
         def recording(b_sub, z0, fp_tol, max_iters):
             result = fixed_point(b_sub, z0, fp_tol, max_iters)
-            if len(b_sub) == 4:
+            if z0.shape[1] == 4:
                 runs.append(result)
             return result
 
@@ -517,10 +531,43 @@ class TestSeedSet:
         f = np.random.default_rng(49).standard_normal((4, 4))
         clear_search_cache()
         search_cb(SymMatrix.from_array(f @ f.T / 4))
-        [(_, psi, residual, alive)] = runs
-        best = np.argmax(np.where(alive, psi, -np.inf))
-        assert alive[best]
-        assert residual[best] < conic.FP_TOL
+        [(_, _, residual, alive)] = runs
+        assert alive[0]
+        assert residual[0] < conic.FP_TOL
+
+    def test_unverified_fixed_point_not_reported(self, monkeypatch):
+        # the quadruple wins at its fixed point; a run that ends alive but
+        # with its residual above FP_TOL is no verified fixed point
+        b = SymMatrix.from_array(wishart_quadruple_b())
+        clear_search_cache()
+        c_four, part, _ = search_cb(b)
+        assert len(part.active) == 4
+        fixed_point = conic._fixed_point
+
+        def unverified(b_sub, z0, fp_tol, max_iters):
+            z, psi, residual, alive = fixed_point(b_sub, z0, fp_tol, max_iters)
+            if z0.shape[1] == 4:
+                residual = np.where(alive, 2.0 * conic.FP_TOL, residual)
+            return z, psi, residual, alive
+
+        monkeypatch.setattr(conic, "_fixed_point", unverified)
+        clear_search_cache()
+        c_est, part, _ = search_cb(b)
+        assert len(part.active) <= 3
+        assert c_est < c_four
+
+    def test_block_size_bounds_memory_alone(self, monkeypatch):
+        f = np.random.default_rng(66).standard_normal((6, 9))
+        b = SymMatrix.from_array(f @ f.T / 9)
+        clear_search_cache()
+        c_default, part_default, val_default = search_cb(b)
+        monkeypatch.setattr(conic, "SEARCH_BLOCK", 5)
+        clear_search_cache()
+        c_small, part_small, val_small = search_cb(b)
+        assert c_small == c_default
+        assert part_small.active == part_default.active
+        np.testing.assert_array_equal(part_small.directions, part_default.directions)
+        np.testing.assert_array_equal(val_small.moments, val_default.moments)
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_no_loss_against_wide_seed_set(self, k):
@@ -536,6 +583,12 @@ class TestSeedSet:
                 clear_search_cache()
                 c_est, _, _ = search_cb(b)
                 assert c_est >= reference * (1.0 - 1e-10)
+
+
+def wishart_quadruple_b():
+    """A 4x4 Wishart B whose best partition has 4 cells."""
+    f = np.random.default_rng(3017).standard_normal((4, 4))
+    return f @ f.T
 
 
 def near_repeat_b(seed, gap):
@@ -670,9 +723,7 @@ class TestSearchCb:
         assert c_est == pytest.approx(conic._psi(sub, val.moments[None])[0], rel=1e-12)
 
     def test_quadruples_exact_without_pools(self):
-        rng = np.random.default_rng(3017)  # a B whose best partition has 4 cells
-        f = rng.standard_normal((4, 4))
-        b = SymMatrix.from_array(f @ f.T)
+        b = SymMatrix.from_array(wishart_quadruple_b())
         clear_search_cache()
         c_est, part, val = search_cb(b)
         assert len(part.active) == 4
@@ -714,6 +765,18 @@ class TestSearchCb:
         c_est, part, _ = search_cb(SymMatrix.from_array(np.eye(4)))
         assert c_est == pytest.approx(9.0 / (8.0 * math.pi), rel=1e-9)
         assert len(part.active) == 3
+
+    def test_sixteen_labels_rank_four(self):
+        # C(16, 4) = 1820 quadruples, in one block; the ball of a rank-4 B is
+        # exact, so C(B) <= R(B)^2 holds with no slack
+        h = np.random.default_rng(16).standard_normal((16, 4))
+        bm = h @ h.T / 4
+        report = analyze_b(SymMatrix.from_array(bm))
+        cb = report["cb"]
+        d = np.diag(bm)
+        best_pair = np.max(d[:, None] - 2.0 * bm + d[None, :]) / TWO_PI
+        assert best_pair <= cb["c_estimate"] <= report["ball"]["r2"]
+        assert cb["heuristic"]
 
     def test_five_cell_residual_rejected(self):
         # no closed form is implemented above cone dimension 3
