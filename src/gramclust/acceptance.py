@@ -18,9 +18,7 @@ import numpy as np
 from .ball import min_enclosing_ball, radius_squared
 from .conic import (
     ConicalPartition,
-    _halfline_cells,
-    _planar_cells,
-    _spherical_cells,
+    _cells,
     fixed_point_residual,
     formula_bc,
     search_cb,
@@ -211,7 +209,8 @@ def criterion_5_end_to_end(shared: Shared) -> CriterionResult:
 
 
 def criterion_6_moment_quadrature(shared: Shared) -> CriterionResult:
-    """The search's exact cell kernels match sin^2(alpha/2)/(2 pi)."""
+    """The search's exact cell kernel matches sin^2(alpha/2)/(2 pi) in cone
+    dimensions 1 to 3."""
     t0 = time.time()
     rows = []
 
@@ -235,18 +234,18 @@ def criterion_6_moment_quadrature(shared: Shared) -> CriterionResult:
     # alpha = pi/3 and 2pi/3 as genuine cells of three-cone partitions
     for alpha, rest in ((math.pi / 3.0, (5 * math.pi / 6, 5 * math.pi / 6)),
                         (2 * math.pi / 3.0, (2 * math.pi / 3, 2 * math.pi / 3))):
-        moments, _ = _planar_cells(ray_directions([alpha, *rest])[None])
+        moments, _ = _cells(ray_directions([alpha, *rest])[None])
         check(f"alpha={alpha:.4f}", float(np.sum(moments[0, 0] ** 2)),
               squared_norm(alpha))
 
     # alpha = pi: the half-line cell of the 1-dimensional two-cell partition
-    moments, _ = _halfline_cells(np.array([[[1.0], [-1.0]]]))
+    moments, _ = _cells(np.array([[[1.0], [-1.0]]]))
     check("alpha=pi (half-space)", float(np.sum(moments[0, 0] ** 2)),
           squared_norm(math.pi))
 
     # alpha = 3pi/2 is not convex; measure it as the union of two cells,
     # whose moment is the sum of the cell moments
-    moments, _ = _planar_cells(
+    moments, _ = _cells(
         ray_directions([math.pi / 2.0, 3 * math.pi / 4.0, 3 * math.pi / 4.0])[None]
     )
     check("alpha=3pi/2 (union)", float(np.sum((moments[0, 1] + moments[0, 2]) ** 2)),
@@ -255,11 +254,11 @@ def criterion_6_moment_quadrature(shared: Shared) -> CriterionResult:
     # three coplanar directions and one inside their triangle: the outer
     # cells are wedges, with the planar moments and none along the normal
     w = ray_directions([math.pi / 3.0, 5 * math.pi / 6, 5 * math.pi / 6])
-    planar, _ = _planar_cells(w[None])
+    planar, _ = _cells(w[None])
     w4 = np.zeros((4, 3))
     w4[:3, :2] = w
     w4[3, :2] = 0.5 * w[0] + 0.25 * w[1] + 0.25 * w[2]
-    spherical, _ = _spherical_cells(w4[None])
+    spherical, _ = _cells(w4[None])
     check("coplanar wedges (cone dimension 3)",
           float(np.max(np.abs(spherical[0, :3] - np.pad(planar[0], ((0, 0), (0, 1)))))),
           0.0)

@@ -19,11 +19,12 @@ The search runs one such batch per block of SEARCH_BLOCK subsets, up to
 POLISH_STEPS steps, and keeps a subset only at a verified fixed point: its
 seed ended alive with a residual below FP_TOL (a seed that ends on an
 emptying cell is covered by a smaller subset, and its last state is no
-fixed point).  Cell moments are exact up to cone dimension 3: two
-half-lines, closed-form arcs in the plane, and spherical triangles in
-dimension 3 by the divergence identity.  No search and no residual goes
-above cone dimension 3; the Monte-Carlo partition_moments_mc is a
-separate cross-check on a default_rng Gaussian pool.
+fixed point).  Cell moments are exact up to cone dimension 3, from one
+kernel: the divergence identity sums each cell's inward facet normals,
+weighted by the Gaussian measures of its facets.  No search and no
+residual goes above cone dimension 3; the Monte-Carlo
+partition_moments_mc is a separate cross-check on a default_rng Gaussian
+pool.
 
 Labels are 0-based throughout.
 """
@@ -44,7 +45,6 @@ from .sdp import _BETA_GROWTH, _BETA_MAX, _BETA_START
 
 TWO_PI = 2.0 * math.pi
 HALFLINE_MOMENT = 1.0 / math.sqrt(TWO_PI)  # int_0^inf x dgamma_1
-ARC_CONST = 1.0 / (2.0 * math.sqrt(TWO_PI))
 SPHERE_CONST = TWO_PI ** -1.5
 EMPTY_CELL_MASS = 1e-6
 DEFAULT_MC_SAMPLES = 200_000
@@ -146,7 +146,8 @@ def partition_moments_mc(
         return PartitionValue(moments=np.zeros((1, 0)), psi=0.0, mc_stderr=0.0)
     pool = np.random.default_rng(seed).standard_normal((samples, dim))
     # argmax keeps the first maximum: ties go to the smallest label
-    cells = _onehot(np.argmax(pool @ partition.directions.T, axis=1), partition.ell)
+    labels = np.argmax(pool @ partition.directions.T, axis=1)
+    cells = (labels == np.arange(partition.ell)[:, None]).astype(float)
     moments = cells @ pool / samples
     var = np.maximum(cells @ (pool * pool) / samples - moments * moments, 0.0)
     stderr = float(np.max(np.sqrt(np.sum(var, axis=1) / samples)))
@@ -165,111 +166,83 @@ def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(m, 1)
 
 
-def _onehot(labels: np.ndarray, ell: int) -> np.ndarray:
-    """(..., l, P) cell indicators of (..., P) labels, as floats."""
-    rows = np.arange(ell, dtype=labels.dtype)[:, None]
-    return (labels[..., None, :] == rows).astype(float)
+@functools.cache
+def _others(m: int) -> np.ndarray:
+    """(m, m-1) table whose row i lists the indices j != i in ascending order.
 
-
-def _halfline_cells(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (moments, masses) for cone dimension 1: two half-lines."""
-    s, m, _ = w.shape
-    rows = np.arange(s)
-    pos = np.argmax(w[:, :, 0], axis=1)
-    neg = np.argmax(-w[:, :, 0], axis=1)
-    moments = np.zeros((s, m, 1))
-    masses = np.zeros((s, m))
-    moments[rows, pos, 0] += HALFLINE_MOMENT
-    moments[rows, neg, 0] -= HALFLINE_MOMENT
-    masses[rows, pos] += 0.5
-    masses[rows, neg] += 0.5
-    return moments, masses
-
-
-def _planar_cells(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (moments, masses) for cone dimension 2, from angular arcs.
-
-    Breakpoints can only occur where two scores tie, i.e. perpendicular to
-    some difference w_i - w_j; winners are decided at arc midpoints.  Arc
-    moments add, so arcs of one winner need no merging.
+    Facet f of cell i lies where w_i and w_{_others(l)[i, f]} tie, and the
+    same table for l - 1 lists the other facets of a cell beside facet f.
     """
-    m = w.shape[1]
-    i, j = _pairs(m)
-    d = w[:, i] - w[:, j]
-    phi = np.arctan2(d[:, :, 1], d[:, :, 0])
-    half = math.pi / 2.0
-    starts = np.sort(
-        np.concatenate([(phi + half) % TWO_PI, (phi - half) % TWO_PI], axis=1), axis=1
-    )
-    ends = np.concatenate([starts[:, 1:], starts[:, :1] + TWO_PI], axis=1)
-    mid = (starts + ends) / 2.0
-    scores = w @ np.stack([np.cos(mid), np.sin(mid)], axis=1)
-    arcs = _onehot(np.argmax(scores, axis=1), m)
-    arc_moments = ARC_CONST * np.stack(
-        [np.sin(ends) - np.sin(starts), np.cos(starts) - np.cos(ends)], axis=2
-    )
-    masses = arcs @ ((ends - starts) / TWO_PI)[:, :, None]
-    return arcs @ arc_moments, masses[:, :, 0]
+    return np.array([[j for j in range(m) if j != i] for i in range(m)], dtype=int)
 
 
-# four directions in dimension 3: facet f of cell i lies on the plane where
-# w_i and w_{_OTHERS[i, f]} tie; (_G[f], _H[f]) are the cell's other facets
-_OTHERS = np.array([[j for j in range(4) if j != i] for i in range(4)])
-_G = np.array([1, 0, 0])
-_H = np.array([2, 2, 1])
-
-
-def _dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products of coordinate-first arrays of 3-vectors."""
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _spherical_cells(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact (moments, masses) for four directions in cone dimension 3.
-
-    Cell i is the cone {x : n_f . x >= 0} of the three inward unit normals
-    n_f = (w_i - w_j)/|w_i - w_j|, and its facet on the plane of n_f is a
-    sector of angle L_f = pi - (angle at n_f of the spherical triangle
-    n_f, n_g, n_h), whose tangent is |det n| / (G_gh - G_fg G_fh) for the
-    Gram matrix G of the normals.  The divergence identity
-    int_K x dgamma = sum_F gamma_2(F) n_F, with gamma_2 = L/(2pi) for a
-    sector, gives z_i = (2pi)^{-3/2} sum_f L_f n_f.  By Gauss-Bonnet the
-    cell's solid angle is 2pi minus the perimeter of that triangle.  Every
-    angle is an atan2, accurate near 0 and pi where arccos is not.  A cell
-    whose sectors all have angle 0 (a direction inside the hull of the
-    others) has mass exactly 0.
-    """
-    # coordinate-first (3, S, cell, facet): each dot product is three products
-    n = np.moveaxis(w[:, :, None, :] - w[:, _OTHERS, :], 3, 0)
-    n = n / np.sqrt(_dot3(n, n))
-    ng, nh = n[..., _G], n[..., _H]
-    cross = np.stack([  # normal to the two facets other than f
-        ng[1] * nh[2] - ng[2] * nh[1],
-        ng[2] * nh[0] - ng[0] * nh[2],
-        ng[0] * nh[1] - ng[1] * nh[0],
-    ])
-    det = np.abs(_dot3(n[..., 0], cross[..., 0]))
-    g_gh = _dot3(ng, nh)
-    turn = g_gh - _dot3(n, ng) * _dot3(n, nh)
-    sectors = np.maximum(0.0, math.pi - np.arctan2(det[..., None], turn))
-    moments = SPHERE_CONST * np.einsum("sif,csif->sic", sectors, n)
-    sides = np.arctan2(np.sqrt(_dot3(cross, cross)), g_gh)
-    perimeter = sides[..., 0] + sides[..., 1] + sides[..., 2]
-    masses = np.maximum(0.0, TWO_PI - perimeter) / (2.0 * TWO_PI)
-    masses[sectors[..., 0] + sectors[..., 1] + sectors[..., 2] == 0.0] = 0.0
-    return moments, masses
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of coordinate-first arrays of vectors, one explicit
+    product per coordinate: a numpy sum over the short axis is slower."""
+    out = a[0] * b[0]
+    for c in range(1, len(a)):
+        out = out + a[c] * b[c]
+    return out
 
 
 def _cells(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if w.shape[2] == 1:
-        return _halfline_cells(w)
-    if w.shape[2] == 2:
-        return _planar_cells(w)
-    if w.shape[2] == 3:
-        return _spherical_cells(w)
-    raise DimensionMismatch(
-        f"cell moments exist for cone dimension <= 3, got {w.shape[2]}"
-    )
+    """Exact (moments, masses) of the cells of S sets of l = d + 1 directions
+    in cone dimension d = 1, 2 or 3, w of shape (S, l, d).
+
+    Cell i is the cone {x : n_f . x >= 0} of its l - 1 inward unit normals
+    n_f = (w_i - w_j)/|w_i - w_j|, j != i.  Gaussian integration by parts
+    (the divergence identity) gives z_i = (2pi)^{-1/2} sum_f P_f n_f, where
+    P_f is the (d-1)-dimensional Gaussian measure of the cell's facet on the
+    plane of n_f: 1 for the origin in d = 1; 1/2 for a half-line in d = 2,
+    where two equal normals make the cell a half-plane; L_f/(2pi) for a
+    sector of angle L_f in d = 3.  There L_f = pi - (angle at n_f of the
+    spherical triangle n_f, n_g, n_h), whose tangent is
+    |det n| / (G_gh - G_fg G_fh) for the Gram matrix G of the normals.
+
+    The masses are 1/2 in d = 1; the wedge's angle over 2pi in d = 2, pi
+    minus the angle between its two normals; and by Gauss-Bonnet in d = 3
+    the solid angle 2pi minus the perimeter of that triangle, over 4pi.
+    Every angle is an atan2, accurate near 0 and pi where arccos is not.
+    A cell with exactly opposite normals in d = 2, or whose sectors all
+    have angle 0 in d = 3 (a direction inside the hull of the others), has
+    mass exactly 0.
+    """
+    s, ell, dim = w.shape
+    if not 1 <= dim == ell - 1 <= 3:
+        raise DimensionMismatch(
+            f"cell moments exist for l = d + 1 directions in cone dimension "
+            f"1 to 3, got {ell} in dimension {dim}"
+        )
+    # coordinate-first (d, S, cell, facet): each dot product is d products
+    n = np.moveaxis(w[:, :, None, :] - w[:, _others(ell), :], 3, 0)
+    n = n / np.sqrt(_dot(n, n))
+    if dim == 1:
+        scale, weights = HALFLINE_MOMENT, np.ones((s, 2, 1))
+        masses = np.full((s, 2), 0.5)
+    elif dim == 2:
+        nf, ng = n[..., 0], n[..., 1]
+        between = np.arctan2(np.abs(nf[0] * ng[1] - nf[1] * ng[0]), _dot(nf, ng))
+        scale, weights = HALFLINE_MOMENT, np.full((s, 3, 2), 0.5)
+        masses = (math.pi - between) / TWO_PI
+    else:
+        g, h = _others(3).T  # the cell's two facets other than f
+        ng, nh = n[..., g], n[..., h]
+        cross = np.stack([  # normal to the facets g and h
+            ng[1] * nh[2] - ng[2] * nh[1],
+            ng[2] * nh[0] - ng[0] * nh[2],
+            ng[0] * nh[1] - ng[1] * nh[0],
+        ])
+        det = np.abs(_dot(n[..., 0], cross[..., 0]))
+        g_gh = _dot(ng, nh)
+        turn = g_gh - _dot(n, ng) * _dot(n, nh)
+        # the weights are the sectors L_f, and scale holds the 1/(2pi) of P_f
+        weights = np.maximum(0.0, math.pi - np.arctan2(det[..., None], turn))
+        scale = SPHERE_CONST
+        sides = np.arctan2(np.sqrt(_dot(cross, cross)), g_gh)
+        perimeter = sides[..., 0] + sides[..., 1] + sides[..., 2]
+        masses = np.maximum(0.0, TWO_PI - perimeter) / (2.0 * TWO_PI)
+        masses[weights[..., 0] + weights[..., 1] + weights[..., 2] == 0.0] = 0.0
+    return scale * np.einsum("sif,csif->sic", weights, n), masses
 
 
 def _directions_distinct(w: np.ndarray) -> np.ndarray:
@@ -479,8 +452,8 @@ def search_cb(b: SymMatrix) -> tuple[float, ConicalPartition, PartitionValue]:
     one seed, its Gram geometry, none when its labels coincide; the seed
     only picks a basin for the fixed point.  Each block of up to
     SEARCH_BLOCK subsets of one size runs one batched fixed-point iteration
-    for up to POLISH_STEPS steps, on exact cell moments (half-lines for
-    pairs, planar arcs for triples, spherical triangles for quadruples).
+    for up to POLISH_STEPS steps, on exact cell moments from the divergence
+    identity (see _cells).
     The iteration is extrapolated under a monotone safeguard (see
     _fixed_point), which cuts its step count, and only its exact images are
     kept.  A subset counts only at a verified fixed point: its seed ended

@@ -517,7 +517,7 @@ class TestImports:
     def test_runtime_runs_with_scipy_blocked(self, tmp_path):
         a = random_centered_psd(6, np.random.default_rng(1))
         path = write_json(tmp_path, {"A": a.mat.tolist(), "B": np.eye(3).tolist()})
-        # a 5 x 5 B reaches the quadruple seeds and the spherical kernel
+        # a 5 x 5 B reaches the quadruple seeds and the cells in cone dimension 3
         g = np.random.default_rng(0).standard_normal((5, 8))
         path5 = write_json(tmp_path, {"B": (g @ g.T / 8).tolist()}, "b5.json")
         # n = 8 with a 4 x 4 B runs the triple and quadruple fixed points

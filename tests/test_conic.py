@@ -210,7 +210,7 @@ def pool_cells_one(pool):
 
 
 def spherical_cells_one(w):
-    moments, masses = conic._spherical_cells(w[None])
+    moments, masses = conic._cells(w[None])
     return moments[0], masses[0]
 
 
@@ -282,7 +282,7 @@ class TestSphericalCells:
             cop[:, 3], 0.5 * cop[:, 0] + 0.25 * cop[:, 1] + 0.25 * cop[:, 2]
         )
         w = np.concatenate([rng.standard_normal((12, 4, 3)), cop])
-        moments, masses = conic._spherical_cells(w)
+        moments, masses = conic._cells(w)
         # oracle: a 2M-point scrambled Sobol Gaussian pool (standard error
         # of each moment coordinate below 1/sqrt(2e6) = 7e-4, far less for QMC)
         cells = pool_cells_one(sobol_gaussian_pool(3, 2_000_000, 5))
@@ -301,19 +301,40 @@ class TestSphericalCells:
 class TestBatchedKernels:
     def test_planar_cells_match_scalar_arcs(self):
         rng = np.random.default_rng(12)
-        w = rng.standard_normal((40, 4, 2))
-        # a dominated direction (inside the hull of the others: zero mass)
-        w[0, 3] = w[0, :3].mean(axis=0)
+        w = rng.standard_normal((40, 3, 2))
+        # a dominated direction (the midpoint of the others: zero mass)
+        w[0] = [[2.0, 1.0], [-2.0, -3.0], [0.0, -1.0]]
         # two nearly coincident directions, both hull vertices
-        w[1] = [[1.0, 0.0], [1.0, 1e-9], [-1.0, 1.0], [-1.0, -1.0]]
-        moments, masses = conic._planar_cells(w)
+        w[1] = [[1.0, 0.0], [1.0, 1e-9], [-1.0, 1.0]]
+        moments, masses = conic._cells(w)
         for s in range(len(w)):
             ref_moments, ref_masses = planar_reference(w[s])
             np.testing.assert_allclose(moments[s], ref_moments, rtol=0, atol=1e-14)
             np.testing.assert_allclose(masses[s], ref_masses, rtol=0, atol=1e-14)
-        assert masses[0, 3] == 0.0
+        assert masses[0, 2] == 0.0
         assert masses[1, 0] > 0.0 and masses[1, 1] > 0.0
         np.testing.assert_allclose(masses.sum(axis=1), 1.0, atol=1e-14)
+
+    def test_collinear_planar_cells(self):
+        # the outer cells are half-planes, the middle one is a line
+        moments, masses = conic._cells(np.array([[[1.0, 0.0], [-1.0, 0.0], [-2.0, 0.0]]]))
+        np.testing.assert_array_equal(masses[0], [0.5, 0.0, 0.5])
+        c = 1.0 / math.sqrt(TWO_PI)
+        np.testing.assert_allclose(moments[0], [[c, 0.0], [0.0, 0.0], [-c, 0.0]],
+                                   rtol=0, atol=1e-16)
+
+    def test_halfline_cells_exact(self):
+        w = np.random.default_rng(13).standard_normal((200, 2, 1))
+        moments, masses = conic._cells(w)
+        c = np.where(w[:, 0, 0] > w[:, 1, 0], 1.0, -1.0) / math.sqrt(TWO_PI)
+        np.testing.assert_array_equal(moments[:, 0, 0], c)
+        np.testing.assert_array_equal(moments[:, 1, 0], -c)
+        assert np.all(masses == 0.5)
+
+    @pytest.mark.parametrize("shape", [(3, 4, 2), (3, 5, 4)], ids=["4-in-plane", "5-in-4d"])
+    def test_cells_reject_other_shapes(self, shape):
+        with pytest.raises(DimensionMismatch):
+            conic._cells(np.ones(shape))
 
     @pytest.mark.parametrize("fp_tol", [1e-6, 0.0])
     def test_exact_fixed_point_matches_single_seed_loop(self, fp_tol):
