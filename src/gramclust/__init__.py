@@ -6,102 +6,73 @@ sphere-constrained relaxation of the clustering objective, and rounds the
 relaxation to an explicit assignment whose certified value interval is
 [best rounded value, R(B)^2 * SDP value].  ``cluster`` runs the whole
 pipeline and ``analyze_b`` the part that reads B alone.
+
+The package loads lazily (PEP 562): each public name imports its submodule
+on first use, so ``import gramclust`` loads no numpy and ``gramclust.cli``
+can set the BLAS thread count before numpy starts.
 """
 
-from .ball import EnclosingBall, min_enclosing_ball, radius_squared
-from .conic import (
-    ConicalPartition,
-    PartitionValue,
-    formula_bc,
-    partition_moments_mc,
-    search_cb,
-)
-from .errors import (
-    DegenerateB,
-    DimensionMismatch,
-    GramclustError,
-    Infeasible,
-    LabelOutOfRange,
-    NotCentered,
-    NotConvergedWarning,
-    NotPSD,
-    ParseError,
-    TooFewTrials,
-    TooLarge,
-    ZeroMass,
-)
-from .hardness import (
-    LabelDistribution,
-    OrthonormalBasis,
-    build_basis,
-    build_mu,
-    dictatorship_objective,
-)
-from .matrixcore import (
-    GramFactor,
-    SymMatrix,
-    gram_factorize,
-    random_centered_psd,
-    validate_centered,
-    validate_psd,
-)
-from .oracle import brute_force_c3, brute_force_clust
-from .pipeline import analyze_b, cluster
-from .rounding import (
-    Clustering,
-    clustering_value,
-    estimate_expectation,
-    round_best_of,
-    round_once,
-)
-from .sdp import SdpSolution, ascend_from, certify_sandwich, solve_sdp
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SymMatrix",
-    "GramFactor",
-    "validate_psd",
-    "validate_centered",
-    "gram_factorize",
-    "random_centered_psd",
-    "EnclosingBall",
-    "min_enclosing_ball",
-    "radius_squared",
-    "ConicalPartition",
-    "PartitionValue",
-    "partition_moments_mc",
-    "search_cb",
-    "formula_bc",
-    "SdpSolution",
-    "solve_sdp",
-    "ascend_from",
-    "certify_sandwich",
-    "Clustering",
-    "clustering_value",
-    "round_once",
-    "round_best_of",
-    "estimate_expectation",
-    "brute_force_clust",
-    "brute_force_c3",
-    "analyze_b",
-    "cluster",
-    "LabelDistribution",
-    "OrthonormalBasis",
-    "build_mu",
-    "build_basis",
-    "dictatorship_objective",
-    "GramclustError",
-    "ParseError",
-    "NotPSD",
-    "NotCentered",
-    "DegenerateB",
-    "DimensionMismatch",
-    "LabelOutOfRange",
-    "TooFewTrials",
-    "TooLarge",
-    "Infeasible",
-    "ZeroMass",
-    "NotConvergedWarning",
-    "__version__",
-]
+# every public name, in the order of __all__, and the submodule defining it
+_SUBMODULES = {
+    "SymMatrix": "matrixcore",
+    "GramFactor": "matrixcore",
+    "validate_psd": "matrixcore",
+    "validate_centered": "matrixcore",
+    "gram_factorize": "matrixcore",
+    "random_centered_psd": "matrixcore",
+    "EnclosingBall": "ball",
+    "min_enclosing_ball": "ball",
+    "radius_squared": "ball",
+    "ConicalPartition": "conic",
+    "PartitionValue": "conic",
+    "partition_moments_mc": "conic",
+    "search_cb": "conic",
+    "formula_bc": "conic",
+    "SdpSolution": "sdp",
+    "solve_sdp": "sdp",
+    "ascend_from": "sdp",
+    "certify_sandwich": "sdp",
+    "Clustering": "rounding",
+    "clustering_value": "rounding",
+    "round_once": "rounding",
+    "round_best_of": "rounding",
+    "estimate_expectation": "rounding",
+    "brute_force_clust": "oracle",
+    "brute_force_c3": "oracle",
+    "analyze_b": "pipeline",
+    "cluster": "pipeline",
+    "LabelDistribution": "hardness",
+    "OrthonormalBasis": "hardness",
+    "build_mu": "hardness",
+    "build_basis": "hardness",
+    "dictatorship_objective": "hardness",
+    "GramclustError": "errors",
+    "ParseError": "errors",
+    "NotPSD": "errors",
+    "NotCentered": "errors",
+    "DegenerateB": "errors",
+    "DimensionMismatch": "errors",
+    "LabelOutOfRange": "errors",
+    "TooFewTrials": "errors",
+    "TooLarge": "errors",
+    "Infeasible": "errors",
+    "ZeroMass": "errors",
+    "NotConvergedWarning": "errors",
+}
+
+__all__ = [*_SUBMODULES, "__version__"]
+
+
+def __getattr__(name: str):
+    module = _SUBMODULES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

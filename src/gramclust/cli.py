@@ -8,8 +8,15 @@ Reports are deterministic except the timestamp field: ``analyze-b`` and
 SDP run on their modules' constants, and --seed drives only the SDP
 starts and the rounding trials.
 ``cluster`` still accepts and validates --threads, an integer of at least
-1, and ignores it: the pipeline runs in one thread and BLAS does the
-parallel work.
+1, and ignores it.
+
+A CLI process runs in one BLAS thread: importing this module before numpy
+sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1, so
+every report is byte-identical whatever the caller's BLAS environment.  A
+library caller that loaded numpy first keeps its own thread count.
+``python -m gramclust.cli`` and the ``gramclust`` console script end
+through :func:`run`, which skips the interpreter's teardown; :func:`main`
+returns its exit code to in-process callers.
 """
 
 from __future__ import annotations
@@ -23,6 +30,14 @@ import math
 import os
 import sys
 import time
+from typing import NoReturn
+
+if "numpy" not in sys.modules:
+    # BLAS reads these once, when numpy loads; the sums of a multithreaded
+    # product depend on the thread count, and so would the report
+    os.environ.update(
+        dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1")
+    )
 
 import numpy as np
 
@@ -302,5 +317,18 @@ def main(argv=None) -> int:
         return 3
 
 
+def run(argv=None) -> NoReturn:
+    """Run :func:`main` and end the process with its exit code.
+
+    The report is complete once stdout and stderr are flushed, so the
+    interpreter's teardown, which finalizes every module and object, is
+    skipped.  An exception or a SystemExit from main takes the ordinary
+    way out."""
+    code = main(argv)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

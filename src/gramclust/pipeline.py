@@ -86,10 +86,12 @@ def cluster(
 ) -> dict:
     """The whole pipeline on a centered PSD A and a PSD B.
 
-    ``seed`` drives the SDP starts and the rounding trials, which run in
-    one thread; BLAS parallelizes the products inside them.  The C(B)
-    search reads B alone.  The report holds the
-    :func:`analyze_b` blocks, plus ``sdp``, ``rounding`` and the
+    ``seed`` drives the SDP starts and the rounding trials, which run
+    serially.  The products inside them run in the caller's BLAS threads,
+    and their rounding depends on that count, so the report is
+    byte-identical only at a fixed BLAS thread count: one in a CLI process
+    (see :mod:`gramclust.cli`).  The C(B) search reads B alone.  The report
+    holds the :func:`analyze_b` blocks, plus ``sdp``, ``rounding`` and the
     ``certified_interval`` [best rounded value, R(B)^2 * dual_upper].
     """
     if not validate_psd(a):

@@ -213,10 +213,10 @@ def solve_sdp(a: SymMatrix, seed: int = 0) -> SdpSolution:
 
     RESTARTS random starts at rank min(n, isqrt(2n - 1) + 2), drawn from
     ``seed``, each ascend in turn and reduce by (value, restart_index)
-    lexicographic max; the parallel work is BLAS's, inside each product and
-    the eigvalsh.  If MAX_ITERS is hit with the Riemannian gradient above
-    tolerance the result is returned flagged (converged False) and a
-    NotConvergedWarning is emitted.
+    lexicographic max.  The products and the eigvalsh run in the caller's
+    BLAS threads, one in a CLI process.  If MAX_ITERS is hit with the
+    Riemannian gradient above tolerance the result is returned flagged
+    (converged False) and a NotConvergedWarning is emitted.
     """
     if not validate_psd(a):
         raise NotPSD("data matrix is not PSD")

@@ -1,9 +1,12 @@
 import hashlib
 import json
 import math
+import os
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -550,6 +553,113 @@ class TestImports:
         # rounding used
         rank = json.loads(out.read_text())["sdp"]["rank"]
         assert rank == solve_sdp(a, seed=0).rank
+
+
+CLI_MODULES = ("matrixcore", "ball", "hardness", "conic", "sdp", "rounding", "oracle")
+
+
+def console_script_command():
+    """The interpreter call a pip-generated ``gramclust`` script makes: it
+    imports the entry point named in pyproject.toml and exits with its
+    return value."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    module, func = re.search(r'^gramclust = "([\w.]+):(\w+)"$', text, re.M).groups()
+    code = f"import sys; from {module} import {func}; sys.exit({func}())"
+    return [sys.executable, "-c", code]
+
+
+class TestLazyPackage:
+    def test_import_loads_no_numpy(self):
+        code = "import sys, gramclust; print('numpy' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("name", gramclust.__all__)
+    def test_every_public_name_resolves(self, name):
+        namespace: dict = {}
+        exec(f"from gramclust import {name}", namespace)
+        assert namespace[name] is getattr(gramclust, name)
+        assert name in dir(gramclust)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            gramclust.no_such_name  # noqa: B018
+
+    def test_cli_import_loads_every_traced_module(self):
+        # tracers wrap these modules' functions once gramclust.cli is loaded
+        code = (
+            "import sys, gramclust.cli; "
+            f"print([m for m in {CLI_MODULES!r} if 'gramclust.' + m not in sys.modules])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
+def noise_b_doc(n: int) -> dict:
+    """A full-rank centered Wishart A of n points in R^n and a 3 x 3
+    Wishart B, drawn with numpy alone."""
+    rng = np.random.default_rng([9064816, n])
+    u = rng.standard_normal((n, n))
+    u -= u.mean(axis=0)
+    a = u @ u.T
+    g = rng.standard_normal((3, 6))
+    return {"A": ((a + a.T) / 2.0).tolist(), "B": (g @ g.T / 6).tolist()}
+
+
+class TestProcess:
+    def test_report_independent_of_blas_threads(self, tmp_path):
+        # on this A the SDP ascent took 220 steps at one OpenBLAS thread
+        # and 212 at two while the caller's setting reached BLAS
+        path = write_json(tmp_path, noise_b_doc(300))
+        texts = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}.json"
+            proc = subprocess.run(
+                [sys.executable, "-m", "gramclust.cli", "cluster", path,
+                 "--trials", "8", "--out", str(out)],
+                capture_output=True, text=True, timeout=300,
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+            )
+            assert proc.returncode == 0, proc.stderr
+            texts.append([ln for ln in out.read_text().splitlines() if '"timestamp"' not in ln])
+        assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("entry", ["module", "console-script"])
+    def test_piped_report_complete(self, tmp_path, entry):
+        # the process ends without interpreter teardown, after flushing
+        command = (
+            [sys.executable, "-m", "gramclust.cli"] if entry == "module"
+            else console_script_command()
+        )
+        # a block-buffered stdout, the default on a pipe, holds the report
+        # until the flush
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        a = random_centered_psd(8, np.random.default_rng(2))
+        path = write_json(tmp_path, {"A": a.mat.tolist(), "B": np.eye(3).tolist()})
+        proc = subprocess.run(
+            [*command, "cluster", path, "--trials", "8"],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["inputs"]["n"] == 8
+        assert len(report["rounding"]["sigma"]) == 8
+
+        bad = write_json(
+            tmp_path, {"A": [[1.0, 2.0], [2.0, 1.0]], "B": np.eye(2).tolist()}, "bad.json"
+        )
+        proc = subprocess.run(
+            [*command, "cluster", bad], capture_output=True, text=True, timeout=300, env=env
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: A is not positive semidefinite")
 
 
 class TestSelftest:

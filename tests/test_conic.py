@@ -753,6 +753,23 @@ class TestSearchCb:
         np.testing.assert_allclose(val.moments.sum(axis=0), 0.0, rtol=0, atol=1e-14)
         assert conic.fixed_point_residual(b, part, val) < 1e-6
 
+    def test_near_empty_quadruple_residual_finite_in_any_label_order(self):
+        # a k = 7 Wishart B (the 93rd 7 x 7 draw of default_rng(4242)) whose
+        # quadruple (3, 4, 5, 6) has two cells of mass near 1e-5: its moment
+        # sum rounds to 7e-13 to 2.5e-12 depending on the label order, so an
+        # absolute cut at 1e-12 passed the state in the search's order and
+        # failed it in the caller's, leaving the reported residual inf
+        rng = np.random.default_rng(4242)
+        for _ in range(93):
+            g = rng.standard_normal((7, 7))
+        bm = g @ g.T / 7
+        for perm in (np.arange(7), np.arange(7)[::-1], np.array([3, 0, 6, 1, 5, 2, 4])):
+            b = SymMatrix(bm[np.ix_(perm, perm)])
+            c_est, part, val = search_cb(b)
+            assert np.isfinite(conic.fixed_point_residual(b, part, val))
+            # the value of that quadruple, within rounding
+            assert c_est >= 0.5328763773919143 * (1.0 - 1e-9)
+
     def test_cache_keys_on_exact_bytes(self):
         # the two B differ by 2e-13 in one entry; each gets its own search
         clear_search_cache()
