@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ball import EnclosingBall
-from .errors import DegenerateB, ZeroMass
+from .errors import DegenerateB, Infeasible, ZeroMass
 from .matrixcore import SymMatrix
 
 BETA_CAP = 0.125  # the perturbation lemma's chain needs beta < 1/7
@@ -60,7 +60,8 @@ def build_mu(ball: EnclosingBall, epsilon: float) -> LabelDistribution:
 
     beta = min(1/8, epsilon / (7 R^2)); the cap keeps the perturbation
     lemma's inequality chain valid, and either branch guarantees the
-    mu-weighted spread is at least R^2 - epsilon (asserted).
+    mu-weighted spread is at least R^2 - epsilon when the ball's weights
+    sit on its boundary; a spread below that raises Infeasible.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -71,9 +72,8 @@ def build_mu(ball: EnclosingBall, epsilon: float) -> LabelDistribution:
     beta = min(BETA_CAP, epsilon / (7.0 * r2))
     mu = (1.0 - beta) * ball.weights + beta / k
     spread = _spread(ball.gram.gram(), mu)
-    assert spread >= r2 - epsilon - 1e-12 * r2, (
-        f"perturbed spread {spread} fell below {r2} - {epsilon}"
-    )
+    if spread < r2 - epsilon - 1e-12 * r2:
+        raise Infeasible(f"perturbed spread {spread} fell below {r2} - {epsilon}")
     return LabelDistribution(mu=mu, beta=beta, p=ball.weights.copy())
 
 

@@ -3,9 +3,9 @@
 :func:`analyze_b` runs the half that reads B alone: the Gram factor, the
 enclosing ball, the C(B) search and, optionally, the hardness gadget.
 :func:`cluster` validates A, runs the same half, then solves the SDP,
-rounds it, polishes the SDP from the rounded clustering and checks the
-certified interval.  Both return JSON-ready dicts, the blocks of the CLI's
-report.
+rounds it and checks the certified interval, whose upper end is R(B)^2
+times the one certificate that :func:`gramclust.sdp.solve_sdp` returns.
+Both return JSON-ready dicts, the blocks of the CLI's report.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .errors import DegenerateB, GramclustError, NotCentered, NotPSD
 from .hardness import build_mu, dictatorship_objective
 from .matrixcore import SymMatrix, gram_factorize, validate_centered, validate_psd
 from .rounding import estimate_expectation, round_best_of
-from .sdp import ascend_from, solve_sdp
+from .sdp import solve_sdp
 
 
 def _b_half(
@@ -116,18 +116,6 @@ def cluster(
         "converged": sol.converged,
         "dual_upper": sol.dual_upper,
     }
-    # the Gram system of the rounded clustering is feasible, so an ascent
-    # from it gives a second certificate for the same SDP; the upper end
-    # takes the tighter of the two, and the block keeps describing the solve
-    if ball.radius > 0:
-        seed_vectors = (ball.gram.vectors[best.sigma] - ball.center) / ball.radius
-        polished = ascend_from(a, seed_vectors)
-        report["sdp"]["polish"] = {
-            "value": polished.value,
-            "dual_upper": polished.dual_upper,
-            "iterations": polished.iterations,
-        }
-        report["sdp"]["dual_upper"] = min(sol.dual_upper, polished.dual_upper)
     mean, stderr = (
         estimate_expectation(trial_values) if len(trial_values) > 1 else (best.value, 0.0)
     )
@@ -139,7 +127,7 @@ def cluster(
         "trial_mean": mean,
         "trial_stderr": stderr,
     }
-    interval = [best.value, ball.radius ** 2 * report["sdp"]["dual_upper"]]
+    interval = [best.value, ball.radius ** 2 * sol.dual_upper]
     if interval[0] > interval[1] * (1.0 + 1e-6):
         raise GramclustError(
             f"certified interval is empty: {interval}; SDP certificate failed"

@@ -26,8 +26,9 @@ ascent from a random start does not end at a saddle in practice, so
 there is no second-order step and no rank escalation.  Optimality is not
 assumed but certified: for any lambda the dual matrix S = diag(lambda) - A
 gives SDP <= sum lambda_i + n max(0, -mu_min(S)) (``dual_upper``).  Its
-mu_min comes from one values-only eigvalsh, run for the solution
-:func:`solve_sdp` returns and for each :func:`ascend_from` polish.
+mu_min comes from one values-only eigvalsh, run only for the restarts
+that reach the top value exactly, usually one; among those
+:func:`solve_sdp` returns the smallest certificate.
 
 The solver has no tunables beyond the seed: each solve runs, one after
 the other, RESTARTS random starts at rank r, each capped at MAX_ITERS
@@ -174,11 +175,10 @@ def _ascend(a, x, grad_tol, max_iters):
     return x, m, lam, iters
 
 
-def _solution(x, m, lam, iters, grad_tol, restart_index=0):
-    """The SdpSolution at the (rank, n) X from its product M = X A and the
-    multipliers lambda_i = <(X A)_i, x_i>, whose sum is the value; its
-    vectors are X transposed.  ``dual_upper`` is left at inf;
-    :func:`_with_dual_upper` adds it."""
+def _ascent(a, x, grad_tol, restart_index=0):
+    """One ascent from the (rank, n) start X: the SdpSolution, uncertified,
+    and the multipliers lambda_i = <(X A)_i, x_i> of its last product."""
+    x, m, lam, iters = _ascend(a, x, grad_tol, MAX_ITERS)
     residual = _residual(m, x, lam)
     return SdpSolution(
         value=float(np.sum(lam)),
@@ -188,10 +188,10 @@ def _solution(x, m, lam, iters, grad_tol, restart_index=0):
         iterations=iters,
         converged=residual <= grad_tol,
         restart_index=restart_index,
-    )
+    ), lam
 
 
-def _with_dual_upper(a, sol, lam):
+def _certify(a, sol, lam):
     """``sol`` with its certified bound: any multipliers lambda give
     SDP <= sum lambda_i + n max(0, -mu_min(S)); here lambda is the one the
     ascent's last product gave, whose sum is the value, and mu_min comes
@@ -200,23 +200,17 @@ def _with_dual_upper(a, sol, lam):
     return replace(sol, dual_upper=sol.value + len(lam) * max(0.0, -mu_min))
 
 
-def _restart(a, x0, grad_tol, restart_index):
-    """One ascent from the (n, rank) start x0: the solution and the
-    multipliers lambda of its last product."""
-    x = _normalize_columns(np.ascontiguousarray(np.asarray(x0, dtype=float).T))
-    x, m, lam, iters = _ascend(a, x, grad_tol, MAX_ITERS)
-    return _solution(x, m, lam, iters, grad_tol, restart_index), lam
-
-
 def solve_sdp(a: SymMatrix, seed: int = 0) -> SdpSolution:
     """First-order stationary point of the sphere-constrained relaxation.
 
     RESTARTS random starts at rank min(n, isqrt(2n - 1) + 2), drawn from
-    ``seed``, each ascend in turn and reduce by (value, restart_index)
-    lexicographic max.  The products and the eigvalsh run in the caller's
-    BLAS threads, one in a CLI process.  If MAX_ITERS is hit with the
-    Riemannian gradient above tolerance the result is returned flagged
-    (converged False) and a NotConvergedWarning is emitted.
+    ``seed``, each ascend in turn.  Only the restarts that reach the top
+    value exactly are certified, and the one with the smallest
+    (dual_upper, restart_index) is returned.  The products and the
+    eigvalsh run in the caller's BLAS threads, one in a CLI process.  If
+    MAX_ITERS is hit with the Riemannian gradient above tolerance the
+    result is returned flagged (converged False) and a NotConvergedWarning
+    is emitted.
     """
     if not validate_psd(a):
         raise NotPSD("data matrix is not PSD")
@@ -227,16 +221,20 @@ def solve_sdp(a: SymMatrix, seed: int = 0) -> SdpSolution:
     rank0 = min(n, math.isqrt(2 * n - 1) + 2)
 
     starts = [rng.standard_normal((n, rank0)) for _ in range(RESTARTS)]
-    solutions = [_restart(mat, x0, grad_tol, r) for r, x0 in enumerate(starts)]
-    best, lam = max(solutions, key=lambda s: (s[0].value, s[0].restart_index))
-
-    # the identity Gram is feasible with value tr(A); fall back to ascending
-    # from it, at rank n, if every restart landed below that floor by more
-    # than 1e-9 ||A||_F
-    if best.value < float(np.trace(mat)) - 1e-2 * grad_tol:
-        fallback = _restart(mat, np.eye(n), grad_tol, len(starts))
-        if fallback[0].value > best.value:
-            best, lam = fallback
+    candidates = [
+        _ascent(mat, _normalize_columns(np.ascontiguousarray(x0.T)), grad_tol, r)
+        for r, x0 in enumerate(starts)
+    ]
+    # the identity Gram is feasible with value tr(A); ascend from it too, at
+    # rank n, if every restart landed below that floor by more than
+    # 1e-9 ||A||_F
+    if max(sol.value for sol, _ in candidates) < float(np.trace(mat)) - 1e-2 * grad_tol:
+        candidates.append(_ascent(mat, np.eye(n), grad_tol, RESTARTS))
+    top = max(sol.value for sol, _ in candidates)
+    best = min(
+        (_certify(mat, sol, lam) for sol, lam in candidates if sol.value == top),
+        key=lambda sol: (sol.dual_upper, sol.restart_index),
+    )
 
     if not best.converged:
         warnings.warn(
@@ -244,23 +242,23 @@ def solve_sdp(a: SymMatrix, seed: int = 0) -> SdpSolution:
             f" > {grad_tol:.3e}",
             NotConvergedWarning,
         )
-    return _with_dual_upper(mat, best, lam)
+    return best
 
 
 def ascend_from(a: SymMatrix, vectors: np.ndarray) -> SdpSolution:
-    """Polish an explicit feasible (n, d) configuration (norms <= 1 allowed).
+    """One certified ascent from an explicit feasible (n, d) configuration
+    (norms <= 1 allowed), as each :func:`solve_sdp` restart is one from a
+    random start.
 
-    Used for the lower-bound chain: the Gram system of any clustering,
-    (v_sigma(i) - w(B)) / R(B), is feasible, and ascending from it can only
-    increase the value.  Runs at most MAX_ITERS steps at the rank d.
+    The Gram system of any clustering, (v_sigma(i) - w(B)) / R(B), is such
+    a start, and the ascent can only increase its value.  Runs at most
+    MAX_ITERS steps at the rank d.
     """
     mat = a.mat
-    grad_tol = _grad_tol(mat)
     # do not pre-normalize: the first ascent step from the interior point
     # already lands on the spheres without decreasing the value
     x0 = np.ascontiguousarray(np.asarray(vectors, dtype=float).T)
-    x, m, lam, iters = _ascend(mat, x0, grad_tol, MAX_ITERS)
-    return _with_dual_upper(mat, _solution(x, m, lam, iters, grad_tol), lam)
+    return _certify(mat, *_ascent(mat, x0, _grad_tol(mat)))
 
 
 def certify_sandwich(

@@ -549,10 +549,15 @@ class TestImports:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0, 0, 0]", proc.stdout
-        # the sdp block describes the solve, whichever C(B) partition the
-        # rounding used
-        rank = json.loads(out.read_text())["sdp"]["rank"]
-        assert rank == solve_sdp(a, seed=0).rank
+        # the sdp block, and with it the interval's upper end, is the one
+        # solve, whichever C(B) partition the rounding used
+        report = json.loads(out.read_text())
+        sol = solve_sdp(a, seed=0)
+        assert "polish" not in report["sdp"]
+        assert report["sdp"]["rank"] == sol.rank
+        assert report["sdp"]["value"] == sol.value
+        assert report["sdp"]["dual_upper"] == sol.dual_upper
+        assert report["certified_interval"][1] == report["ball"]["r2"] * sol.dual_upper
 
 
 CLI_MODULES = ("matrixcore", "ball", "hardness", "conic", "sdp", "rounding", "oracle")

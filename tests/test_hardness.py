@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from gramclust import (
     DegenerateB,
+    Infeasible,
     LabelDistribution,
     SymMatrix,
     ZeroMass,
@@ -72,8 +74,18 @@ class TestBuildMu:
         epsilon = 0.01 * r2
         assert build_mu(ball, epsilon).beta == pytest.approx(0.01 / 7.0, rel=1e-9)
         monkeypatch.setattr(hardness, "_spread", lambda b, w: r2 - epsilon - 1e-9 * r2)
-        with pytest.raises(AssertionError):
+        with pytest.raises(Infeasible):
             build_mu(ball, epsilon)
+
+    def test_weights_off_the_boundary_raise_infeasible(self):
+        # Gram vectors (1, 0), (-1, 0) and the interior point (0, 0.1): all
+        # weight on the interior point leaves a spread far below R^2 = 1
+        b = SymMatrix.from_array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 0.01]])
+        ball = ball_of(b)
+        assert ball.support == (0, 1)
+        moved = dataclasses.replace(ball, weights=np.array([0.0, 0.0, 1.0]))
+        with pytest.raises(Infeasible):
+            build_mu(moved, 0.01)
 
 
 class TestBuildBasis:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,6 +186,55 @@ class TestSolveSdp:
         before = float(np.sum((a.mat @ seed_vectors) * seed_vectors))
         sol = ascend_from(a, seed_vectors)
         assert sol.value >= before - 1e-10
+
+    def test_value_ties_break_by_certificate(self, monkeypatch):
+        # restarts 0, 2 and 3 reach the same value bit for bit; restart 0's
+        # multipliers leave diag(lambda) - A indefinite, 2 and 3 share a
+        # tight certificate, and restart 1 ends lower with the tightest one
+        n = 6
+        a = random_centered_psd(n, np.random.default_rng(13))
+        l_max = float(np.linalg.eigvalsh(a.mat)[-1])
+        tight = np.full(n, 2.0 * l_max)
+        wide = tight.copy()
+        wide[0] -= 3.0 * l_max
+        value = n * 2.0 * l_max
+        ends = {0: (value, wide), 1: (l_max, tight), 2: (value, tight), 3: (value, tight)}
+
+        def ascent(mat, x, grad_tol, restart_index=0):
+            end, lam = ends[restart_index]
+            vectors = np.ascontiguousarray(x.T)
+            return sdp.SdpSolution(end, len(x), vectors, restart_index=restart_index), lam
+
+        certified = []
+        certify = sdp._certify
+
+        def counting_certify(mat, sol, lam):
+            certified.append(sol.restart_index)
+            return certify(mat, sol, lam)
+
+        monkeypatch.setattr(sdp, "_ascent", ascent)
+        monkeypatch.setattr(sdp, "_certify", counting_certify)
+        sol = solve_sdp(a, seed=13)
+        assert sorted(certified) == [0, 2, 3]
+        assert (sol.restart_index, sol.value, sol.dual_upper) == (2, value, value)
+        assert certify(a.mat, *ascent(a.mat, np.eye(n), 0.0, 0)).dual_upper > sol.dual_upper
+
+    def test_identity_fallback_when_every_restart_ends_below_trace(self, monkeypatch):
+        n = 10
+        a = random_centered_psd(n, np.random.default_rng(14))
+        ascent = sdp._ascent
+
+        def below_trace(mat, x, grad_tol, restart_index=0):
+            sol, lam = ascent(mat, x, grad_tol, restart_index)
+            if restart_index < sdp.RESTARTS:
+                sol = replace(sol, value=0.0)
+            return sol, lam
+
+        monkeypatch.setattr(sdp, "_ascent", below_trace)
+        sol = solve_sdp(a, seed=14)
+        assert (sol.restart_index, sol.rank) == (sdp.RESTARTS, n)
+        assert sol.value >= float(np.trace(a.mat)) - 1e-9 * np.linalg.norm(a.mat)
+        assert sol.dual_upper >= sol.value
 
     def test_not_converged_flagged(self, monkeypatch):
         a = random_centered_psd(12, np.random.default_rng(11))
