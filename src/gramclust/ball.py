@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Infeasible, NotPSD
-from .matrixcore import GramFactor, SymMatrix, gram_factorize, validate_psd
+from .matrixcore import GramFactor, SymMatrix, gram_factorize, unit_scaled, validate_psd
 
 BALL_TOL = 1e-7
 # exact recursion is cheap in low dimension; above this fall back to the
@@ -200,11 +200,9 @@ def min_enclosing_ball(gram: GramFactor) -> EnclosingBall:
     """
     if gram.k < 1:
         raise ValueError("need at least one vector")
-    # the ball runs on the vectors times 2^-shift, largest entry in [1/2, 1):
-    # the scaling is exact, and the squared distances of a B at the bottom
-    # of the double range no longer underflow
-    shift = math.frexp(float(np.max(np.abs(gram.vectors), initial=0.0)))[1]
-    vectors = np.ldexp(gram.vectors, -shift)
+    # scaled, so that the squared distances of a B at the bottom of the
+    # double range do not underflow
+    vectors, shift = unit_scaled(gram.vectors)
     if gram.ambient_dim == 0:
         # B = 0: every vector is the origin
         center = np.zeros(0)
@@ -231,9 +229,9 @@ def min_enclosing_ball(gram: GramFactor) -> EnclosingBall:
     )
 
 
-def radius_squared(b: SymMatrix, tol: float = 1e-9) -> float:
+def radius_squared(b: SymMatrix) -> float:
     """R(B)^2 straight from the hypothesis matrix."""
-    if not validate_psd(b, tol):
+    if not validate_psd(b):
         raise NotPSD("hypothesis matrix is not PSD")
-    ball = min_enclosing_ball(gram_factorize(b, tol))
+    ball = min_enclosing_ball(gram_factorize(b))
     return ball.radius ** 2

@@ -1,10 +1,11 @@
 """Batch front end: ingest A and B, run the pipeline, emit a JSON report.
 
-Subcommands: cluster, analyze-b, oracle, selftest.  Exit codes: 0 ok,
-2 parse/validation error, 3 numerical failure, 4 selftest failure.
-Reports are deterministic except the timestamp field: ``analyze-b`` and
-``oracle`` in their inputs alone, ``cluster`` in its inputs, --seed and
---trials.  The solvers have no other tunables: the C(B) search and the
+Subcommands: cluster, analyze-b, oracle, selftest, one configuration
+each: ``cluster`` reports ``analyze-b``'s blocks, hardness included, and
+``selftest`` runs the whole suite.  Exit codes: 0 ok, 2 parse/validation
+error, 3 numerical failure, 4 selftest failure.  Reports are
+deterministic, the timestamp field aside, in the inputs and the flags but
+--threads.  The solvers have no other tunables: the C(B) search and the
 SDP run on their modules' constants, and --seed drives only the SDP
 starts and the rounding trials.
 ``cluster`` still accepts and validates --threads, an integer of at least
@@ -49,11 +50,6 @@ from .oracle import brute_force_c3, brute_force_clust
 ASYMMETRY_CUTOFF = 1e-9
 
 
-def _require_finite(arr: np.ndarray, name: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise ParseError(f"matrix {name} contains NaN or Inf entries")
-
-
 def _json_numbers(raw) -> bool:
     """True when every leaf of nested JSON lists is an int or a float.
 
@@ -88,7 +84,8 @@ def _ingest(raw, name: str) -> SymMatrix:
         raise ParseError(f"matrix {name} is not a numeric matrix: {exc}") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ParseError(f"matrix {name} must be square, got shape {arr.shape}")
-    _require_finite(arr, name)
+    if not np.all(np.isfinite(arr)):
+        raise ParseError(f"matrix {name} contains NaN or Inf entries")
     # relative to the matrix alone, so a small matrix meets the same standard
     cutoff = ASYMMETRY_CUTOFF * float(np.max(np.abs(arr)))
     sym = SymMatrix(arr)
@@ -186,8 +183,7 @@ def run_cluster(args) -> dict:
     report = _base_report(digest, a, b)
     report["seed"] = args.seed
     report.update(pipeline.cluster(
-        a, b, trials=args.trials, seed=args.seed,
-        mu_epsilon=args.mu_epsilon if args.with_hardness else None,
+        a, b, trials=args.trials, seed=args.seed, mu_epsilon=args.mu_epsilon
     ))
     return report
 
@@ -211,9 +207,10 @@ def run_oracle(args) -> dict:
 
 
 def run_selftest(args) -> int:
-    from .acceptance import run_suite
+    from .acceptance import ALL_CRITERIA, Shared
 
-    results = run_suite(quick=args.quick)
+    shared = Shared()
+    results = [fn(shared) for fn in ALL_CRITERIA]
     width = max(len(r.name) for r in results)
     print(f"{'criterion':<{width}}  status  elapsed")
     print("-" * (width + 18))
@@ -281,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--threads", type=_int_at_least(1), default=1,
                          help="accepted for compatibility and ignored")
     cluster.add_argument("--trials", type=_int_at_least(1), default=100)
-    cluster.add_argument("--with-hardness", action="store_true",
-                         help="include the hardness gadget block")
     cluster.set_defaults(fn=lambda a: (_emit(run_cluster(a), a), 0)[1])
 
     analyze = sub.add_parser("analyze-b", help="per-B constants and gadgets")
@@ -297,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.set_defaults(fn=lambda a: (_emit(run_oracle(a), a), 0)[1])
 
     selftest = sub.add_parser("selftest", help="run the acceptance suite")
-    selftest.add_argument("--quick", action="store_true",
-                          help="formula and oracle subset only")
     selftest.set_defaults(fn=run_selftest)
 
     return parser

@@ -106,10 +106,15 @@ class PartitionValue:
     optimality claim (k >= 4 searches).
     """
 
-    moments: np.ndarray = field(repr=False)  # shape (l, l-1)
+    moments: np.ndarray = field(repr=False)  # shape (l, l-1), read-only
     psi: float = 0.0
     mc_stderr: float = 0.0
     heuristic: bool = False
+
+    def __post_init__(self):
+        z = np.array(self.moments, dtype=float)
+        z.flags.writeable = False
+        object.__setattr__(self, "moments", z)
 
 
 def classify_batch(points: np.ndarray, partition: ConicalPartition) -> np.ndarray:
@@ -407,6 +412,7 @@ def formula_bc(c: float) -> tuple[float, float, float]:
 # the search
 
 
+# the latest B's bytes and its result: a batch against one B searches once
 _SEARCH_CACHE: dict = {}
 
 
@@ -470,7 +476,8 @@ def search_cb(b: SymMatrix) -> tuple[float, ConicalPartition, PartitionValue]:
     comes with no optimality claim (heuristic flag set).  mc_stderr is 0
     for every k.  Nothing is drawn at random, each seed runs alone whatever
     its block, and subsets reduce by (psi, position) lexicographic max, so
-    the result depends on B alone, and it is cached per B.
+    the result depends on B alone.  The result of the latest B is cached,
+    and its arrays are read-only.
 
     The search runs on B / 4^s, whose largest diagonal entry lies in
     [1, 4).  A power of 4 scales psi, R(B)^2 and the directions exactly and
@@ -496,8 +503,10 @@ def search_cb(b: SymMatrix) -> tuple[float, ConicalPartition, PartitionValue]:
     if cached is not None:
         return cached
 
-    perm = _canonical_label_order(b.mat)
-    bc = np.ldexp(b.mat[np.ix_(perm, perm)], -2 * shift)
+    # ordered after scaling: the order's keys square entries of B
+    unit = np.ldexp(b.mat, -2 * shift)
+    perm = _canonical_label_order(unit)
+    bc = unit[np.ix_(perm, perm)]
 
     # l = 1: the whole space, psi = 0.  Baseline for degenerate instances.
     best_psi, best_active, best_z = 0.0, (0,), np.zeros((1, 0))
@@ -537,5 +546,6 @@ def search_cb(b: SymMatrix) -> tuple[float, ConicalPartition, PartitionValue]:
         heuristic=k >= 4,
     )
     result = (psi, partition, value)
+    _SEARCH_CACHE.clear()
     _SEARCH_CACHE[cache_key] = result
     return result

@@ -7,6 +7,7 @@ Gram vectors by :func:`gram_factorize`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -57,9 +58,6 @@ class SymMatrix:
         eigs = np.linalg.eigvalsh(self.mat)
         return float(eigs[0]), float(np.max(np.abs(eigs)))
 
-    def entry_abs_sum(self) -> float:
-        return float(np.sum(np.abs(self.mat)))
-
     def permuted(self, perm: np.ndarray) -> "SymMatrix":
         """Simultaneous row/column permutation: entry (i,j) of the result is
         entry (perm[i], perm[j]) of self."""
@@ -82,40 +80,40 @@ class GramFactor:
         return self.vectors @ self.vectors.T
 
 
-def validate_psd(m: SymMatrix, tol: float = PSD_TOL) -> bool:
-    """True iff the smallest eigenvalue is >= -tol * spectral norm.
+def validate_psd(m: SymMatrix) -> bool:
+    """True iff the smallest eigenvalue is >= -PSD_TOL * spectral norm.
 
     Relative to M alone, so a small indefinite M fails like a large one,
     while M = 0 passes.  The eigenvalues are computed once per matrix
     (``SymMatrix.eig_bounds``).
     """
     smallest, spectral = m.eig_bounds
-    return smallest >= -tol * spectral
+    return smallest >= -PSD_TOL * spectral
 
 
-def validate_centered(m: SymMatrix, tol: float = CENTERED_TOL) -> bool:
-    """True iff |sum of entries| <= tol * sum of |entries|.
+def validate_centered(m: SymMatrix) -> bool:
+    """True iff |sum of entries| <= CENTERED_TOL * sum of |entries|.
 
     Relative to M alone, so a small non-centered M fails like a large one.
     """
     total = float(np.sum(m.mat))
-    return abs(total) <= tol * m.entry_abs_sum()
+    return abs(total) <= CENTERED_TOL * float(np.sum(np.abs(m.mat)))
 
 
-def gram_factorize(b: SymMatrix, tol: float = PSD_TOL) -> GramFactor:
+def gram_factorize(b: SymMatrix) -> GramFactor:
     """Factor a PSD matrix B as a Gram matrix of k explicit vectors.
 
     Uses a symmetric eigendecomposition rather than Cholesky so that
     rank-deficient B (repeated or affinely dependent v_i) is handled:
-    eigenvalues in [-tol * max_eig, 0] are clamped to zero and dropped.
+    eigenvalues in [-PSD_TOL * max_eig, 0] are clamped to zero and dropped.
 
     Raises NotPSD when an eigenvalue is more negative than the clamp band.
     """
-    if not validate_psd(b, tol):
+    if not validate_psd(b):
         raise NotPSD("matrix has a negative eigenvalue beyond tolerance")
     eigs, vecs = np.linalg.eigh(b.mat)
     max_eig = float(eigs[-1]) if eigs.size else 0.0
-    cut = tol * max(max_eig, 0.0)
+    cut = PSD_TOL * max(max_eig, 0.0)
     keep = eigs > cut
     # descending eigenvalue order keeps the factorization deterministic
     order = np.argsort(eigs[keep])[::-1]
@@ -125,11 +123,18 @@ def gram_factorize(b: SymMatrix, tol: float = PSD_TOL) -> GramFactor:
     return GramFactor(k=b.dim, ambient_dim=int(np.sum(keep)), vectors=vectors)
 
 
+def unit_scaled(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """arr / 2^s with largest |entry| in [1/2, 1), and s (0 for zeros): an
+    exact scaling whose squares neither overflow nor underflow."""
+    shift = math.frexp(float(np.max(np.abs(arr), initial=0.0)))[1]
+    return np.ldexp(arr, -shift), shift
+
+
 def random_centered_psd(n: int, rng: np.random.Generator) -> SymMatrix:
     """Random centered PSD test matrix A = (⟨u_i, u_j⟩) with sum u_i = 0.
 
     Each u_i is standard Gaussian in R^n, translated so the u_i sum to
-    zero; the resulting A passes both validators at 1e-8.
+    zero; the resulting A passes both validators.
     """
     if n < 2:
         raise ValueError("random_centered_psd requires n >= 2")

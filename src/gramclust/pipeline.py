@@ -1,7 +1,7 @@
 """The algorithm as one chain: R(B), C(B), the SDP and the Gaussian rounding.
 
 :func:`analyze_b` runs the half that reads B alone: the Gram factor, the
-enclosing ball, the C(B) search and, optionally, the hardness gadget.
+enclosing ball, the C(B) search and the hardness gadget.
 :func:`cluster` validates A, runs the same half, then solves the SDP,
 rounds it and checks the certified interval, whose upper end is R(B)^2
 times the one certificate that :func:`gramclust.sdp.solve_sdp` returns.
@@ -22,7 +22,7 @@ from .sdp import solve_sdp
 
 
 def _b_half(
-    b: SymMatrix, mu_epsilon: float | None
+    b: SymMatrix, mu_epsilon: float
 ) -> tuple[dict, EnclosingBall, ConicalPartition | None]:
     """The blocks that depend on B alone, the ball, and the C(B) partition
     (None when B is degenerate)."""
@@ -54,25 +54,24 @@ def _b_half(
         "mc_stderr": value.mc_stderr,
     }
     report["approx_ratio"] = r2 / c_est if c_est > 0 else None
-    if mu_epsilon is not None:
-        # mu_epsilon is a share of R(B)^2.  Below the normal range the
-        # product loses precision and the floor keeps an underflowed one
-        # positive: there the gadget is not scale-free
-        dist = build_mu(ball, max(mu_epsilon * r2, math.ulp(0.0)))
-        report["hardness"] = {
-            "epsilon": mu_epsilon,
-            "beta": dist.beta,
-            "p": dist.p.tolist(),
-            "mu": dist.mu.tolist(),
-            "dictatorship_objective": dictatorship_objective(b, dist),
-        }
+    # mu_epsilon is a share of R(B)^2.  Below the normal range the product
+    # loses precision and the floor keeps an underflowed one positive:
+    # there the gadget is not scale-free
+    dist = build_mu(ball, max(mu_epsilon * r2, math.ulp(0.0)))
+    report["hardness"] = {
+        "epsilon": mu_epsilon,
+        "beta": dist.beta,
+        "p": dist.p.tolist(),
+        "mu": dist.mu.tolist(),
+        "dictatorship_objective": dictatorship_objective(b, dist),
+    }
     return report, ball, partition
 
 
-def analyze_b(b: SymMatrix, mu_epsilon: float | None = 1e-4) -> dict:
+def analyze_b(b: SymMatrix, mu_epsilon: float = 1e-4) -> dict:
     """R(B)^2 and the ball, C(B) and its partition, the approximation ratio
     R(B)^2 / C(B), and the hardness gadget at ``mu_epsilon`` times R(B)^2
-    (left out when it is None or B is degenerate).  Deterministic in B and
+    (left out when B is degenerate).  Deterministic in B and
     ``mu_epsilon``."""
     return _b_half(b, mu_epsilon)[0]
 
@@ -82,7 +81,7 @@ def cluster(
     b: SymMatrix,
     trials: int = 100,
     seed: int = 0,
-    mu_epsilon: float | None = None,
+    mu_epsilon: float = 1e-4,
 ) -> dict:
     """The whole pipeline on a centered PSD A and a PSD B.
 

@@ -34,8 +34,10 @@ The solver has no tunables beyond the seed: each solve runs, one after
 the other, RESTARTS random starts at rank r, each capped at MAX_ITERS
 ascent steps, and stops at a tenth of the Riemannian gradient
 GRAD_TOL * ||A||_F above which a solve is flagged as not converged.  Every
-threshold is relative to A alone, so the solver is scale-free: A * 2^e
-gives the same iterates, and values times 2^e.
+threshold is relative to A alone, and the solve runs on A / 2^s with its
+largest |entry| in [1/2, 1), an exact scaling, so the solver is
+scale-free across the double range: A * 2^e gives the same iterates, and
+values, residual and certificate times 2^e.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NotConvergedWarning, NotPSD
-from .matrixcore import SymMatrix, validate_psd
+from .matrixcore import SymMatrix, unit_scaled, validate_psd
 
 # ascent steps per restart, random restarts per solve, and the stopping
 # Riemannian gradient relative to ||A||_F; read at call time
@@ -79,6 +81,17 @@ def _grad_tol(a: np.ndarray) -> float:
     """The stopping Riemannian gradient of A, relative to ||A||_F, so A = 0
     stops at once with value 0."""
     return GRAD_TOL * float(np.linalg.norm(a))
+
+
+def _unscaled(sol: SdpSolution, shift: int) -> SdpSolution:
+    """A solution of A / 2^s as one of A: value, residual and certificate
+    times 2^s."""
+    return replace(
+        sol,
+        value=math.ldexp(sol.value, shift),
+        stationarity_residual=math.ldexp(sol.stationarity_residual, shift),
+        dual_upper=math.ldexp(sol.dual_upper, shift),
+    )
 
 
 def _dots(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -216,7 +229,8 @@ def solve_sdp(a: SymMatrix, seed: int = 0) -> SdpSolution:
         raise NotPSD("data matrix is not PSD")
     rng = np.random.default_rng(seed)
     n = a.dim
-    mat = a.mat
+    # ||A||_F^2 and the residual's squares stay in range at any scale
+    mat, shift = unit_scaled(a.mat)
     grad_tol = _grad_tol(mat)
     rank0 = min(n, math.isqrt(2 * n - 1) + 2)
 
@@ -235,11 +249,12 @@ def solve_sdp(a: SymMatrix, seed: int = 0) -> SdpSolution:
         (_certify(mat, sol, lam) for sol, lam in candidates if sol.value == top),
         key=lambda sol: (sol.dual_upper, sol.restart_index),
     )
+    best = _unscaled(best, shift)
 
     if not best.converged:
         warnings.warn(
             f"SDP ascent stopped at residual {best.stationarity_residual:.3e}"
-            f" > {grad_tol:.3e}",
+            f" > {math.ldexp(grad_tol, shift):.3e}",
             NotConvergedWarning,
         )
     return best
@@ -254,11 +269,11 @@ def ascend_from(a: SymMatrix, vectors: np.ndarray) -> SdpSolution:
     a start, and the ascent can only increase its value.  Runs at most
     MAX_ITERS steps at the rank d.
     """
-    mat = a.mat
+    mat, shift = unit_scaled(a.mat)
     # do not pre-normalize: the first ascent step from the interior point
     # already lands on the spheres without decreasing the value
     x0 = np.ascontiguousarray(np.asarray(vectors, dtype=float).T)
-    return _certify(mat, *_ascent(mat, x0, _grad_tol(mat)))
+    return _unscaled(_certify(mat, *_ascent(mat, x0, _grad_tol(mat))), shift)
 
 
 def certify_sandwich(

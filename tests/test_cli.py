@@ -102,12 +102,14 @@ class TestCluster:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert report["inputs"]["sha256"] == digest
 
-    def test_hardness_block_optional(self, tmp_path):
+    def test_hardness_block_matches_analyze_b(self, tmp_path):
         path = write_json(tmp_path, ANTIPODAL_DOC)
-        without = run_cluster(parse(["cluster", path]))
-        assert "hardness" not in without
-        with_block = run_cluster(parse(["cluster", path, "--with-hardness"]))
-        assert with_block["hardness"]["dictatorship_objective"] == pytest.approx(0.5)
+        for argv in ([], ["--mu-epsilon", "0.01"]):
+            report = run_cluster(parse(["cluster", path, *argv]))
+            analyzed = run_analyze_b(parse(["analyze-b", path, *argv]))
+            assert report["hardness"] == analyzed["hardness"]
+            assert report["hardness"]["dictatorship_objective"] == pytest.approx(0.5)
+        assert report["hardness"]["epsilon"] == 0.01
 
     @pytest.mark.parametrize("command", ["cluster", "analyze-b"])
     def test_one_by_one_b_is_degenerate(self, tmp_path, command):
@@ -345,9 +347,7 @@ class TestValidationErrors:
         path = write_json(tmp_path, ANTIPODAL_DOC)
         for value in ("0", "-1"):
             assert self.exit_code(["analyze-b", path, "--mu-epsilon", value]) == 2
-            assert self.exit_code(
-                ["cluster", path, "--with-hardness", "--mu-epsilon", value]
-            ) == 2
+            assert self.exit_code(["cluster", path, "--mu-epsilon", value]) == 2
 
     @pytest.mark.parametrize(
         "command, flag, values",
@@ -406,6 +406,13 @@ class TestValidationErrors:
         path = write_json(tmp_path, ANTIPODAL_DOC)
         assert self.exit_code(["oracle", path, "--grid", "179"]) == 2
 
+    def test_one_configuration_per_command(self, tmp_path):
+        # the hardness block is always in the cluster report, and selftest
+        # always runs the whole suite: neither has a switch
+        path = write_json(tmp_path, ANTIPODAL_DOC)
+        assert self.exit_code(["cluster", path, "--with-hardness"]) == 2
+        assert self.exit_code(["selftest", "--quick"]) == 2
+
 
 class TestAnalyzeB:
     def test_bc1_ratio(self, tmp_path):
@@ -444,7 +451,7 @@ class TestAnalyzeB:
         a = random_centered_psd(4, np.random.default_rng(1))
         path = write_json(tmp_path, {"A": a.mat.tolist(), "B": b.tolist()})
         analyzed = run_analyze_b(parse(["analyze-b", path]))
-        clustered = run_cluster(parse(["cluster", path, "--trials", "4", "--with-hardness"]))
+        clustered = run_cluster(parse(["cluster", path, "--trials", "4"]))
         assert analyzed["degenerate"] is degenerate
         for key in ("ball", "degenerate", "cb", "approx_ratio", "hardness"):
             assert analyzed.get(key) == clustered.get(key), key
@@ -532,12 +539,12 @@ class TestImports:
         )
         out = tmp_path / "cluster.json"
         runs = [
-            ["cluster", path, "--with-hardness", "--trials", "8", "--out", str(out)],
+            ["cluster", path, "--trials", "8", "--out", str(out)],
             ["analyze-b", path, "--out", str(tmp_path / "analyze.json")],
             ["analyze-b", path5, "--out", str(tmp_path / "analyze5.json")],
             ["cluster", path8, "--trials", "8", "--out", str(tmp_path / "cluster8.json")],
             ["oracle", path, "--out", str(tmp_path / "oracle.json")],
-            ["selftest", "--quick"],
+            ["selftest"],
         ]
         code = (
             "import sys; sys.modules['scipy'] = None; "
@@ -668,9 +675,9 @@ class TestProcess:
 
 
 class TestSelftest:
-    def test_quick_selftest_exit_zero(self):
+    def test_selftest_exit_zero(self):
         proc = subprocess.run(
-            [sys.executable, "-m", "gramclust.cli", "selftest", "--quick"],
+            [sys.executable, "-m", "gramclust.cli", "selftest"],
             capture_output=True,
             text=True,
             timeout=300,

@@ -678,11 +678,13 @@ class TestSearchCb:
         with pytest.raises(DegenerateB):
             search_cb(SymMatrix(b))
 
-    @pytest.mark.parametrize("e", [-35, 20])
+    @pytest.mark.parametrize("e", [-35, 20, 260])
     @pytest.mark.parametrize("name", ["I3", "diag-half", "wishart-0", "wishart-1"])
+    @pytest.mark.filterwarnings("error")
     def test_b_half_scale_free(self, name, e):
         # B * 4^e scales the Gram vectors by 2^e exactly; every threshold of
-        # the ball, the search and the hardness gadget is relative to B
+        # the ball, the search and the hardness gadget is relative to B, and
+        # at 4^260 nothing squares an entry of B itself
         rng = np.random.default_rng(5)
         wisharts = [g @ g.T / 6 for g in (rng.standard_normal((4, 6)) for _ in range(2))]
         b = {
@@ -781,6 +783,25 @@ class TestSearchCb:
         c_cold, part_cold, _ = search_cb(second)
         assert c_second == c_cold > c_first
         np.testing.assert_array_equal(part_second.directions, part_cold.directions)
+
+    def test_cached_result_is_read_only(self):
+        # every caller of the same B gets the one cached result
+        b = SymMatrix.from_array(np.diag([1.0, 1.0, 0.6]))
+        clear_search_cache()
+        _, part, value = search_cb(b)
+        for arr in (value.moments, part.directions):
+            with pytest.raises(ValueError):
+                arr[:] = 0.0
+        assert search_cb(b)[2] is value
+        assert np.all(np.abs(value.moments).sum(axis=1) > 0.0)
+
+    def test_cache_keeps_the_latest_b_alone(self):
+        clear_search_cache()
+        bs = [SymMatrix.from_array(np.diag([1.0, 1.0, 0.5 + 0.1 * t])) for t in range(4)]
+        results = [search_cb(b) for b in bs]
+        assert len(conic._SEARCH_CACHE) == 1
+        assert search_cb(bs[-1]) is results[-1]
+        assert search_cb(bs[0]) is not results[0]
 
     def test_deterministic_in_b_alone(self):
         rng = np.random.default_rng(4)

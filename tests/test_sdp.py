@@ -20,6 +20,7 @@ from gramclust import (
     validate_psd,
 )
 from gramclust import sdp
+from gramclust.matrixcore import unit_scaled
 from gramclust.sdp import _ascend, _normalize_columns, _plain_step
 
 ANTIPODAL = SymMatrix.from_array([[1.0, -1.0], [-1.0, 1.0]])
@@ -192,7 +193,9 @@ class TestSolveSdp:
         # multipliers leave diag(lambda) - A indefinite, 2 and 3 share a
         # tight certificate, and restart 1 ends lower with the tightest one
         n = 6
-        a = random_centered_psd(n, np.random.default_rng(13))
+        # largest |entry| in [1/2, 1): solve_sdp runs on A itself, unscaled,
+        # so the faked ends below are in A's units
+        a = SymMatrix(unit_scaled(random_centered_psd(n, np.random.default_rng(13)).mat)[0])
         l_max = float(np.linalg.eigvalsh(a.mat)[-1])
         tight = np.full(n, 2.0 * l_max)
         wide = tight.copy()
@@ -246,14 +249,20 @@ class TestSolveSdp:
         assert not sol.converged
         assert any(issubclass(w.category, NotConvergedWarning) for w in caught)
 
-    @pytest.mark.parametrize("e", [-70, 60])
+    @pytest.mark.parametrize("e", [-520, -70, 60, 520])
     def test_scale_free(self, e):
-        # every threshold is relative to A, so A * 2^e takes the same steps
+        # every threshold is relative to A, and the solve runs on A / 2^s,
+        # so A * 2^e takes the same steps even where ||A||_F^2 would
+        # overflow or the residual's squares underflow
         a = random_centered_psd(9, np.random.default_rng(12))
-        scaled = SymMatrix(a.mat * 2.0 ** e)
-        base, sol = solve_sdp(a, seed=12), solve_sdp(scaled, seed=12)
+        scaled = SymMatrix(np.ldexp(a.mat, e))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            base, sol = solve_sdp(a, seed=12), solve_sdp(scaled, seed=12)
         assert sol.value == math.ldexp(base.value, e)
         assert sol.dual_upper == math.ldexp(base.dual_upper, e)
+        assert sol.stationarity_residual == math.ldexp(base.stationarity_residual, e)
+        assert 0.0 < sol.stationarity_residual < math.inf
         assert (sol.iterations, sol.rank, sol.converged) == (base.iterations, base.rank, True)
         np.testing.assert_array_equal(sol.vectors, base.vectors)
         polished = ascend_from(scaled, base.vectors[::-1])
