@@ -11,13 +11,14 @@ Labels are 0-based; trials use counter-based Philox streams keyed by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .conic import ConicalPartition, classify_batch
 from .errors import LabelOutOfRange, TooFewTrials
-from .matrixcore import SymMatrix
+from .matrixcore import SymMatrix, unit_scaled
 
 
 @dataclass(frozen=True)
@@ -109,10 +110,15 @@ def round_best_of(
 
 
 def estimate_expectation(trial_values) -> tuple[float, float]:
-    """Sample mean and standard error of rounding trial values."""
-    values = np.asarray(trial_values, dtype=float)
+    """Sample mean and standard error of rounding trial values.
+
+    Both are taken on the values scaled by a power of two to unit size and
+    scaled back, so the squared deviations cannot overflow: the result is
+    exactly 2^e times that of the values / 2^e.
+    """
+    values, shift = unit_scaled(np.asarray(trial_values, dtype=float))
     if values.size < 2:
         raise TooFewTrials("need at least two trials for a standard error")
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / np.sqrt(values.size))
+    mean = math.ldexp(float(values.mean()), shift)
+    stderr = math.ldexp(float(values.std(ddof=1) / np.sqrt(values.size)), shift)
     return mean, stderr

@@ -8,6 +8,7 @@ from scipy.optimize import nnls
 import gramclust.ball as ball_mod
 from gramclust import (
     GramFactor,
+    Infeasible,
     SymMatrix,
     analyze_b,
     gram_factorize,
@@ -66,14 +67,33 @@ class TestMinEnclosingBall:
         assert set(ball.support) == {0, 1, 2}
 
     def test_matches_exhaustive_oracle(self):
-        for seed in range(25):
+        for seed in range(60):
             rng = np.random.default_rng(seed)
-            k = int(rng.integers(2, 5))
-            d = int(rng.integers(1, 4))
+            k = int(rng.integers(2, 9))
+            d = int(rng.integers(1, 7))
             pts = rng.standard_normal((k, d))
             ball = min_enclosing_ball(factor(pts))
             radius_ref, _ = exhaustive_meb(pts)
             assert ball.radius == pytest.approx(radius_ref, rel=1e-9, abs=1e-12)
+
+    def test_dependent_working_sets_match_exhaustive_oracle(self, monkeypatch):
+        # four points of a planar working set are affinely dependent: the
+        # solve must then step along the null direction of [V^T; 1^T]
+        null_steps = []
+        inner = ball_mod._working_set_step
+
+        def spy(points, p):
+            step, bounded = inner(points, p)
+            null_steps.append(not bounded)
+            return step, bounded
+
+        monkeypatch.setattr(ball_mod, "_working_set_step", spy)
+        for seed in range(200):
+            pts = np.random.default_rng(seed).standard_normal((5, 2))
+            radius_ref, _ = exhaustive_meb(pts)
+            ball = min_enclosing_ball(factor(pts))
+            assert ball.radius == pytest.approx(radius_ref, rel=1e-9)
+        assert sum(null_steps) >= 5
 
     def test_monotone_under_added_vector(self):
         rng = np.random.default_rng(7)
@@ -104,6 +124,87 @@ class TestMinEnclosingBall:
         report = analyze_b(SymMatrix(np.diag([1.0, 1.0, 0.25]) * 1e-318))
         assert report["degenerate"] is False
         assert report["ball"]["r2"] == pytest.approx(0.5208333e-318, rel=1e-5)
+
+
+def polygon(m, offset=(0.0, 0.0)):
+    angles = 2.0 * math.pi * np.arange(m) / m
+    return np.column_stack([np.cos(angles), np.sin(angles)]) + offset
+
+
+KNOWN_RADII = {
+    # cospherical, so every working set of four or more points in the plane
+    # is affinely dependent
+    "square": (np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]]) + 3.0,
+               math.sqrt(2.0)),
+    "pentagon": (polygon(5, (2.0, -1.0)), 1.0),
+    "12-gon": (polygon(12, (-1.0, 0.5)), 1.0),
+    "pentagon and center": (np.vstack([polygon(5), [[0.0, 0.0]]]), 1.0),
+    # the regular simplex on the standard basis of R^6, with its centroid
+    "simplex": (np.vstack([np.eye(6), np.full((1, 6), 1.0 / 6.0)]), math.sqrt(5.0 / 6.0)),
+    "repeated": (np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 0.0], [2.0, 0.0], [1.0, 0.5]]), 1.0),
+    "near-repeated": (np.array([[0.0, 0.0, 1.0], [2.0, 0.0, 1.0], [2.0, 1e-14, 1.0],
+                                [1.0, 0.5, 1.0 + 1e-14], [1.0, 0.5, 1.0]]), 1.0),
+}
+
+
+class TestKnownRadii:
+    @pytest.mark.parametrize("name", list(KNOWN_RADII))
+    def test_radius_and_boundary(self, name):
+        pts, radius = KNOWN_RADII[name]
+        ball = min_enclosing_ball(factor(pts))
+        assert ball.radius == pytest.approx(radius, rel=1e-12)
+        dists = np.linalg.norm(pts - ball.center, axis=1)
+        boundary = np.flatnonzero(np.abs(dists - radius) <= 1e-9).tolist()
+        assert list(ball.support) == boundary
+        assert ball.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def certificate_sets(rng):
+    """Gram factors of random B with k <= 64 and rank <= 10: Wishart,
+    rank-deficient, repeated vectors and unit vectors (all on one sphere)."""
+    shapes = [("low-rank", 64, 8), ("repeated", 48, 10)]
+    for _ in range(498):
+        kind = ("full", "low-rank", "repeated", "sphere")[int(rng.integers(4))]
+        d = int(rng.integers(1, 11))
+        k = int(rng.integers(2, 11)) if kind == "full" else int(rng.integers(2, 65))
+        shapes.append((kind, max(k, d) if kind == "full" else k, d))
+    for kind, k, d in shapes:
+        if kind == "repeated":
+            v = rng.standard_normal((d, d))[np.arange(k) % d]
+        else:
+            v = rng.standard_normal((k, min(d, k) if kind == "full" else d))
+            if kind == "sphere":
+                v /= np.linalg.norm(v, axis=1, keepdims=True)
+        yield gram_factorize(SymMatrix.from_array(v @ v.T))
+
+
+class TestOptimalityCertificate:
+    def test_random_sets_up_to_k64(self):
+        sets = list(certificate_sets(np.random.default_rng(29)))
+        assert len(sets) == 500
+        for gf in sets:
+            ball = min_enclosing_ball(gf)
+            v, p, r2 = gf.vectors, ball.weights, ball.radius ** 2
+            scale = max(r2, 1e-14 * float(np.max(np.einsum("ij,ij->i", v, v))))
+            dist2 = np.einsum("ij,ij->i", v - ball.center, v - ball.center)
+            # every vector is inside the ball
+            assert np.max(dist2) <= r2 + 1e-12 * scale
+            # p is in the simplex and positive only on the boundary
+            assert np.all(p >= 0.0) and p.sum() == pytest.approx(1.0, abs=1e-12)
+            assert np.all(dist2[p > 0.0] >= r2 - 1e-9 * scale)
+            # so the dual value at p, a lower bound on R^2, meets the radius
+            c = p @ v
+            dual = float(p @ np.einsum("ij,ij->i", v - c, v - c))
+            assert dual >= r2 - 1e-9 * scale
+
+
+class TestPivotCapAndCertificate:
+    @pytest.mark.parametrize("setting", [("PIVOTS_PER_POINT", 0), ("CERTIFICATE_TOL", -1.0)])
+    def test_failed_solve_raises_infeasible(self, monkeypatch, setting):
+        monkeypatch.setattr(ball_mod, *setting)
+        pts = np.random.default_rng(3).standard_normal((6, 3))
+        with pytest.raises(Infeasible):
+            min_enclosing_ball(factor(pts))
 
 
 class TestSupportWeights:

@@ -8,6 +8,7 @@ from gramclust import (
     LabelOutOfRange,
     SymMatrix,
     TooFewTrials,
+    cluster,
     clustering_value,
     estimate_expectation,
     random_centered_psd,
@@ -179,3 +180,22 @@ class TestEstimateExpectation:
     def test_too_few(self):
         with pytest.raises(TooFewTrials):
             estimate_expectation([1.0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scaled", ["A", "B"])
+    def test_scale_free_at_the_top_of_the_range(self, scaled):
+        # A * 2^520 or B * 4^260 scales every trial value by 2^520; their
+        # squared deviations would overflow unless taken at unit scale
+        a = random_centered_psd(12, np.random.default_rng(3))
+        if scaled == "A":
+            b = SymMatrix.from_array(np.eye(3))
+            big_a, big_b = SymMatrix(np.ldexp(a.mat, 520)), b
+        else:
+            g = np.random.default_rng(4).standard_normal((4, 4))
+            b = SymMatrix.from_array(g @ g.T / 4)
+            big_a, big_b = a, SymMatrix(np.ldexp(b.mat, 520))
+        base = cluster(a, b, trials=16, seed=0)["rounding"]
+        big = cluster(big_a, big_b, trials=16, seed=0)["rounding"]
+        for key in ("trial_mean", "trial_stderr"):
+            assert math.isfinite(big[key]) and base[key] != 0.0
+            assert big[key] == math.ldexp(base[key], 520), key
