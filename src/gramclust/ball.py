@@ -11,7 +11,15 @@ dimension EXACT_MAX_DIM one primal active-set solve finds it exactly
 optimality certificate: every vector within the radius of
 sum_i p_i v_i, and p in the simplex with p_i > 0 only on the boundary.
 A solve that fails the certificate, or does not settle within
-PIVOTS_PER_POINT pivots per point, raises Infeasible.  Above that
+PIVOTS_PER_POINT pivots per point, raises Infeasible.
+
+The weights reported are the solve's own p whenever the boundary holds
+nothing but the solve's final working set and copies of its points: that
+set is affinely independent, so p is unique up to how it splits among
+copies, and each point's weight is split evenly over them (the
+minimum-norm split).  Only when further vectors lie on the boundary (a
+cospherical set such as the square) or above EXACT_MAX_DIM does a
+ridge-regularized NNLS pick the minimum-norm weights.  Above that
 dimension the Badoiu-Clarkson iteration runs instead: it stops near 1e-4
 relative accuracy, so the support weights of a B of rank above 10 fail
 their check and raise Infeasible.  It stays while benchmarks/test_bench.py
@@ -39,6 +47,9 @@ CERTIFICATE_TOL = 1e-11
 # affinely dependent
 RANK_TOL = 1e-10
 PIVOTS_PER_POINT = 4
+# vectors within this share of the largest entry in every coordinate are
+# copies of one point (the dedup rounds to 13 digits)
+COPY_TOL = 1e-13
 FRANK_WOLFE_CAP = 10_000
 
 
@@ -79,7 +90,9 @@ def _working_set_step(points: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, bo
     return step, False
 
 
-def _active_set_ball(points: np.ndarray) -> tuple[np.ndarray, float]:
+def _active_set_ball(
+    points: np.ndarray,
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
     """Exact smallest enclosing ball from the dual QP on the simplex,
     min p^T G p - q^T p over p >= 0, sum p = 1, by a primal active-set
     method.
@@ -93,47 +106,70 @@ def _active_set_ball(points: np.ndarray) -> tuple[np.ndarray, float]:
     solved for its KKT point, and a weight that would go <= 0 stops the
     step at the boundary and leaves the set.  Raises Infeasible past the
     pivot cap or when the optimality certificate fails.
+
+    Returns the center, the radius, the final working set (indices into
+    points) and its weights p > 0.  The loop ends only after a full KKT
+    step, so the working set is affinely independent and p is the unique
+    weighting of it that reproduces the center.
     """
     y = points - points[0]
     q_max = float(np.max(np.einsum("ij,ij->i", y, y)))
-    work = np.zeros(1, dtype=int)
-    p = np.ones(1)
+    cap = PIVOTS_PER_POINT * len(points)
+    # the working set and its weights live in the first m slots; a set of
+    # d + 1 affinely independent points plus the one joining fills d + 2
+    slots = min(len(points), y.shape[1] + 2)
+    work = np.zeros(slots, dtype=int)
+    p = np.zeros(slots)
+    p[0] = 1.0
+    m = 1
     pivots = 0
     while True:
-        center = p @ y[work]
+        center = p[:m] @ y[work[:m]]
         offsets = y - center
         dist2 = np.einsum("ij,ij->i", offsets, offsets)
         far = int(np.argmax(dist2))
-        if dist2[far] - float(np.max(dist2[work])) <= VIOLATION_TOL * q_max:
+        if dist2[far] - float(np.max(dist2[work[:m]])) <= VIOLATION_TOL * q_max:
             break
-        work = np.append(work, far)
-        p = np.append(p, 0.0)
+        work[m] = far
+        p[m] = 0.0
+        m += 1
         while True:
             pivots += 1
-            if pivots > PIVOTS_PER_POINT * len(points):
+            if pivots > cap:
                 raise Infeasible(f"enclosing ball: no optimum within {pivots - 1} pivots")
-            step, bounded = _working_set_step(y[work], p)
-            falling = step < 0.0
-            ratios = p[falling] / -step[falling]
-            alpha = float(ratios.min()) if ratios.size else np.inf
-            if bounded and alpha >= 1.0:
-                p = p + step
+            step, bounded = _working_set_step(y[work[:m]], p[:m])
+            falling = np.flatnonzero(step < 0.0)
+            if falling.size:
+                ratios = p[falling] / -step[falling]
+                j = int(np.argmin(ratios))
+                alpha = float(ratios[j])
             else:
-                p = p + alpha * step
-                p[np.flatnonzero(falling)[np.argmin(ratios)]] = 0.0
-            keep = p > 0.0
-            if keep.all():
+                alpha = np.inf
+            if bounded and alpha >= 1.0:
+                p[:m] += step
+                # every weight stays positive except a tie at alpha = 1 or
+                # the joining point's, which the step can leave at 0
+                if alpha > 1.0 and p[m - 1] > 0.0:
+                    break
+            else:
+                p[:m] += alpha * step
+                p[falling[j]] = 0.0
+            keep = np.flatnonzero(p[:m] > 0.0)
+            if len(keep) == m:
                 break
-            work, p = work[keep], p[keep]
+            m = len(keep)
+            work[:m] = work[keep]
+            p[:m] = p[keep]
     # the radius reaches the farthest point, so every point is inside; the
     # certificate is that p (positive by construction) sums to 1 and weights
     # only points on that boundary, so the dual value at p meets R^2
+    work, p = work[:m], p[:m]
     r2 = float(np.max(dist2))
     if abs(p.sum() - 1.0) > CERTIFICATE_TOL or np.any(
         dist2[work] < r2 - CERTIFICATE_TOL * q_max
     ):
         raise Infeasible("enclosing ball: the active-set weights fail the certificate")
-    return points[0] + center, math.sqrt(r2)
+    return points[0] + center, math.sqrt(r2), work, p
 
 
 def _frank_wolfe_ball(points: np.ndarray) -> tuple[np.ndarray, float]:
@@ -242,6 +278,40 @@ def _min_norm_simplex_weights(
     return p
 
 
+def _working_set_weights(
+    vectors: np.ndarray, pts: np.ndarray, work: np.ndarray, p: np.ndarray, support: list[int]
+) -> np.ndarray | None:
+    """The active-set weights p of the distinct points pts[work], each split
+    evenly over that point's copies, or None when some support vector is
+    not a copy of a working point.
+
+    A copy agrees with the point to COPY_TOL of the largest entry in every
+    coordinate, the dedup's rounding step (so copies that the rounding put
+    on two sides of a step count too).  The working set is affinely
+    independent, so on that support the weights are unique up to the
+    split among copies, and the even split is the minimum-norm one.
+    """
+    gap = np.max(np.abs(vectors[support][:, None, :] - pts[work]), axis=2)
+    nearest = np.argmin(gap, axis=1)
+    counts = np.bincount(nearest, minlength=len(work))
+    tol = COPY_TOL * np.max(np.abs(vectors))
+    if np.any(gap[np.arange(len(support)), nearest] > tol) or not counts.all():
+        return None
+    weights = np.zeros(len(vectors))
+    weights[support] = (p / p.sum() / counts)[nearest]
+    return weights
+
+
+def _distinct_rows(vectors: np.ndarray) -> np.ndarray:
+    """Index of the first occurrence of each distinct row of vectors, rounded
+    to 13 digits of the largest entry, in lexicographic order of the
+    rounded rows: the order of np.unique(..., axis=0, return_index=True)."""
+    unit = np.round(vectors / np.max(np.abs(vectors)), 13)
+    order = np.lexsort(unit.T[::-1])
+    rows = unit[order]
+    return order[np.concatenate([[True], np.any(rows[1:] != rows[:-1], axis=1)])]
+
+
 def min_enclosing_ball(gram: GramFactor) -> EnclosingBall:
     """Smallest ball containing the Gram vectors.
 
@@ -250,31 +320,36 @@ def min_enclosing_ball(gram: GramFactor) -> EnclosingBall:
     that (see the module docstring).  The support is every vector within
     BALL_TOL of the boundary, and the weights are the minimum-norm ones on
     it, so repeated and affinely dependent boundary vectors get
-    well-defined weights.  The support and weight tolerances are relative
-    to the radius, and never fall below BALL_TOL times the longest Gram
-    vector, whose length sets the rounding error of the distances; so
-    B * 4^e gives the same support and weights and the radius times 2^e.
+    well-defined weights: the solve's own, split evenly over copies, when
+    the support is exactly the copies of its final working set, and the
+    NNLS's otherwise (a cospherical support, or the fallback).  The
+    support and weight tolerances are relative to the radius, and never
+    fall below BALL_TOL times the longest Gram vector, whose length sets
+    the rounding error of the distances; so B * 4^e gives the same support
+    and weights and the radius times 2^e.
     """
     if gram.k < 1:
         raise ValueError("need at least one vector")
     # scaled, so that the squared distances of a B at the bottom of the
     # double range do not underflow
     vectors, shift = unit_scaled(gram.vectors)
+    work = None
     if gram.ambient_dim == 0:
         # B = 0: every vector is the origin
         center = np.zeros(0)
         radius = 0.0
     else:
-        unit = np.round(vectors / np.max(np.abs(vectors)), 13)
-        pts = vectors[np.unique(unit, axis=0, return_index=True)[1]]
+        pts = vectors[_distinct_rows(vectors)]
         if vectors.shape[1] <= EXACT_MAX_DIM:
-            center, radius = _active_set_ball(pts)
+            center, radius, work, p = _active_set_ball(pts)
         else:
             center, radius = _frank_wolfe_ball(pts)
     longest = float(np.max(np.linalg.norm(vectors, axis=1)))
     scale = max(radius, BALL_TOL * longest)
     support = _support_indices(vectors, center, radius, scale)
-    weights = _min_norm_simplex_weights(vectors, center, support, scale)
+    weights = None if work is None else _working_set_weights(vectors, pts, work, p, support)
+    if weights is None:
+        weights = _min_norm_simplex_weights(vectors, center, support, scale)
     return EnclosingBall(
         center=np.ldexp(center, shift),
         radius=math.ldexp(radius, shift),

@@ -22,6 +22,10 @@ CENTERED_TOL = 1e-8
 PSD_TOL = 1e-9
 
 
+def _bounds(eigs: np.ndarray) -> tuple[float, float]:
+    return float(eigs[0]), float(np.max(np.abs(eigs)))
+
+
 @dataclass(frozen=True)
 class SymMatrix:
     """Dense symmetric real matrix.
@@ -55,8 +59,14 @@ class SymMatrix:
     @cached_property
     def eig_bounds(self) -> tuple[float, float]:
         """(smallest eigenvalue, spectral norm), from one eigendecomposition."""
-        eigs = np.linalg.eigvalsh(self.mat)
-        return float(eigs[0]), float(np.max(np.abs(eigs)))
+        return _bounds(np.linalg.eigvalsh(self.mat))
+
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (ascending) and eigenvectors; fills ``eig_bounds``
+        from the same eigenvalues when it is not yet computed."""
+        eigs, vecs = np.linalg.eigh(self.mat)
+        self.__dict__.setdefault("eig_bounds", _bounds(eigs))
+        return eigs, vecs
 
     def permuted(self, perm: np.ndarray) -> "SymMatrix":
         """Simultaneous row/column permutation: entry (i,j) of the result is
@@ -106,12 +116,14 @@ def gram_factorize(b: SymMatrix) -> GramFactor:
     Uses a symmetric eigendecomposition rather than Cholesky so that
     rank-deficient B (repeated or affinely dependent v_i) is handled:
     eigenvalues in [-PSD_TOL * max_eig, 0] are clamped to zero and dropped.
+    The one ``eigh`` also gives the PSD check its eigenvalues, so a B not
+    yet validated is decomposed once.
 
     Raises NotPSD when an eigenvalue is more negative than the clamp band.
     """
+    eigs, vecs = b.eigh()
     if not validate_psd(b):
         raise NotPSD("matrix has a negative eigenvalue beyond tolerance")
-    eigs, vecs = np.linalg.eigh(b.mat)
     max_eig = float(eigs[-1]) if eigs.size else 0.0
     cut = PSD_TOL * max(max_eig, 0.0)
     keep = eigs > cut

@@ -15,6 +15,7 @@ from gramclust import (
     min_enclosing_ball,
     radius_squared,
 )
+from gramclust.matrixcore import unit_scaled
 
 BALL_TOL = 1e-7
 
@@ -198,6 +199,47 @@ class TestOptimalityCertificate:
             assert dual >= r2 - 1e-9 * scale
 
 
+def b_geometry_shape(kind, k, r, rng):
+    """A B as the b-geometry benchmark draws it: Wishart of full rank k, or
+    k Gram vectors taking r distinct values."""
+    if kind == "full":
+        g = rng.standard_normal((k, k))
+        return g @ g.T / k
+    v = rng.standard_normal((r, r)) / np.sqrt(r)
+    rows = v[rng.permutation(np.arange(k) % r)]
+    return rows @ rows.T
+
+
+class TestAboveRankTen:
+    @pytest.mark.parametrize("shape", [("full", 12, 12), ("full", 24, 24), ("repeated", 64, 16)])
+    def test_active_set_certifies_within_the_pivot_cap(self, monkeypatch, shape):
+        # min_enclosing_ball still runs the Frank-Wolfe fallback above rank
+        # 10; this measures the exact solve there, on the same distinct points
+        pivots = []
+        inner = ball_mod._working_set_step
+
+        def spy(points, p):
+            pivots[-1] += 1
+            return inner(points, p)
+
+        monkeypatch.setattr(ball_mod, "_working_set_step", spy)
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            gf = gram_factorize(SymMatrix.from_array(b_geometry_shape(*shape, rng)))
+            vectors, _ = unit_scaled(gf.vectors)
+            pts = vectors[ball_mod._distinct_rows(vectors)]
+            pivots.append(0)
+            center, radius, work, p = ball_mod._active_set_ball(pts)
+            r2 = radius ** 2
+            dist2 = np.einsum("ij,ij->i", pts - center, pts - center)
+            assert np.max(dist2) <= r2 * (1.0 + 1e-12)
+            assert np.all(p > 0.0) and p.sum() == pytest.approx(1.0, abs=1e-12)
+            c = p @ pts[work]
+            assert p @ np.einsum("ij,ij->i", pts[work] - c, pts[work] - c) >= r2 * (1.0 - 1e-12)
+            # 4 to 11 pivots here, against a cap of 48 to 256
+            assert pivots[-1] <= ball_mod.PIVOTS_PER_POINT * shape[1]
+
+
 class TestPivotCapAndCertificate:
     @pytest.mark.parametrize("setting", [("PIVOTS_PER_POINT", 0), ("CERTIFICATE_TOL", -1.0)])
     def test_failed_solve_raises_infeasible(self, monkeypatch, setting):
@@ -251,6 +293,87 @@ class TestSupportWeights:
         pts = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
         ball = min_enclosing_ball(factor(pts))
         np.testing.assert_allclose(ball.weights, np.full(4, 0.25), atol=1e-5)
+
+
+def nnls_spy(monkeypatch):
+    """Record the calls that reach the minimum-norm NNLS weights; returns
+    the record and the unwrapped function."""
+    calls = []
+    inner = ball_mod._min_norm_simplex_weights
+
+    def spy(*args):
+        calls.append(len(args[2]))
+        return inner(*args)
+
+    monkeypatch.setattr(ball_mod, "_min_norm_simplex_weights", spy)
+    return calls, inner
+
+
+def nnls_weights_at(ball, nnls):
+    """The NNLS weights at the ball's own center and support, on the same
+    scaled vectors and tolerance as min_enclosing_ball."""
+    vectors, shift = unit_scaled(ball.gram.vectors)
+    longest = float(np.max(np.linalg.norm(vectors, axis=1)))
+    scale = max(math.ldexp(ball.radius, -shift), ball_mod.BALL_TOL * longest)
+    return nnls(vectors, np.ldexp(ball.center, -shift), list(ball.support), scale)
+
+
+def labelled_sets(rng, count):
+    """(vectors, labels) with k <= 64 in dimension <= 10: every other set
+    generic (each vector its own label), the rest exact repeats of 2 to
+    d + 1 distinct vectors (rows with one label are bitwise equal)."""
+    for trial in range(count):
+        d, k = int(rng.integers(1, 11)), int(rng.integers(2, 65))
+        if trial % 2:
+            labels = rng.integers(0, int(rng.integers(2, d + 2)), k)
+            yield rng.standard_normal((labels.max() + 1, d))[labels], labels
+        else:
+            yield rng.standard_normal((k, d)), np.arange(k)
+
+
+class TestActiveSetWeights:
+    def test_weights_are_the_solves_own(self, monkeypatch):
+        calls, nnls = nnls_spy(monkeypatch)
+        for trial, (v, labels) in enumerate(labelled_sets(np.random.default_rng(31), 500)):
+            ball = min_enclosing_ball(factor(v))
+            p, support = ball.weights, list(ball.support)
+            # ridge-free reference: the weights of the distinct support
+            # vectors that reproduce the center, split evenly over copies
+            groups, first = np.unique(labels[support], return_index=True)
+            reps = np.array(support)[first]
+            a = np.vstack([v[reps].T, np.ones(len(reps))])
+            x = np.linalg.lstsq(a, np.append(ball.center, 1.0), rcond=None)[0]
+            counts = np.bincount(labels)
+            ref = np.zeros(len(v))
+            for g, xg in zip(groups, x):
+                ref[labels == g] = xg / counts[g]
+            np.testing.assert_allclose(p, ref, rtol=0, atol=1e-12)
+            for g in groups:
+                assert np.ptp(p[labels == g]) == 0.0
+            # the NNLS's 1e-6 ridge moves its weights by up to ~3e-12, and by
+            # ~3e-10 among repeated vectors
+            np.testing.assert_allclose(
+                p, nnls_weights_at(ball, nnls), rtol=0, atol=1e-9 if trial % 2 else 1e-11
+            )
+        assert calls == []
+
+    @pytest.mark.parametrize("name", ["square", "pentagon", "12-gon"])
+    def test_cospherical_sets_take_the_nnls(self, monkeypatch, name):
+        calls, nnls = nnls_spy(monkeypatch)
+        ball = min_enclosing_ball(factor(KNOWN_RADII[name][0]))
+        assert len(calls) == 1
+        np.testing.assert_array_equal(ball.weights, nnls_weights_at(ball, nnls))
+
+    def test_sphere_systems_take_the_nnls(self, monkeypatch):
+        calls, nnls = nnls_spy(monkeypatch)
+        for v in ball_systems(np.random.default_rng(7)):
+            before = len(calls)
+            ball = min_enclosing_ball(gram_factorize(SymMatrix.from_array(v @ v.T)))
+            if len(calls) > before:
+                np.testing.assert_array_equal(ball.weights, nnls_weights_at(ball, nnls))
+        # most sphere systems (odd trials; 99 of the 120 here) have more
+        # boundary vectors than an affinely independent working set holds
+        assert len(calls) >= 90
 
 
 def scipy_nnls(a, b):

@@ -98,6 +98,42 @@ class TestGramFactorize:
         with pytest.raises(NotPSD):
             gram_factorize(sym([[0, 1], [1, 0]]))
 
+    @pytest.fixture
+    def no_eigvalsh(self, monkeypatch):
+        def eigvalsh(mat):
+            raise AssertionError("gram_factorize ran a second decomposition")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+
+    def test_one_decomposition(self, no_eigvalsh):
+        g = np.random.default_rng(2).standard_normal((6, 4))
+        gf = gram_factorize(sym(g @ g.T))
+        assert gf.ambient_dim == 4
+
+    def test_psd_rule_reads_the_eigh_eigenvalues(self, no_eigvalsh):
+        with pytest.raises(NotPSD):
+            gram_factorize(sym(np.diag([1.0, -1e-3])))
+        gf = gram_factorize(sym(np.diag([1.0, -1e-12])))
+        assert gf.ambient_dim == 1
+
+    def test_eigh_bounds_match_eigvalsh(self):
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            k = int(rng.integers(1, 65))
+            g = rng.standard_normal((k, int(rng.integers(1, k + 4))))
+            seeded, fresh = sym(g @ g.T), sym(g @ g.T)
+            seeded.eigh()
+            # the two LAPACK drivers differ by up to ~3e-15 of the norm at
+            # k <= 64; the PSD rule's tolerance is 1e-9 of it
+            norm = fresh.eig_bounds[1]
+            np.testing.assert_allclose(seeded.eig_bounds, fresh.eig_bounds, rtol=0, atol=1e-14 * norm)
+
+    def test_eigh_keeps_bounds_already_computed(self):
+        m = sym(np.diag([2.0, -1e-12]))
+        bounds = m.eig_bounds
+        m.eigh()
+        assert m.eig_bounds is bounds
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 6), st.integers(1, 6), st.integers(0, 10_000))
     def test_roundtrip_random_psd(self, k, rank, seed):
