@@ -5,24 +5,18 @@ weights p on the boundary support points: w(B) = sum_i p_i v_i with
 p_i > 0 only for boundary vectors.
 
 R(B)^2 is the optimum of the ball's dual, a concave QP on the simplex:
-R^2 = max_p sum_i p_i |v_i|^2 - |sum_i p_i v_i|^2.  Up to ambient
-dimension EXACT_MAX_DIM one primal active-set solve finds it exactly
-(Gartner 1999; Yildirim 2008, SIAM J. Optim. 19(3)) and ends on the
-optimality certificate: every vector within the radius of
-sum_i p_i v_i, and p in the simplex with p_i > 0 only on the boundary.
-A solve that fails the certificate, or does not settle within
-PIVOTS_PER_POINT pivots per point, raises Infeasible.
-
-The weights reported are the solve's own p whenever the boundary holds
-nothing but the solve's final working set and copies of its points: that
-set is affinely independent, so p is unique up to how it splits among
-copies, and each point's weight is split evenly over them (the
-minimum-norm split).  Only when further vectors lie on the boundary (a
-cospherical set such as the square) or above EXACT_MAX_DIM does a
-ridge-regularized NNLS pick the minimum-norm weights.  Above that
-dimension the Badoiu-Clarkson iteration runs instead: it stops near 1e-4
-relative accuracy, so the support weights of a B of rank above 10 fail
-their check and raise Infeasible.  It stays while benchmarks/test_bench.py
+R^2 = max_p sum_i p_i |v_i|^2 - |sum_i p_i v_i|^2.  Any p in the simplex
+that weights only vectors at the largest distance from sum_i p_i v_i
+attains it, so it certifies R^2 (Yildirim 2008, SIAM J. Optim. 19(3)),
+and the hardness gadget's spread sum_i p_i |v_i - w|^2 equals R^2 for
+every such p.  Every ball returned passes that one certificate, and its
+weights are the certified p.  Up to ambient dimension EXACT_MAX_DIM one
+primal active-set solve (Gartner 1999) finds the optimum exactly; a solve
+that does not settle within PIVOTS_PER_POINT pivots per point raises
+Infeasible.  Above that dimension the Badoiu-Clarkson iteration runs
+instead: its center is the average of the points it visits, and at its
+1e-4 relative accuracy those visits fail the certificate, so a B of rank
+above 10 raises Infeasible.  It stays while benchmarks/test_bench.py
 asserts that those failures occur (ROADMAP item 4).
 """
 
@@ -47,9 +41,6 @@ CERTIFICATE_TOL = 1e-11
 # affinely dependent
 RANK_TOL = 1e-10
 PIVOTS_PER_POINT = 4
-# vectors within this share of the largest entry in every coordinate are
-# copies of one point (the dedup rounds to 13 digits)
-COPY_TOL = 1e-13
 FRANK_WOLFE_CAP = 10_000
 
 
@@ -90,9 +81,7 @@ def _working_set_step(points: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, bo
     return step, False
 
 
-def _active_set_ball(
-    points: np.ndarray,
-) -> tuple[np.ndarray, float, np.ndarray, np.ndarray]:
+def _active_set_ball(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact smallest enclosing ball from the dual QP on the simplex,
     min p^T G p - q^T p over p >= 0, sum p = 1, by a primal active-set
     method.
@@ -105,10 +94,10 @@ def _active_set_ball(
     point lies more than VIOLATION_TOL * max q outside; each working set is
     solved for its KKT point, and a weight that would go <= 0 stops the
     step at the boundary and leaves the set.  Raises Infeasible past the
-    pivot cap or when the optimality certificate fails.
+    pivot cap.
 
-    Returns the center, the radius, the final working set (indices into
-    points) and its weights p > 0.  The loop ends only after a full KKT
+    Returns the final working set (indices into points) and its weights
+    p > 0, for _certified to check.  The loop ends only after a full KKT
     step, so the working set is affinely independent and p is the unique
     weighting of it that reproduces the center.
     """
@@ -160,29 +149,52 @@ def _active_set_ball(
             m = len(keep)
             work[:m] = work[keep]
             p[:m] = p[keep]
-    # the radius reaches the farthest point, so every point is inside; the
-    # certificate is that p (positive by construction) sums to 1 and weights
-    # only points on that boundary, so the dual value at p meets R^2
-    work, p = work[:m], p[:m]
-    r2 = float(np.max(dist2))
-    if abs(p.sum() - 1.0) > CERTIFICATE_TOL or np.any(
-        dist2[work] < r2 - CERTIFICATE_TOL * q_max
-    ):
-        raise Infeasible("enclosing ball: the active-set weights fail the certificate")
-    return points[0] + center, math.sqrt(r2), work, p
+    return work[:m], p[:m]
 
 
-def _frank_wolfe_ball(points: np.ndarray) -> tuple[np.ndarray, float]:
+def _frank_wolfe_ball(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Badoiu-Clarkson iteration on the max-of-quadratics dual.
 
     O(1/t) accurate; used only above EXACT_MAX_DIM (see min_enclosing_ball).
+    Its iterate is the average of points[0] and the farthest point of each
+    step, so it returns the visited points and their visit shares as the
+    working set and its weights.
     """
     center = points[0].copy()
+    visits = np.zeros(len(points))
+    visits[0] = 1.0
     for t in range(1, FRANK_WOLFE_CAP + 1):
         dists = np.linalg.norm(points - center, axis=1)
         far = int(np.argmax(dists))
         center += (points[far] - center) / (t + 1.0)
-    return center, float(np.max(np.linalg.norm(points - center, axis=1)))
+        visits[far] += 1.0
+    work = np.flatnonzero(visits)
+    return work, visits[work] / visits.sum()
+
+
+def _certified(points: np.ndarray, work: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, float]:
+    """The center sum_i p_i points[work[i]] and the radius, the largest
+    distance from it, once the weights pass the optimality certificate.
+
+    The certificate: p >= 0 sums to 1 and weights only points on the
+    boundary, so the dual value at p meets R^2.  Both hold within
+    CERTIFICATE_TOL, the boundary relative to the largest squared offset
+    y_i = v_i - v_0 (distances are taken on the offsets, which keeps them
+    relative to the point set's own spread).  Raises Infeasible otherwise.
+    """
+    y = points - points[0]
+    q_max = float(np.max(np.einsum("ij,ij->i", y, y)))
+    center = p @ y[work]
+    offsets = y - center
+    dist2 = np.einsum("ij,ij->i", offsets, offsets)
+    r2 = float(np.max(dist2))
+    if (
+        np.any(p < 0.0)
+        or abs(p.sum() - 1.0) > CERTIFICATE_TOL
+        or np.any(dist2[work] < r2 - CERTIFICATE_TOL * q_max)
+    ):
+        raise Infeasible("enclosing ball: the weights fail the optimality certificate")
+    return points[0] + center, math.sqrt(r2)
 
 
 def _support_indices(
@@ -192,124 +204,18 @@ def _support_indices(
     return np.flatnonzero(np.abs(dists - radius) <= BALL_TOL * scale).tolist()
 
 
-def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """argmin ||a x - b|| over x >= 0, for a of full column rank.
-
-    The unconstrained minimizer is then unique, so when it is nonnegative
-    it is the answer; otherwise Lawson & Hanson's active-set loop (Solving
-    Least Squares Problems, 1974, ch. 23) finds it.
-    """
-    x = np.linalg.lstsq(a, b, rcond=None)[0]
-    if np.all(x >= 0.0):
-        return x
-    return _lawson_hanson(a, b)
-
-
-def _lawson_hanson(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Active-set NNLS: grow the passive set by the steepest-descent
-    coordinate while the gradient allows descent, stepping back to the
-    feasible boundary whenever a passive least-squares solve goes
-    nonpositive.  Iterations are capped at 3n, as in scipy.optimize.nnls.
-    """
-    n = a.shape[1]
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    rhs = np.column_stack([b, a])
-    for _ in range(3 * n):
-        # x solves the passive least squares, so minus the gradient of
-        # ||a x - b||^2 / 2 is a^T r with r the residual of b off the passive
-        # span; projecting the columns off that span too keeps the tiny
-        # gradients of nearly dependent columns above rounding noise
-        cols = a[:, passive]
-        perp = rhs - cols @ np.linalg.lstsq(cols, rhs, rcond=None)[0]
-        descent = perp[:, 1:].T @ perp[:, 0]
-        descent[passive] = 0.0
-        j = int(np.argmax(descent))
-        if descent[j] <= 0.0:
-            break
-        passive[j] = True
-        while True:
-            z = np.zeros(n)
-            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
-            blocked = passive & (z <= 0.0)
-            if not blocked.any():
-                break
-            # step from x toward z until the first passive entry reaches 0
-            ratios = x[blocked] / (x[blocked] - z[blocked])
-            x = x + float(np.min(ratios)) * (z - x)
-            x[np.flatnonzero(blocked)[np.argmin(ratios)]] = 0.0
-            passive &= x > 0.0
-        x = z
-    return x
-
-
-def _min_norm_simplex_weights(
-    vectors: np.ndarray, center: np.ndarray, support: list[int], scale: float
-) -> np.ndarray:
-    """Minimum-norm p >= 0 with sum p = 1 and sum p_i v_i = center.
-
-    Solved as Tikhonov-regularized NNLS: the tiny ridge term selects the
-    minimum-Euclidean-norm point of the (possibly non-unique) feasible set
-    without perturbing it beyond ~1e-12, and makes the problem strictly
-    convex, so one least-squares solve usually settles it.  ``scale`` is
-    the length the offsets are measured in (see min_enclosing_ball).
-    """
-    k = len(vectors)
-    s = len(support)
-    sub = (vectors[support] - center).T / scale  # (d, s)
-    ridge = 1e-6
-    a = np.vstack([sub, np.ones((1, s)), ridge * np.eye(s)])
-    b = np.concatenate([np.zeros(sub.shape[0]), [1.0], np.zeros(s)])
-    p_sub = _nnls(a, b)
-    p = np.zeros(k)
-    p[support] = p_sub
-    # feasibility check at 10x ball tolerance, on the offsets from the center
-    # so that it does not depend on where the ball lies; failure means the
-    # ball geometry itself is wrong, so surface it rather than repair
-    recon = np.linalg.norm(p @ (vectors - center))
-    if recon > 10.0 * BALL_TOL * scale or abs(p.sum() - 1.0) > 10.0 * BALL_TOL:
-        raise Infeasible(
-            f"no support weights reproduce the center (residual {recon / scale:.3e}"
-            " of the radius)"
-        )
-    total = p.sum()
-    if total > 0:
-        p = p / total
-    return p
-
-
-def _working_set_weights(
-    vectors: np.ndarray, pts: np.ndarray, work: np.ndarray, p: np.ndarray, support: list[int]
-) -> np.ndarray | None:
-    """The active-set weights p of the distinct points pts[work], each split
-    evenly over that point's copies, or None when some support vector is
-    not a copy of a working point.
-
-    A copy agrees with the point to COPY_TOL of the largest entry in every
-    coordinate, the dedup's rounding step (so copies that the rounding put
-    on two sides of a step count too).  The working set is affinely
-    independent, so on that support the weights are unique up to the
-    split among copies, and the even split is the minimum-norm one.
-    """
-    gap = np.max(np.abs(vectors[support][:, None, :] - pts[work]), axis=2)
-    nearest = np.argmin(gap, axis=1)
-    counts = np.bincount(nearest, minlength=len(work))
-    tol = COPY_TOL * np.max(np.abs(vectors))
-    if np.any(gap[np.arange(len(support)), nearest] > tol) or not counts.all():
-        return None
-    weights = np.zeros(len(vectors))
-    weights[support] = (p / p.sum() / counts)[nearest]
-    return weights
-
-
-def _distinct_rows(vectors: np.ndarray) -> np.ndarray:
+def _distinct_rows(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of the first occurrence of each distinct row of vectors, rounded
     to 13 digits of the largest entry, in lexicographic order of the
-    rounded rows: the order of np.unique(..., axis=0, return_index=True)."""
+    rounded rows (the order of np.unique(..., axis=0, return_index=True)),
+    and the inverse map: row i is a copy of distinct row inverse[i]."""
     unit = np.round(vectors / np.max(np.abs(vectors)), 13)
     order = np.lexsort(unit.T[::-1])
     rows = unit[order]
-    return order[np.concatenate([[True], np.any(rows[1:] != rows[:-1], axis=1)])]
+    new = np.concatenate([[True], np.any(rows[1:] != rows[:-1], axis=1)])
+    inverse = np.empty(len(vectors), dtype=int)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
 
 
 def min_enclosing_ball(gram: GramFactor) -> EnclosingBall:
@@ -317,15 +223,15 @@ def min_enclosing_ball(gram: GramFactor) -> EnclosingBall:
 
     The exact active-set solve of the dual QP runs on the distinct vectors
     for ambient dimension <= EXACT_MAX_DIM, the iterative fallback above
-    that (see the module docstring).  The support is every vector within
-    BALL_TOL of the boundary, and the weights are the minimum-norm ones on
-    it, so repeated and affinely dependent boundary vectors get
-    well-defined weights: the solve's own, split evenly over copies, when
-    the support is exactly the copies of its final working set, and the
-    NNLS's otherwise (a cospherical support, or the fallback).  The
-    support and weight tolerances are relative to the radius, and never
-    fall below BALL_TOL times the longest Gram vector, whose length sets
-    the rounding error of the distances; so B * 4^e gives the same support
+    that (see the module docstring); either ball passes one optimality
+    certificate or raises Infeasible.  The weights are the solve's own
+    certified p, each distinct vector's weight split evenly over its
+    copies; where the boundary is affinely dependent (a cospherical set
+    such as the square) p is one optimum of several, all with the same
+    dual value.  B = 0 gets uniform weights.  The support is every vector
+    within BALL_TOL of the boundary, relative to the radius but never
+    below BALL_TOL times the longest Gram vector, whose length sets the
+    rounding error of the distances; so B * 4^e gives the same support
     and weights and the radius times 2^e.
     """
     if gram.k < 1:
@@ -333,27 +239,26 @@ def min_enclosing_ball(gram: GramFactor) -> EnclosingBall:
     # scaled, so that the squared distances of a B at the bottom of the
     # double range do not underflow
     vectors, shift = unit_scaled(gram.vectors)
-    work = None
     if gram.ambient_dim == 0:
         # B = 0: every vector is the origin
         center = np.zeros(0)
         radius = 0.0
+        weights = np.full(gram.k, 1.0 / gram.k)
     else:
-        pts = vectors[_distinct_rows(vectors)]
-        if vectors.shape[1] <= EXACT_MAX_DIM:
-            center, radius, work, p = _active_set_ball(pts)
-        else:
-            center, radius = _frank_wolfe_ball(pts)
+        first, copy_of = _distinct_rows(vectors)
+        pts = vectors[first]
+        solve = _active_set_ball if vectors.shape[1] <= EXACT_MAX_DIM else _frank_wolfe_ball
+        work, p = solve(pts)
+        center, radius = _certified(pts, work, p)
+        share = np.zeros(len(pts))
+        share[work] = p / p.sum()
+        weights = (share / np.bincount(copy_of))[copy_of]
     longest = float(np.max(np.linalg.norm(vectors, axis=1)))
     scale = max(radius, BALL_TOL * longest)
-    support = _support_indices(vectors, center, radius, scale)
-    weights = None if work is None else _working_set_weights(vectors, pts, work, p, support)
-    if weights is None:
-        weights = _min_norm_simplex_weights(vectors, center, support, scale)
     return EnclosingBall(
         center=np.ldexp(center, shift),
         radius=math.ldexp(radius, shift),
-        support=tuple(support),
+        support=tuple(_support_indices(vectors, center, radius, scale)),
         weights=weights,
         gram=gram,
     )

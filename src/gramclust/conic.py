@@ -51,6 +51,8 @@ DEFAULT_MC_SAMPLES = 200_000
 FP_TOL = 1e-6  # fixed-point residual at which a seed stops
 # largest |sum of a partition's moments| over the sum of their norms
 MOMENT_SUM_RTOL = 1e-11
+# relative psi gain by which a larger active subset must beat a smaller one
+SIZE_GAIN_RTOL = 1e-10
 POLISH_STEPS = 2000  # step cap of the fixed point over a block's seeds
 SEARCH_BLOCK = 2048  # subsets per batched fixed point: bounds memory alone
 
@@ -475,8 +477,11 @@ def search_cb(b: SymMatrix) -> tuple[float, ConicalPartition, PartitionValue]:
     directions B z give that partition at a fixed point.  For k >= 4 psi
     comes with no optimality claim (heuristic flag set).  mc_stderr is 0
     for every k.  Nothing is drawn at random, each seed runs alone whatever
-    its block, and subsets reduce by (psi, position) lexicographic max, so
-    the result depends on B alone.  The result of the latest B is cached,
+    its block, and subsets of one size reduce by (psi, position)
+    lexicographic max, so the result depends on B alone.  A larger subset
+    replaces the best smaller one only when psi rises by more than
+    SIZE_GAIN_RTOL relative: a smaller gain comes from sliver cells, below
+    what the moments resolve.  The result of the latest B is cached,
     and its arrays are read-only.
 
     The search runs on B / 4^s, whose largest diagonal entry lies in
@@ -511,7 +516,8 @@ def search_cb(b: SymMatrix) -> tuple[float, ConicalPartition, PartitionValue]:
     # l = 1: the whole space, psi = 0.  Baseline for degenerate instances.
     best_psi, best_active, best_z = 0.0, (0,), np.zeros((1, 0))
     # l = 2, 3, 4: one batched fixed point per block of subsets; a subset
-    # counts only at a verified fixed point, and ties go to the later one
+    # counts only at a verified fixed point.  Within one size ties go to the
+    # later subset, near-ties across sizes to the smaller one (docstring)
     for ell in (2, 3, 4):
         subsets = itertools.combinations(range(k), ell)
         while block := list(itertools.islice(subsets, SEARCH_BLOCK)):
@@ -525,7 +531,11 @@ def search_cb(b: SymMatrix) -> tuple[float, ConicalPartition, PartitionValue]:
             # a dead seed's residual is inf
             psi = np.where(residual < FP_TOL, psi, -np.inf)
             last = len(psi) - 1 - int(np.argmax(psi[::-1]))
-            if psi[last] >= best_psi:
+            if len(best_active) == ell:
+                better = psi[last] >= best_psi
+            else:
+                better = psi[last] > best_psi * (1.0 + SIZE_GAIN_RTOL)
+            if better:
                 best_psi, best_active, best_z = float(psi[last]), tuple(idx[last]), z[last]
 
     # map canonical labels back to the caller's ordering

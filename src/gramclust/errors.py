@@ -38,9 +38,13 @@ class TooLarge(GramclustError):
 
 
 class Infeasible(GramclustError):
-    """No valid support-weight vector exists within tolerance.
+    """The enclosing ball's weights fail its optimality certificate, or a
+    gadget built on them leaves the bound it must meet.
 
-    Indicates a bug in the enclosing-ball solver; surfaced, never repaired.
+    Raised for every B of rank above 10, a documented limit: the ball's
+    iterative fallback there is too coarse to pass the certificate.  At
+    rank 10 or below it indicates a bug in the enclosing-ball solver;
+    surfaced, never repaired.
     """
 
 

@@ -119,6 +119,13 @@ def gram_factorize(b: SymMatrix) -> GramFactor:
     The one ``eigh`` also gives the PSD check its eigenvalues, so a B not
     yet validated is decomposed once.
 
+    Equal rows of B are copies of one Gram vector, which ``eigh`` leaves
+    up to ~1e-12 apart; so each row that equals an earlier one, after
+    rounding to 13 digits of the largest diagonal entry, gets that earlier
+    row's vector bit for bit.  The rows are compared, as bytes in one
+    sort, only when B is singular and its rounded diagonal repeats, as
+    equal rows require; a full-rank B skips the comparison.
+
     Raises NotPSD when an eigenvalue is more negative than the clamp band.
     """
     eigs, vecs = b.eigh()
@@ -132,6 +139,18 @@ def gram_factorize(b: SymMatrix) -> GramFactor:
     lam = eigs[keep][order]
     u = vecs[:, keep][:, order]
     vectors = u * np.sqrt(lam)
+    # equal rows need a clamped eigenvalue (their difference spans one) and
+    # equal diagonal entries
+    if 0 < len(lam) < b.dim:
+        top = float(b.mat.diagonal().max())
+        diag = (b.mat.diagonal() / top).round(13)
+        diag.sort()
+        if (diag[1:] == diag[:-1]).any():
+            # + 0.0 turns -0.0 into 0.0, so equal rounded rows have equal bytes
+            unit = (b.mat / top).round(13) + 0.0
+            rows = unit.view(np.dtype((np.void, unit.itemsize * b.dim))).ravel()
+            _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+            vectors = vectors[first[inverse]]
     return GramFactor(k=b.dim, ambient_dim=int(np.sum(keep)), vectors=vectors)
 
 

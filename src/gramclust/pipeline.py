@@ -36,8 +36,9 @@ def _b_half(
             "center": ball.center.tolist(),
             "support": list(ball.support),
             "weights": ball.weights.tolist(),
-            # non-unique when the support is affinely dependent
-            "weights_rule": "minimum-norm",
+            # the ball's certified QP solution, split evenly over copies;
+            # one optimum of several when the support is affinely dependent
+            "weights_rule": "active-set",
         }
     }
     try:

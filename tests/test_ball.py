@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import nnls
 
 import gramclust.ball as ball_mod
 from gramclust import (
@@ -11,10 +10,13 @@ from gramclust import (
     Infeasible,
     SymMatrix,
     analyze_b,
+    build_mu,
+    dictatorship_objective,
     gram_factorize,
     min_enclosing_ball,
     radius_squared,
 )
+from gramclust.hardness import LabelDistribution
 from gramclust.matrixcore import unit_scaled
 
 BALL_TOL = 1e-7
@@ -227,9 +229,10 @@ class TestAboveRankTen:
         for _ in range(5):
             gf = gram_factorize(SymMatrix.from_array(b_geometry_shape(*shape, rng)))
             vectors, _ = unit_scaled(gf.vectors)
-            pts = vectors[ball_mod._distinct_rows(vectors)]
+            pts = vectors[ball_mod._distinct_rows(vectors)[0]]
             pivots.append(0)
-            center, radius, work, p = ball_mod._active_set_ball(pts)
+            work, p = ball_mod._active_set_ball(pts)
+            center, radius = ball_mod._certified(pts, work, p)
             r2 = radius ** 2
             dist2 = np.einsum("ij,ij->i", pts - center, pts - center)
             assert np.max(dist2) <= r2 * (1.0 + 1e-12)
@@ -238,6 +241,31 @@ class TestAboveRankTen:
             assert p @ np.einsum("ij,ij->i", pts[work] - c, pts[work] - c) >= r2 * (1.0 - 1e-12)
             # 4 to 11 pivots here, against a cap of 48 to 256
             assert pivots[-1] <= ball_mod.PIVOTS_PER_POINT * shape[1]
+
+    @pytest.mark.parametrize(
+        "shape", [("identity", 11, 11), ("full", 12, 12), ("full", 24, 24), ("repeated", 64, 16)]
+    )
+    def test_fallback_fails_the_certificate(self, monkeypatch, shape):
+        # the Frank-Wolfe visits, 1e-4 accurate, are the weights that the
+        # one certificate rejects: a documented limit above rank 10
+        checked = []
+        inner = ball_mod._certified
+
+        def spy(points, work, p):
+            checked.append(len(work))
+            return inner(points, work, p)
+
+        monkeypatch.setattr(ball_mod, "_certified", spy)
+        kind, k, r = shape
+        if kind == "identity":
+            b = np.eye(k)
+        else:
+            b = b_geometry_shape(kind, k, r, np.random.default_rng(5))
+        gf = gram_factorize(SymMatrix.from_array(b))
+        assert gf.ambient_dim == r > ball_mod.EXACT_MAX_DIM
+        with pytest.raises(Infeasible, match="optimality certificate"):
+            min_enclosing_ball(gf)
+        assert len(checked) == 1 and checked[0] >= 2
 
 
 class TestPivotCapAndCertificate:
@@ -287,35 +315,13 @@ class TestSupportWeights:
             assert np.all(on_boundary[p > 1e-9])
             assert np.linalg.norm(p @ pts - ball.center) <= BALL_TOL * max(ball.radius, 1.0)
 
-    def test_affinely_dependent_support_minimum_norm(self):
-        # four corners of a square: weights are non-unique; the minimum
-        # norm solution is the uniform one
+    def test_affinely_dependent_support_certified(self):
+        # four corners of a square: weights are non-unique; the active set
+        # ends on one diagonal, half on each of its corners
         pts = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
         ball = min_enclosing_ball(factor(pts))
-        np.testing.assert_allclose(ball.weights, np.full(4, 0.25), atol=1e-5)
-
-
-def nnls_spy(monkeypatch):
-    """Record the calls that reach the minimum-norm NNLS weights; returns
-    the record and the unwrapped function."""
-    calls = []
-    inner = ball_mod._min_norm_simplex_weights
-
-    def spy(*args):
-        calls.append(len(args[2]))
-        return inner(*args)
-
-    monkeypatch.setattr(ball_mod, "_min_norm_simplex_weights", spy)
-    return calls, inner
-
-
-def nnls_weights_at(ball, nnls):
-    """The NNLS weights at the ball's own center and support, on the same
-    scaled vectors and tolerance as min_enclosing_ball."""
-    vectors, shift = unit_scaled(ball.gram.vectors)
-    longest = float(np.max(np.linalg.norm(vectors, axis=1)))
-    scale = max(math.ldexp(ball.radius, -shift), ball_mod.BALL_TOL * longest)
-    return nnls(vectors, np.ldexp(ball.center, -shift), list(ball.support), scale)
+        assert ball.support == (0, 1, 2, 3)
+        np.testing.assert_allclose(ball.weights, [0.5, 0.0, 0.0, 0.5], rtol=0, atol=1e-15)
 
 
 def labelled_sets(rng, count):
@@ -331,14 +337,35 @@ def labelled_sets(rng, count):
             yield rng.standard_normal((k, d)), np.arange(k)
 
 
+def assert_certified(ball, v):
+    """The ball's weights pass the optimality certificate: p >= 0 sums to 1,
+    reproduces the center and weights only boundary vectors."""
+    p, r2 = ball.weights, ball.radius ** 2
+    longest = float(np.max(np.linalg.norm(v, axis=1)))
+    assert np.all(p >= 0.0) and p.sum() == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(p @ v, ball.center, rtol=0, atol=1e-12 * longest)
+    dist2 = np.einsum("ij,ij->i", v - ball.center, v - ball.center)
+    assert np.all(dist2[p > 0.0] >= r2 - 1e-9 * max(r2, 1e-14 * longest ** 2))
+    assert set(np.flatnonzero(p > 0.0)) <= set(ball.support)
+
+
+def gadget_at_any_optimum(b, ball, beta):
+    """The dictatorship objective at mu = (1 - beta) p + beta / k for any
+    certified p: sum_i p_i |v_i|^2 = R^2 + |c|^2 and sum_i p_i v_i = c, so
+    it depends on p through the center c and the radius alone."""
+    v, c = ball.gram.vectors, ball.center
+    mean = (1.0 - beta) * c + beta * v.mean(axis=0)
+    spread = (1.0 - beta) * (ball.radius ** 2 + c @ c) + beta * float(np.mean(np.diag(b.mat)))
+    return spread - mean @ mean
+
+
 class TestActiveSetWeights:
-    def test_weights_are_the_solves_own(self, monkeypatch):
-        calls, nnls = nnls_spy(monkeypatch)
-        for trial, (v, labels) in enumerate(labelled_sets(np.random.default_rng(31), 500)):
+    def test_weights_are_the_solves_own(self):
+        for v, labels in labelled_sets(np.random.default_rng(31), 500):
             ball = min_enclosing_ball(factor(v))
             p, support = ball.weights, list(ball.support)
-            # ridge-free reference: the weights of the distinct support
-            # vectors that reproduce the center, split evenly over copies
+            # reference: the weights of the distinct support vectors that
+            # reproduce the center, split evenly over copies
             groups, first = np.unique(labels[support], return_index=True)
             reps = np.array(support)[first]
             a = np.vstack([v[reps].T, np.ones(len(reps))])
@@ -350,47 +377,62 @@ class TestActiveSetWeights:
             np.testing.assert_allclose(p, ref, rtol=0, atol=1e-12)
             for g in groups:
                 assert np.ptp(p[labels == g]) == 0.0
-            # the NNLS's 1e-6 ridge moves its weights by up to ~3e-12, and by
-            # ~3e-10 among repeated vectors
-            np.testing.assert_allclose(
-                p, nnls_weights_at(ball, nnls), rtol=0, atol=1e-9 if trial % 2 else 1e-11
-            )
-        assert calls == []
 
     @pytest.mark.parametrize("name", ["square", "pentagon", "12-gon"])
-    def test_cospherical_sets_take_the_nnls(self, monkeypatch, name):
-        calls, nnls = nnls_spy(monkeypatch)
-        ball = min_enclosing_ball(factor(KNOWN_RADII[name][0]))
-        assert len(calls) == 1
-        np.testing.assert_array_equal(ball.weights, nnls_weights_at(ball, nnls))
+    def test_cospherical_sets_certified(self, name):
+        pts = KNOWN_RADII[name][0]
+        b = SymMatrix.from_array(pts @ pts.T)
+        ball = min_enclosing_ball(factor(pts))
+        assert_certified(ball, pts)
+        # every vector is on the boundary, and the solve weights only an
+        # affinely independent few of them
+        assert len(ball.support) == len(pts) > np.count_nonzero(ball.weights)
+        # the gadget is the same at the uniform boundary weights, another
+        # optimum: by symmetry they reproduce the center too
+        dist = build_mu(ball, 1e-3 * ball.radius ** 2)
+        uniform = np.zeros(len(pts))
+        uniform[list(ball.support)] = 1.0 / len(ball.support)
+        mu = (1.0 - dist.beta) * uniform + dist.beta / len(pts)
+        other = LabelDistribution(mu=mu, beta=dist.beta, p=uniform)
+        assert dictatorship_objective(b, dist) == pytest.approx(
+            dictatorship_objective(b, other), rel=1e-12
+        )
 
-    def test_sphere_systems_take_the_nnls(self, monkeypatch):
-        calls, nnls = nnls_spy(monkeypatch)
+    def test_sphere_systems_certified(self):
+        cospherical = 0
         for v in ball_systems(np.random.default_rng(7)):
-            before = len(calls)
-            ball = min_enclosing_ball(gram_factorize(SymMatrix.from_array(v @ v.T)))
-            if len(calls) > before:
-                np.testing.assert_array_equal(ball.weights, nnls_weights_at(ball, nnls))
-        # most sphere systems (odd trials; 99 of the 120 here) have more
-        # boundary vectors than an affinely independent working set holds
-        assert len(calls) >= 90
+            b = SymMatrix.from_array(v @ v.T)
+            ball = min_enclosing_ball(gram_factorize(b))
+            assert_certified(ball, ball.gram.vectors)
+            dist = build_mu(ball, 1e-3 * ball.radius ** 2)
+            assert dictatorship_objective(b, dist) == pytest.approx(
+                gadget_at_any_optimum(b, ball, dist.beta), rel=1e-12
+            )
+            cospherical += bool(np.any(ball.weights[list(ball.support)] == 0.0))
+        # most sphere systems (odd trials) have more boundary vectors than
+        # an affinely independent working set holds
+        assert cospherical >= 90
 
+    def test_copies_in_b_share_one_weight(self):
+        # B from repeated Gram vectors: the factor gives copies equal bits,
+        # so each distinct vector's weight splits exactly evenly
+        rng = np.random.default_rng(41)
+        for _ in range(400):
+            d, r = int(rng.integers(1, 11)), int(rng.integers(2, 12))
+            labels = rng.permutation(np.arange(int(rng.integers(r + 1, 65))) % r)
+            rows = rng.standard_normal((r, d))[labels]
+            ball = min_enclosing_ball(gram_factorize(SymMatrix.from_array(rows @ rows.T)))
+            for g in range(r):
+                assert np.ptp(ball.weights[labels == g]) == 0.0
 
-def scipy_nnls(a, b):
-    return nnls(a, b)[0]
-
-
-def lawson_hanson_spy(monkeypatch):
-    """Count the calls that reach the active-set fallback."""
-    calls = []
-    inner = ball_mod._lawson_hanson
-
-    def spy(a, b):
-        calls.append(a.shape)
-        return inner(a, b)
-
-    monkeypatch.setattr(ball_mod, "_lawson_hanson", spy)
-    return calls
+    def test_repeated_b_geometry_shape_dedups_exactly(self):
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            gf = gram_factorize(SymMatrix.from_array(b_geometry_shape("repeated", 64, 16, rng)))
+            vectors, _ = unit_scaled(gf.vectors)
+            first, copy_of = ball_mod._distinct_rows(vectors)
+            assert len(first) == 16
+            np.testing.assert_array_equal(vectors[first][copy_of], vectors)
 
 
 def ball_systems(rng):
@@ -408,68 +450,6 @@ def ball_systems(rng):
         if trial % 3 == 0:
             v = np.vstack([v, v[:2]])
         yield v
-
-
-class TestNnls:
-    def test_matches_scipy_on_ball_systems(self, monkeypatch):
-        calls = lawson_hanson_spy(monkeypatch)
-        for v in ball_systems(np.random.default_rng(7)):
-            gf = gram_factorize(SymMatrix.from_array(v @ v.T))
-            ours = min_enclosing_ball(gf)
-            with monkeypatch.context() as m:
-                m.setattr(ball_mod, "_nnls", scipy_nnls)
-                ref = min_enclosing_ball(gf)
-            assert ours.radius == ref.radius
-            assert ours.support == ref.support
-            np.testing.assert_allclose(ours.weights, ref.weights, rtol=0, atol=1e-9)
-        assert len(calls) > 20  # the sphere systems exercise the fallback
-
-    def test_fallback_on_negative_least_squares_weights(self, monkeypatch):
-        # four unit vectors, all on the ball's boundary; 140 and -40 degrees
-        # are antipodal, so the minimum-norm weights put 1/2 on each of them,
-        # while the unconstrained minimizer goes negative elsewhere
-        angles = np.radians([0.0, 40.0, 140.0, -40.0])
-        v = np.column_stack([np.cos(angles), np.sin(angles)])
-        gf = gram_factorize(SymMatrix.from_array(v @ v.T))
-        calls = lawson_hanson_spy(monkeypatch)
-        ball = min_enclosing_ball(gf)
-        assert len(calls) == 1
-        assert ball.support == (0, 1, 2, 3)
-        np.testing.assert_allclose(ball.weights, [0.0, 0.0, 0.5, 0.5], atol=1e-9)
-        monkeypatch.setattr(ball_mod, "_nnls", scipy_nnls)
-        np.testing.assert_allclose(
-            ball.weights, min_enclosing_ball(gf).weights, rtol=0, atol=1e-9
-        )
-
-    def test_fallback_resolves_tiny_gradient(self, monkeypatch):
-        # eight unit vectors, all on the boundary: the last weight is about
-        # 5e-5 and its gradient about 1e-17, below the rounding noise of a
-        # plain a^T (b - a x); the projected gradient still sees it
-        v = np.array([
-            [-0.0797, 0.8913, -0.4464], [0.0572, -0.9965, -0.0602],
-            [0.1031, 0.7773, -0.6206], [-0.3999, -0.8424, -0.3611],
-            [0.6914, -0.5121, -0.5096], [0.0444, -0.6235, 0.7806],
-            [-0.6720, 0.7113, -0.2060], [-0.5692, -0.7598, -0.3142],
-        ])
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        gf = gram_factorize(SymMatrix.from_array(v @ v.T))
-        calls = lawson_hanson_spy(monkeypatch)
-        ours = min_enclosing_ball(gf)
-        assert len(calls) == 1
-        monkeypatch.setattr(ball_mod, "_nnls", scipy_nnls)
-        ref = min_enclosing_ball(gf)
-        assert ref.weights[7] > 1e-5
-        np.testing.assert_allclose(ours.weights, ref.weights, rtol=0, atol=1e-9)
-
-    def test_lawson_hanson_matches_scipy(self):
-        rng = np.random.default_rng(3)
-        for _ in range(300):
-            m, n = int(rng.integers(2, 10)), int(rng.integers(1, 8))
-            a = np.vstack([rng.standard_normal((m, n)), 1e-3 * np.eye(n)])
-            b = np.concatenate([rng.standard_normal(m), np.zeros(n)])
-            x = ball_mod._lawson_hanson(a, b)
-            assert np.all(x >= 0.0)
-            np.testing.assert_allclose(x, scipy_nnls(a, b), rtol=0, atol=1e-9)
 
 
 class TestRadiusSquared:

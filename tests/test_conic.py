@@ -755,6 +755,22 @@ class TestSearchCb:
         np.testing.assert_allclose(val.moments.sum(axis=0), 0.0, rtol=0, atol=1e-14)
         assert conic.fixed_point_residual(b, part, val) < 1e-6
 
+    def test_sliver_cells_do_not_displace_a_smaller_subset(self):
+        # the 33rd 7 x 7 Wishart draw of default_rng(4242): the quadruple
+        # (0, 1, 2, 3), two cells of it slivers, beats the pair (0, 3) by
+        # 1.8e-11 relative, below what the moments resolve, at a residual
+        # of 6e-7; the pair is an exact fixed point
+        rng = np.random.default_rng(4242)
+        for _ in range(33):
+            g = rng.standard_normal((7, 7))
+        bm = g @ g.T / 7
+        for perm in (np.arange(7), np.arange(7)[::-1]):
+            b = SymMatrix(bm[np.ix_(perm, perm)])
+            c_est, part, val = search_cb(b)
+            assert part.active == tuple(sorted(int(np.flatnonzero(perm == a)[0]) for a in (0, 3)))
+            assert conic.fixed_point_residual(b, part, val) <= 1e-12
+            assert c_est >= 0.8105946896478815 * (1.0 - conic.SIZE_GAIN_RTOL)
+
     def test_near_empty_quadruple_residual_finite_in_any_label_order(self):
         # a k = 7 Wishart B (the 93rd 7 x 7 draw of default_rng(4242)) whose
         # quadruple (3, 4, 5, 6) has two cells of mass near 1e-5: its moment

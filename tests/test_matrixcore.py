@@ -98,6 +98,21 @@ class TestGramFactorize:
         with pytest.raises(NotPSD):
             gram_factorize(sym([[0, 1], [1, 0]]))
 
+    def test_equal_rows_give_equal_vectors(self):
+        # eigh alone leaves copies of one Gram vector up to ~1e-12 apart;
+        # every row equal to an earlier one gets that row's vector
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            r = int(rng.integers(2, 11))
+            labels = rng.permutation(np.arange(int(rng.integers(r + 1, 65))) % r)
+            rows = rng.standard_normal((r, r))[labels]
+            b = sym(rows @ rows.T)
+            gf = gram_factorize(b)
+            first = np.array([np.flatnonzero(labels == g)[0] for g in labels])
+            np.testing.assert_array_equal(gf.vectors, gf.vectors[first])
+            top = np.max(np.diag(b.mat))
+            np.testing.assert_allclose(gf.gram(), b.mat, rtol=0, atol=1e-12 * top)
+
     @pytest.fixture
     def no_eigvalsh(self, monkeypatch):
         def eigvalsh(mat):
