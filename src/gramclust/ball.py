@@ -9,15 +9,17 @@ R^2 = max_p sum_i p_i |v_i|^2 - |sum_i p_i v_i|^2.  Any p in the simplex
 that weights only vectors at the largest distance from sum_i p_i v_i
 attains it, so it certifies R^2 (Yildirim 2008, SIAM J. Optim. 19(3)),
 and the hardness gadget's spread sum_i p_i |v_i - w|^2 equals R^2 for
-every such p.  Every ball returned passes that one certificate, and its
-weights are the certified p.  Up to ambient dimension EXACT_MAX_DIM one
-primal active-set solve (Gartner 1999) finds the optimum exactly; a solve
-that does not settle within PIVOTS_PER_POINT pivots per point raises
-Infeasible.  Above that dimension the Badoiu-Clarkson iteration runs
-instead: its center is the average of the points it visits, and at its
-1e-4 relative accuracy those visits fail the certificate, so a B of rank
-above 10 raises Infeasible.  It stays while benchmarks/test_bench.py
-asserts that those failures occur (ROADMAP item 4).
+every such p.  Every ball passes that one certificate: its weights are
+the certified p and its support the boundary the certificate tests.
+Copies are bitwise-equal vectors, as gram_factorize makes them.
+
+Up to ambient dimension EXACT_MAX_DIM one primal active-set solve
+(Gartner 1999) finds the optimum exactly, or raises Infeasible past
+PIVOTS_PER_POINT pivots per point.  Above it the Badoiu-Clarkson
+iteration runs, whose 1e-4 accurate visits fail the certificate, so a B
+of rank above 10 raises Infeasible.  It stays while
+benchmarks/test_bench.py asserts that those failures occur (ROADMAP
+item 4).
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import numpy as np
 from .errors import Infeasible, NotPSD
 from .matrixcore import GramFactor, SymMatrix, gram_factorize, unit_scaled, validate_psd
 
-BALL_TOL = 1e-7
 # the exact solve runs up to this ambient dimension; above it the iterative
 # scheme runs
 EXACT_MAX_DIM = 10
@@ -81,32 +82,28 @@ def _working_set_step(points: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, bo
     return step, False
 
 
-def _active_set_ball(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _active_set_ball(y: np.ndarray, q_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Exact smallest enclosing ball from the dual QP on the simplex,
     min p^T G p - q^T p over p >= 0, sum p = 1, by a primal active-set
     method.
 
-    G is the Gram matrix of the offsets y_i = v_i - v_0 (the ball is
-    translation invariant, and offsets keep the tolerances relative to the
-    point set's own spread) and q its diagonal.  The center is
-    v_0 + sum_i p_i y_i and R^2 = sum_i p_i |y_i - sum_j p_j y_j|^2.  From
-    the vertex p = e_0, the farthest point joins the working set while any
-    point lies more than VIOLATION_TOL * max q outside; each working set is
-    solved for its KKT point, and a weight that would go <= 0 stops the
-    step at the boundary and leaves the set.  Raises Infeasible past the
-    pivot cap.
+    y holds the offsets y_i = v_i - v_0 of the distinct points (offsets
+    keep the tolerances relative to the point set's own spread), G is
+    their Gram matrix, q its diagonal and q_max = max q.  From the vertex
+    p = e_0, the farthest point joins the working set while any point lies
+    more than VIOLATION_TOL * q_max outside; each working set is solved
+    for its KKT point, and a weight that would go <= 0 stops the step at
+    the boundary and leaves the set.  Raises Infeasible past the pivot cap.
 
-    Returns the final working set (indices into points) and its weights
-    p > 0, for _certified to check.  The loop ends only after a full KKT
-    step, so the working set is affinely independent and p is the unique
-    weighting of it that reproduces the center.
+    Returns the final working set (indices into y) and its weights p > 0,
+    for _certified to check.  The loop ends only after a full KKT step, so
+    the working set is affinely independent and p is the unique weighting
+    of it that reproduces the center.
     """
-    y = points - points[0]
-    q_max = float(np.max(np.einsum("ij,ij->i", y, y)))
-    cap = PIVOTS_PER_POINT * len(points)
+    cap = PIVOTS_PER_POINT * len(y)
     # the working set and its weights live in the first m slots; a set of
     # d + 1 affinely independent points plus the one joining fills d + 2
-    slots = min(len(points), y.shape[1] + 2)
+    slots = min(len(y), y.shape[1] + 2)
     work = np.zeros(slots, dtype=int)
     p = np.zeros(slots)
     p[0] = 1.0
@@ -152,66 +149,49 @@ def _active_set_ball(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return work[:m], p[:m]
 
 
-def _frank_wolfe_ball(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Badoiu-Clarkson iteration on the max-of-quadratics dual.
-
-    O(1/t) accurate; used only above EXACT_MAX_DIM (see min_enclosing_ball).
-    Its iterate is the average of points[0] and the farthest point of each
-    step, so it returns the visited points and their visit shares as the
-    working set and its weights.
-    """
-    center = points[0].copy()
-    visits = np.zeros(len(points))
+def _frank_wolfe_ball(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Badoiu-Clarkson iteration, O(1/t) accurate, above EXACT_MAX_DIM: its
+    iterate is the average of y[0] and each step's farthest point, so it
+    returns the visited points and their visit shares as the working set
+    and its weights."""
+    center = y[0].copy()
+    visits = np.zeros(len(y))
     visits[0] = 1.0
     for t in range(1, FRANK_WOLFE_CAP + 1):
-        dists = np.linalg.norm(points - center, axis=1)
+        dists = np.linalg.norm(y - center, axis=1)
         far = int(np.argmax(dists))
-        center += (points[far] - center) / (t + 1.0)
+        center += (y[far] - center) / (t + 1.0)
         visits[far] += 1.0
     work = np.flatnonzero(visits)
     return work, visits[work] / visits.sum()
 
 
-def _certified(points: np.ndarray, work: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, float]:
-    """The center sum_i p_i points[work[i]] and the radius, the largest
-    distance from it, once the weights pass the optimality certificate.
-
-    The certificate: p >= 0 sums to 1 and weights only points on the
-    boundary, so the dual value at p meets R^2.  Both hold within
-    CERTIFICATE_TOL, the boundary relative to the largest squared offset
-    y_i = v_i - v_0 (distances are taken on the offsets, which keeps them
-    relative to the point set's own spread).  Raises Infeasible otherwise.
+def _certified(
+    y: np.ndarray, q_max: float, work: np.ndarray, p: np.ndarray
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """The center sum_i p_i y[work[i]], R^2 and the boundary mask (squared
+    distance within CERTIFICATE_TOL * q_max of R^2), from one distance
+    pass, once p passes the certificate: p >= 0 sums to 1 (within
+    CERTIFICATE_TOL) and weights only the boundary, so its dual value
+    meets R^2.  Raises Infeasible otherwise.
     """
-    y = points - points[0]
-    q_max = float(np.max(np.einsum("ij,ij->i", y, y)))
     center = p @ y[work]
     offsets = y - center
     dist2 = np.einsum("ij,ij->i", offsets, offsets)
     r2 = float(np.max(dist2))
-    if (
-        np.any(p < 0.0)
-        or abs(p.sum() - 1.0) > CERTIFICATE_TOL
-        or np.any(dist2[work] < r2 - CERTIFICATE_TOL * q_max)
-    ):
+    boundary = dist2 >= r2 - CERTIFICATE_TOL * q_max
+    if np.any(p < 0.0) or abs(p.sum() - 1.0) > CERTIFICATE_TOL or not np.all(boundary[work]):
         raise Infeasible("enclosing ball: the weights fail the optimality certificate")
-    return points[0] + center, math.sqrt(r2)
-
-
-def _support_indices(
-    vectors: np.ndarray, center: np.ndarray, radius: float, scale: float
-) -> list[int]:
-    dists = np.linalg.norm(vectors - center, axis=1)
-    return np.flatnonzero(np.abs(dists - radius) <= BALL_TOL * scale).tolist()
+    return center, r2, boundary
 
 
 def _distinct_rows(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of the first occurrence of each distinct row of vectors, rounded
-    to 13 digits of the largest entry, in lexicographic order of the
-    rounded rows (the order of np.unique(..., axis=0, return_index=True)),
-    and the inverse map: row i is a copy of distinct row inverse[i]."""
-    unit = np.round(vectors / np.max(np.abs(vectors)), 13)
-    order = np.lexsort(unit.T[::-1])
-    rows = unit[order]
+    """Index of the first occurrence of each distinct row of vectors (rows
+    equal bit for bit, up to the sign of zero), in lexicographic order (as
+    np.unique(..., axis=0, return_index=True)), and the inverse map: row i
+    is a copy of distinct row inverse[i]."""
+    order = np.lexsort(vectors.T[::-1])
+    rows = vectors[order]
     new = np.concatenate([[True], np.any(rows[1:] != rows[:-1], axis=1)])
     inverse = np.empty(len(vectors), dtype=int)
     inverse[order] = np.cumsum(new) - 1
@@ -227,12 +207,11 @@ def min_enclosing_ball(gram: GramFactor) -> EnclosingBall:
     certificate or raises Infeasible.  The weights are the solve's own
     certified p, each distinct vector's weight split evenly over its
     copies; where the boundary is affinely dependent (a cospherical set
-    such as the square) p is one optimum of several, all with the same
-    dual value.  B = 0 gets uniform weights.  The support is every vector
-    within BALL_TOL of the boundary, relative to the radius but never
-    below BALL_TOL times the longest Gram vector, whose length sets the
-    rounding error of the distances; so B * 4^e gives the same support
-    and weights and the radius times 2^e.
+    such as the square) p is one optimum of several, all with the same dual
+    value.  The support is the certificate's boundary (see _certified).
+    B = 0 gets uniform weights and a support of every vector.  The ball
+    runs on the vectors scaled exactly to unit size, so B * 4^e gives the
+    same support and weights and the radius times 2^e.
     """
     if gram.k < 1:
         raise ValueError("need at least one vector")
@@ -241,24 +220,28 @@ def min_enclosing_ball(gram: GramFactor) -> EnclosingBall:
     vectors, shift = unit_scaled(gram.vectors)
     if gram.ambient_dim == 0:
         # B = 0: every vector is the origin
-        center = np.zeros(0)
-        radius = 0.0
+        center, r2 = np.zeros(0), 0.0
         weights = np.full(gram.k, 1.0 / gram.k)
+        support = np.ones(gram.k, dtype=bool)
     else:
         first, copy_of = _distinct_rows(vectors)
         pts = vectors[first]
-        solve = _active_set_ball if vectors.shape[1] <= EXACT_MAX_DIM else _frank_wolfe_ball
-        work, p = solve(pts)
-        center, radius = _certified(pts, work, p)
+        y = pts - pts[0]
+        q_max = float(np.max(np.einsum("ij,ij->i", y, y)))
+        if vectors.shape[1] <= EXACT_MAX_DIM:
+            work, p = _active_set_ball(y, q_max)
+        else:
+            work, p = _frank_wolfe_ball(y)
+        offset, r2, boundary = _certified(y, q_max, work, p)
+        center = pts[0] + offset
         share = np.zeros(len(pts))
         share[work] = p / p.sum()
         weights = (share / np.bincount(copy_of))[copy_of]
-    longest = float(np.max(np.linalg.norm(vectors, axis=1)))
-    scale = max(radius, BALL_TOL * longest)
+        support = boundary[copy_of]
     return EnclosingBall(
         center=np.ldexp(center, shift),
-        radius=math.ldexp(radius, shift),
-        support=tuple(_support_indices(vectors, center, radius, scale)),
+        radius=math.ldexp(math.sqrt(r2), shift),
+        support=tuple(np.flatnonzero(support).tolist()),
         weights=weights,
         gram=gram,
     )

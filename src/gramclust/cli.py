@@ -45,7 +45,7 @@ import numpy as np
 from . import __version__, pipeline
 from .errors import GramclustError, NotCentered, NotPSD, ParseError
 from .matrixcore import SymMatrix
-from .oracle import brute_force_c3, brute_force_clust
+from .oracle import GRID_CAP, brute_force_c3, brute_force_clust
 
 ASYMMETRY_CUTOFF = 1e-9
 
@@ -230,11 +230,13 @@ def run_selftest(args) -> int:
     return 4 if failed else 0
 
 
-def _int_at_least(low: int):
+def _int_at_least(low: int, high: int | None = None):
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return integer
@@ -287,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     oracle = sub.add_parser("oracle", help="exact desk-scale ground truth")
     _add_inputs(oracle)
-    oracle.add_argument("--grid", type=_int_at_least(180), default=360)
+    oracle.add_argument("--grid", type=_int_at_least(180, GRID_CAP), default=360,
+                        help=f"steps of the k = 3 planar grid, 180 to {GRID_CAP}")
     oracle.add_argument("--max-states", type=_int_at_least(1), default=50_000_000)
     oracle.set_defaults(fn=lambda a: (_emit(run_oracle(a), a), 0)[1])
 

@@ -34,7 +34,7 @@ class TooFewTrials(GramclustError):
 
 
 class TooLarge(GramclustError):
-    """Exhaustive enumeration would exceed the configured state cap."""
+    """An enumeration would exceed its state cap, or a result the double range."""
 
 
 class Infeasible(GramclustError):

@@ -13,7 +13,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPSD
+from .errors import DimensionMismatch, NotPSD, TooLarge
 
 # Relative tolerances of the validators: |sum of entries| against the sum of
 # |entries| for the centered check, and the most negative eigenvalue against
@@ -30,9 +30,10 @@ def _bounds(eigs: np.ndarray) -> tuple[float, float]:
 class SymMatrix:
     """Dense symmetric real matrix.
 
-    Ingested matrices are symmetrized as (M + M^T)/2 so that entries are
-    bit-exactly symmetric afterwards; the largest asymmetry seen on the way
-    in is recorded for run reports.
+    Ingested matrices are symmetrized as M/2 + M^T/2 where M and M^T
+    differ, which cannot overflow, so that entries are bit-exactly
+    symmetric afterwards; the largest asymmetry seen on the way in is
+    recorded for run reports.
     """
 
     mat: np.ndarray
@@ -43,7 +44,7 @@ class SymMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
         asym = float(np.max(np.abs(m - m.T))) if m.size else 0.0
-        m = (m + m.T) / 2.0
+        m = np.where(m == m.T, m, 0.5 * m + 0.5 * m.T)
         m.flags.writeable = False
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "asymmetry", asym)
@@ -104,10 +105,11 @@ def validate_psd(m: SymMatrix) -> bool:
 def validate_centered(m: SymMatrix) -> bool:
     """True iff |sum of entries| <= CENTERED_TOL * sum of |entries|.
 
-    Relative to M alone, so a small non-centered M fails like a large one.
+    Relative to M alone, so a small non-centered M fails like a large one;
+    summed on M scaled exactly to unit size, so no sum overflows.
     """
-    total = float(np.sum(m.mat))
-    return abs(total) <= CENTERED_TOL * float(np.sum(np.abs(m.mat)))
+    unit = unit_scaled(m.mat)[0]
+    return abs(float(np.sum(unit))) <= CENTERED_TOL * float(np.sum(np.abs(unit)))
 
 
 def gram_factorize(b: SymMatrix) -> GramFactor:
@@ -122,16 +124,20 @@ def gram_factorize(b: SymMatrix) -> GramFactor:
     Equal rows of B are copies of one Gram vector, which ``eigh`` leaves
     up to ~1e-12 apart; so each row that equals an earlier one, after
     rounding to 13 digits of the largest diagonal entry, gets that earlier
-    row's vector bit for bit.  The rows are compared, as bytes in one
-    sort, only when B is singular and its rounded diagonal repeats, as
-    equal rows require; a full-rank B skips the comparison.
+    row's vector bit for bit (the one copy rule: the enclosing ball merges
+    only equal bits).  The rows are compared, as bytes in one sort, only
+    when B is singular and its rounded diagonal repeats, as equal rows
+    require; a full-rank B skips the comparison.
 
-    Raises NotPSD when an eigenvalue is more negative than the clamp band.
+    Raises NotPSD when an eigenvalue is more negative than the clamp band,
+    and TooLarge when the largest exceeds the double range.
     """
     eigs, vecs = b.eigh()
     if not validate_psd(b):
         raise NotPSD("matrix has a negative eigenvalue beyond tolerance")
     max_eig = float(eigs[-1]) if eigs.size else 0.0
+    if math.isinf(max_eig):
+        raise TooLarge("the largest eigenvalue of B exceeds the double range")
     cut = PSD_TOL * max(max_eig, 0.0)
     keep = eigs > cut
     # descending eigenvalue order keeps the factorization deterministic

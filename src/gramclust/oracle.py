@@ -19,6 +19,8 @@ from .matrixcore import SymMatrix, validate_psd
 from .rounding import clustering_value
 
 STATE_CAP = 50_000_000
+# brute_force_c3 holds a dozen (grid + 1)^2 arrays: 260 MB resident at the cap
+GRID_CAP = 1440
 
 
 def brute_force_clust(
@@ -114,8 +116,8 @@ def brute_force_c3(b: SymMatrix, grid: int = 360) -> float:
     """
     if b.dim != 3:
         raise ValueError("the planar oracle is specific to k = 3")
-    if grid < 180:
-        raise ValueError("grid must be at least 180")
+    if not 180 <= grid <= GRID_CAP:
+        raise ValueError(f"grid must be in [180, {GRID_CAP}]")
     if not validate_psd(b):
         raise NotPSD("hypothesis matrix is not PSD")
     bmat = b.mat

@@ -14,7 +14,7 @@ import math
 
 from .ball import EnclosingBall, min_enclosing_ball
 from .conic import ConicalPartition, search_cb
-from .errors import DegenerateB, GramclustError, NotCentered, NotPSD
+from .errors import DegenerateB, GramclustError, NotCentered, NotPSD, TooLarge
 from .hardness import build_mu, dictatorship_objective
 from .matrixcore import SymMatrix, gram_factorize, validate_centered, validate_psd
 from .rounding import estimate_expectation, round_best_of
@@ -128,6 +128,8 @@ def cluster(
         "trial_stderr": stderr,
     }
     interval = [best.value, ball.radius ** 2 * sol.dual_upper]
+    if not all(map(math.isfinite, interval)):
+        raise TooLarge(f"certified interval {interval} exceeds the double range")
     if interval[0] > interval[1] * (1.0 + 1e-6):
         raise GramclustError(
             f"certified interval is empty: {interval}; SDP certificate failed"

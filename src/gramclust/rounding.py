@@ -87,26 +87,21 @@ def round_best_of(
     centered instance the best value is never below 0.  Returns the winner
     plus the list of random-trial values (for the expectation test).
     Trial t draws from its own Philox stream keyed by (seed, t), and the
-    candidates reduce by (value, trial_index) lexicographic max.
+    candidates reduce by (value, trial_index) lexicographic max, kept as a
+    running best, so one assignment is held at a time.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    n = a.dim
-    k = b.dim
-
-    results = []
-    for t in range(trials):
-        sigma = round_once(x_vectors, partition, _trial_rng(seed, t))
-        results.append(Clustering(sigma, clustering_value(a, b, sigma), t))
-
-    candidates = list(results)
-    for lab in range(k):
-        sigma = np.full(n, lab, dtype=int)
-        candidates.append(
-            Clustering(sigma, clustering_value(a, b, sigma), trials + lab)
-        )
-    best = max(candidates, key=lambda c: (c.value, c.trial_index))
-    return best, [r.value for r in results]
+    best, values = None, []
+    for t in range(trials + b.dim):
+        if t < trials:
+            sigma = round_once(x_vectors, partition, _trial_rng(seed, t))
+        else:
+            sigma = np.full(a.dim, t - trials, dtype=int)
+        values.append(clustering_value(a, b, sigma))
+        if best is None or (values[-1], t) > (best.value, best.trial_index):
+            best = Clustering(sigma, values[-1], t)
+    return best, values[:trials]
 
 
 def estimate_expectation(trial_values) -> tuple[float, float]:

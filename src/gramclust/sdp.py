@@ -48,7 +48,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import NotConvergedWarning, NotPSD
+from .errors import NotConvergedWarning, NotPSD, TooLarge
 from .matrixcore import SymMatrix, unit_scaled, validate_psd
 
 # ascent steps per restart, random restarts per solve, and the stopping
@@ -85,13 +85,17 @@ def _grad_tol(a: np.ndarray) -> float:
 
 def _unscaled(sol: SdpSolution, shift: int) -> SdpSolution:
     """A solution of A / 2^s as one of A: value, residual and certificate
-    times 2^s."""
-    return replace(
-        sol,
-        value=math.ldexp(sol.value, shift),
-        stationarity_residual=math.ldexp(sol.stationarity_residual, shift),
-        dual_upper=math.ldexp(sol.dual_upper, shift),
-    )
+    times 2^s; TooLarge when one leaves the double range."""
+    try:
+        return replace(
+            sol,
+            value=math.ldexp(sol.value, shift),
+            stationarity_residual=math.ldexp(sol.stationarity_residual, shift),
+            dual_upper=math.ldexp(sol.dual_upper, shift),
+        )
+    except OverflowError:
+        parts = f"value {sol.value}, dual_upper {sol.dual_upper}"
+        raise TooLarge(f"the SDP's {parts} times 2^{shift} exceed the double range") from None
 
 
 def _dots(p: np.ndarray, q: np.ndarray) -> np.ndarray:

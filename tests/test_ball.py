@@ -201,6 +201,26 @@ class TestOptimalityCertificate:
             assert dual >= r2 - 1e-9 * scale
 
 
+    def test_support_is_the_certified_boundary(self):
+        # computed here from the unit-scaled vectors: the support holds the
+        # vectors within CERTIFICATE_TOL * q_max of the largest squared
+        # distance, q_max the largest squared offset of a distinct vector
+        # from the lexicographically first
+        tol = ball_mod.CERTIFICATE_TOL
+        for gf in certificate_sets(np.random.default_rng(29)):
+            ball = min_enclosing_ball(gf)
+            v, shift = unit_scaled(gf.vectors)
+            pts = np.unique(v, axis=0)
+            q_max = float(np.max(np.einsum("ij,ij->i", pts - pts[0], pts - pts[0])))
+            c = np.ldexp(ball.center, -shift)
+            dist2 = np.einsum("ij,ij->i", v - c, v - c)
+            gap, band = float(np.max(dist2)) - dist2, tol * q_max
+            inside = np.ones(gf.k, dtype=bool)
+            inside[list(ball.support)] = False
+            assert np.all(gap[~inside] <= 1.01 * band) and np.all(gap[inside] > 0.99 * band)
+            assert set(np.flatnonzero(ball.weights > 0.0)) <= set(ball.support)
+
+
 def b_geometry_shape(kind, k, r, rng):
     """A B as the b-geometry benchmark draws it: Wishart of full rank k, or
     k Gram vectors taking r distinct values."""
@@ -230,10 +250,12 @@ class TestAboveRankTen:
             gf = gram_factorize(SymMatrix.from_array(b_geometry_shape(*shape, rng)))
             vectors, _ = unit_scaled(gf.vectors)
             pts = vectors[ball_mod._distinct_rows(vectors)[0]]
+            y = pts - pts[0]
+            q_max = float(np.max(np.einsum("ij,ij->i", y, y)))
             pivots.append(0)
-            work, p = ball_mod._active_set_ball(pts)
-            center, radius = ball_mod._certified(pts, work, p)
-            r2 = radius ** 2
+            work, p = ball_mod._active_set_ball(y, q_max)
+            offset, r2, _ = ball_mod._certified(y, q_max, work, p)
+            center = pts[0] + offset
             dist2 = np.einsum("ij,ij->i", pts - center, pts - center)
             assert np.max(dist2) <= r2 * (1.0 + 1e-12)
             assert np.all(p > 0.0) and p.sum() == pytest.approx(1.0, abs=1e-12)
@@ -251,9 +273,9 @@ class TestAboveRankTen:
         checked = []
         inner = ball_mod._certified
 
-        def spy(points, work, p):
+        def spy(y, q_max, work, p):
             checked.append(len(work))
-            return inner(points, work, p)
+            return inner(y, q_max, work, p)
 
         monkeypatch.setattr(ball_mod, "_certified", spy)
         kind, k, r = shape
@@ -314,6 +336,22 @@ class TestSupportWeights:
             on_boundary = np.abs(dists - ball.radius) <= BALL_TOL * max(ball.radius, 1.0)
             assert np.all(on_boundary[p > 1e-9])
             assert np.linalg.norm(p @ pts - ball.center) <= BALL_TOL * max(ball.radius, 1.0)
+
+    def test_near_boundary_vector_left_out(self):
+        # the third vector lies at r (1 - 1e-9), 2e-9 r^2 inside in squared
+        # distance, far outside the certificate's band
+        pts = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0 - 1e-9]])
+        ball = min_enclosing_ball(factor(pts))
+        assert ball.radius == 1.0
+        assert ball.support == (0, 1)
+
+    def test_vectors_one_ulp_apart_stay_two_points(self):
+        v = np.array([[1.0, 0.0], [np.nextafter(1.0, 2.0), 0.0], [0.0, 1.0]])
+        first, copy_of = ball_mod._distinct_rows(v)
+        assert len(first) == 3 and sorted(copy_of) == [0, 1, 2]
+        ball = min_enclosing_ball(factor(v))
+        assert ball.support == (0, 1, 2)
+        assert_certified(ball, v)
 
     def test_affinely_dependent_support_certified(self):
         # four corners of a square: weights are non-unique; the active set

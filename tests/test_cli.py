@@ -406,6 +406,29 @@ class TestValidationErrors:
         path = write_json(tmp_path, ANTIPODAL_DOC)
         assert self.exit_code(["oracle", path, "--grid", "179"]) == 2
 
+    def test_oracle_grid_above_the_cap_exit_2(self, tmp_path, monkeypatch, capsys):
+        # the grid's arrays grow as grid^2: the cap is rejected before any work
+        def no_work(*args, **kwargs):
+            raise AssertionError("the oracle ran")
+
+        monkeypatch.setattr(cli, "brute_force_clust", no_work)
+        monkeypatch.setattr(cli, "brute_force_c3", no_work)
+        path = write_json(tmp_path, ANTIPODAL_DOC)
+        assert parse(["oracle", path, "--grid", str(cli.GRID_CAP)]).grid == cli.GRID_CAP
+        for grid in (cli.GRID_CAP + 1, 10_000):
+            assert self.exit_code(["oracle", path, "--grid", str(grid)]) == 2
+            assert f"must be at most {cli.GRID_CAP}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("c", [1.2e308, 1.7e308])
+    def test_a_beyond_the_double_range_exit_3(self, tmp_path, capsys, c):
+        # SDP(c A0) is about 10 c, beyond the largest double
+        u = np.random.default_rng(3).standard_normal((6, 3))
+        u -= u.mean(axis=0)
+        a0 = u @ u.T
+        doc = {"A": (c * (a0 / np.max(np.abs(a0)))).tolist(), "B": np.eye(3).tolist()}
+        assert main(["cluster", write_json(tmp_path, doc), "--trials", "8"]) == 3
+        assert "the double range" in capsys.readouterr().err
+
     def test_one_configuration_per_command(self, tmp_path):
         # the hardness block is always in the cluster report, and selftest
         # always runs the whole suite: neither has a switch
@@ -430,6 +453,16 @@ class TestAnalyzeB:
         report = run_analyze_b(parse(["analyze-b", write_json(tmp_path, doc)]))
         assert report["approx_ratio"] == pytest.approx(math.pi / 2.0, rel=1e-9)
         assert report["hardness"]["mu"] == pytest.approx([0.5, 0.5])
+
+    def test_b_at_the_top_of_the_double_range(self, tmp_path):
+        # entries above half the largest double: R^2 and C(B) are the
+        # closed forms of diag(1, 1, 1/4) times 1.2e308
+        doc = {"B": (1.2e308 * np.diag([1.0, 1.0, 0.25])).tolist()}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_analyze_b(parse(["analyze-b", write_json(tmp_path, doc)]))
+        assert report["ball"]["r2"] == pytest.approx(1.2e308 * (1.25 ** 2 / 3.0), rel=1e-9)
+        assert report["cb"]["c_estimate"] == pytest.approx(1.2e308 / math.pi, rel=1e-9)
 
     def test_near_repeated_label(self, tmp_path):
         # the second Gram vector is the first moved by 1e-12

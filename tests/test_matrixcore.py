@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from gramclust import (
     NotPSD,
     SymMatrix,
+    TooLarge,
     gram_factorize,
     random_centered_psd,
     validate_centered,
@@ -72,6 +75,17 @@ class TestValidateCentered:
 
     def test_zero_matrix(self):
         assert validate_centered(sym(np.zeros((3, 3))))
+
+    @pytest.mark.parametrize("c", [1.2e308, 1.7e308])
+    def test_top_of_the_double_range(self, c):
+        # the plain sum of these entries overflows to nan
+        u = np.random.default_rng(3).standard_normal((6, 3))
+        u -= u.mean(axis=0)
+        a0 = u @ u.T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate_centered(sym(c * (a0 / np.max(np.abs(a0)))))
+            assert not validate_centered(sym(c * np.eye(2)))
 
 
 class TestGramFactorize:
@@ -161,6 +175,15 @@ class TestGramFactorize:
         assert gf.ambient_dim <= k
 
 
+    def test_eigenvalue_beyond_the_double_range_raises(self):
+        # every entry is finite, but the largest eigenvalue of B is not, so
+        # no eigenvalue passes the clamp band
+        g = np.random.default_rng(1).standard_normal((3, 3))
+        b = g @ g.T
+        with pytest.raises(TooLarge):
+            gram_factorize(sym(1.7e308 * (b / np.max(np.abs(b)))))
+
+
 class TestRandomCenteredPsd:
     def test_n2_is_antipodal_multiple(self):
         a = random_centered_psd(2, np.random.default_rng(3))
@@ -187,6 +210,27 @@ class TestSymmetrization:
         m = SymMatrix.from_array([[1.0, 2.0 + 1e-12], [2.0, 1.0]])
         assert m.asymmetry == pytest.approx(1e-12)
         np.testing.assert_array_equal(m.mat, m.mat.T)
+
+    def test_top_of_the_double_range(self):
+        # (M + M^T) / 2 overflows for entries above half the largest double
+        top = 1.2e308 * np.diag([1.0, 1.0, 0.25])
+        skew = top.copy()
+        skew[0, 1], skew[1, 0] = 1.5e308, 1.4e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kept, merged = SymMatrix.from_array(top), SymMatrix.from_array(skew)
+        np.testing.assert_array_equal(kept.mat, top)
+        assert merged.mat[0, 1] == merged.mat[1, 0] == 1.45e308
+
+    def test_symmetric_input_kept_bit_for_bit(self):
+        v = np.random.default_rng(4).standard_normal((5, 5))
+        m = v @ v.T
+        m = np.triu(m) + np.triu(m, 1).T
+        np.testing.assert_array_equal(SymMatrix.from_array(m).mat, m)
+        skew = m + 1e-12 * np.triu(np.ones((5, 5)), 1)
+        merged = SymMatrix.from_array(skew).mat
+        assert np.array_equal(merged, merged.T)
+        np.testing.assert_array_equal(merged, (skew + skew.T) / 2.0)
 
     def test_entries_immutable(self):
         m = SymMatrix.from_array(np.eye(2))

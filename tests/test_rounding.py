@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,26 @@ class TestRoundBestOf:
         m1, s1 = estimate_expectation(v1)
         m2, s2 = estimate_expectation(v2)
         assert abs(m1 - m2) <= 3.0 * math.hypot(s1, s2)
+
+    def test_holds_one_assignment_at_a_time(self):
+        # 2000 trials at n = 300 would hold 4.8 MB of assignments; the
+        # winner is the (value, trial_index) max over every candidate
+        a = random_centered_psd(300, np.random.default_rng(23))
+        b = SymMatrix.from_array(np.eye(3))
+        _, part, _ = search_cb(b)
+        x = np.random.default_rng(24).standard_normal((300, 5))
+        tracemalloc.start()
+        try:
+            best, values = round_best_of(a, b, x, part, trials=2000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        keys = [(v, t) for t, v in enumerate(values)]
+        keys += [(clustering_value(a, b, np.full(300, lab)), 2000 + lab) for lab in range(3)]
+        assert (best.value, best.trial_index) == max(keys)
+        sigma = round_once(x, part, _trial_rng(5, best.trial_index))
+        np.testing.assert_array_equal(best.sigma, sigma)
 
     def test_relabeling_equivariance(self):
         a = random_centered_psd(6, np.random.default_rng(19))
