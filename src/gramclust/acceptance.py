@@ -366,7 +366,7 @@ def criterion_8_hardness_gadget(shared: Shared) -> CriterionResult:
         k = 2 + i % 3
         b = _random_psd(k, 5000 + i)
         ball = min_enclosing_ball(gram_factorize(b))
-        r2 = ball.radius ** 2
+        r2 = ball.r2
         for eps in (1e-2, 1e-4):
             dist = build_mu(ball, eps)
             val = dictatorship_objective(b, dist)

@@ -55,6 +55,11 @@ class EnclosingBall:
     weights: np.ndarray = field(repr=False)
     gram: GramFactor = field(repr=False)
 
+    @property
+    def r2(self) -> float:
+        """R(B)^2, one rounded product, so exactly scale-free (pow is not)."""
+        return self.radius * self.radius
+
 
 def _working_set_step(points: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, bool]:
     """Step from the weights p on a working set toward its KKT point.
@@ -252,4 +257,4 @@ def radius_squared(b: SymMatrix) -> float:
     if not validate_psd(b):
         raise NotPSD("hypothesis matrix is not PSD")
     ball = min_enclosing_ball(gram_factorize(b))
-    return ball.radius ** 2
+    return ball.r2

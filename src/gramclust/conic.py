@@ -453,12 +453,6 @@ def _structured_seeds(b_sub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return coords / np.where(live, norm, 1.0)[:, None, None] * 0.25, live
 
 
-def _unit_scale_shift(b: np.ndarray) -> int:
-    """The s with max_i b_ii / 4^s in [1, 4); 0 for B = 0."""
-    top = float(np.max(np.diag(b)))
-    return (math.frexp(top)[1] - 1) // 2 if top > 0.0 else 0
-
-
 def search_cb(b: SymMatrix) -> tuple[float, ConicalPartition, PartitionValue]:
     """Estimate C(B) and the partition attaining it.
 
@@ -484,16 +478,16 @@ def search_cb(b: SymMatrix) -> tuple[float, ConicalPartition, PartitionValue]:
     what the moments resolve.  The result of the latest B is cached,
     and its arrays are read-only.
 
-    The search runs on B / 4^s, whose largest diagonal entry lies in
-    [1, 4).  A power of 4 scales psi, R(B)^2 and the directions exactly and
-    leaves every cell unchanged, so B * 4^e gets the same partition and
-    C(B) times 4^e; B is degenerate when R(B)^2 / 4^s < 1e-12, a single
-    Gram vector (k = 1) included.
+    The search runs on B's ``unit``, B / 4^s with its largest |entry|, a
+    diagonal one, in [1, 4).  A power of 4 scales psi, R(B)^2 and the
+    directions exactly and leaves every cell unchanged, so B * 4^e gets
+    the same partition and C(B) times 4^e; B is degenerate when
+    R(B)^2 / 4^s < 1e-12, a single Gram vector (k = 1) included.
     """
     if not validate_psd(b):
         raise NotPSD("hypothesis matrix is not PSD")
     k = b.dim
-    shift = _unit_scale_shift(b.mat)
+    unit, shift = b.unit
     # scaled before the comparison: 1e-12 * 4^s underflows for subnormal B
     if math.ldexp(radius_squared(b), -2 * shift) < 1e-12:
         raise DegenerateB(
@@ -509,7 +503,6 @@ def search_cb(b: SymMatrix) -> tuple[float, ConicalPartition, PartitionValue]:
         return cached
 
     # ordered after scaling: the order's keys square entries of B
-    unit = np.ldexp(b.mat, -2 * shift)
     perm = _canonical_label_order(unit)
     bc = unit[np.ix_(perm, perm)]
 

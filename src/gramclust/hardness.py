@@ -65,7 +65,7 @@ def build_mu(ball: EnclosingBall, epsilon: float) -> LabelDistribution:
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    r2 = ball.radius ** 2
+    r2 = ball.r2
     if ball.radius <= 0.0:
         raise DegenerateB("R(B) = 0: the support distribution is undefined")
     k = ball.gram.k

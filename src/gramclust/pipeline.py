@@ -29,7 +29,7 @@ def _b_half(
     if not validate_psd(b):
         raise NotPSD("B is not positive semidefinite (within 1e-9)")
     ball = min_enclosing_ball(gram_factorize(b))
-    r2 = ball.radius ** 2
+    r2 = ball.r2
     report: dict = {
         "ball": {
             "r2": r2,
@@ -127,7 +127,7 @@ def cluster(
         "trial_mean": mean,
         "trial_stderr": stderr,
     }
-    interval = [best.value, ball.radius ** 2 * sol.dual_upper]
+    interval = [best.value, ball.r2 * sol.dual_upper]
     if not all(map(math.isfinite, interval)):
         raise TooLarge(f"certified interval {interval} exceeds the double range")
     if interval[0] > interval[1] * (1.0 + 1e-6):

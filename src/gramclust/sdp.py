@@ -34,10 +34,10 @@ The solver has no tunables beyond the seed: each solve runs, one after
 the other, RESTARTS random starts at rank r, each capped at MAX_ITERS
 ascent steps, and stops at a tenth of the Riemannian gradient
 GRAD_TOL * ||A||_F above which a solve is flagged as not converged.  Every
-threshold is relative to A alone, and the solve runs on A / 2^s with its
-largest |entry| in [1/2, 1), an exact scaling, so the solver is
-scale-free across the double range: A * 2^e gives the same iterates, and
-values, residual and certificate times 2^e.
+threshold is relative to A alone, and the solve runs on A's ``unit``,
+A / 4^s with its largest |entry| in [1, 4), an exact scaling, so the
+solver is scale-free across the double range: A * 2^e gives the same
+iterates, and values, residual and certificate times 2^e.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NotConvergedWarning, NotPSD, TooLarge
-from .matrixcore import SymMatrix, unit_scaled, validate_psd
+from .matrixcore import SymMatrix, validate_psd
 
 # ascent steps per restart, random restarts per solve, and the stopping
 # Riemannian gradient relative to ||A||_F; read at call time
@@ -84,18 +84,18 @@ def _grad_tol(a: np.ndarray) -> float:
 
 
 def _unscaled(sol: SdpSolution, shift: int) -> SdpSolution:
-    """A solution of A / 2^s as one of A: value, residual and certificate
-    times 2^s; TooLarge when one leaves the double range."""
+    """A solution of A / 4^s as one of A: value, residual and certificate
+    times 4^s; TooLarge when one leaves the double range."""
     try:
         return replace(
             sol,
-            value=math.ldexp(sol.value, shift),
-            stationarity_residual=math.ldexp(sol.stationarity_residual, shift),
-            dual_upper=math.ldexp(sol.dual_upper, shift),
+            value=math.ldexp(sol.value, 2 * shift),
+            stationarity_residual=math.ldexp(sol.stationarity_residual, 2 * shift),
+            dual_upper=math.ldexp(sol.dual_upper, 2 * shift),
         )
     except OverflowError:
         parts = f"value {sol.value}, dual_upper {sol.dual_upper}"
-        raise TooLarge(f"the SDP's {parts} times 2^{shift} exceed the double range") from None
+        raise TooLarge(f"the SDP's {parts} times 4^{shift} exceed the double range") from None
 
 
 def _dots(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -234,7 +234,7 @@ def solve_sdp(a: SymMatrix, seed: int = 0) -> SdpSolution:
     rng = np.random.default_rng(seed)
     n = a.dim
     # ||A||_F^2 and the residual's squares stay in range at any scale
-    mat, shift = unit_scaled(a.mat)
+    mat, shift = a.unit
     grad_tol = _grad_tol(mat)
     rank0 = min(n, math.isqrt(2 * n - 1) + 2)
 
@@ -258,7 +258,7 @@ def solve_sdp(a: SymMatrix, seed: int = 0) -> SdpSolution:
     if not best.converged:
         warnings.warn(
             f"SDP ascent stopped at residual {best.stationarity_residual:.3e}"
-            f" > {math.ldexp(grad_tol, shift):.3e}",
+            f" > {math.ldexp(grad_tol, 2 * shift):.3e}",
             NotConvergedWarning,
         )
     return best
@@ -273,7 +273,7 @@ def ascend_from(a: SymMatrix, vectors: np.ndarray) -> SdpSolution:
     a start, and the ascent can only increase its value.  Runs at most
     MAX_ITERS steps at the rank d.
     """
-    mat, shift = unit_scaled(a.mat)
+    mat, shift = a.unit
     # do not pre-normalize: the first ascent step from the interior point
     # already lands on the spheres without decreasing the value
     x0 = np.ascontiguousarray(np.asarray(vectors, dtype=float).T)

@@ -429,6 +429,13 @@ class TestValidationErrors:
         assert main(["cluster", write_json(tmp_path, doc), "--trials", "8"]) == 3
         assert "the double range" in capsys.readouterr().err
 
+    def test_indefinite_a_at_the_top_of_the_range_exit_2(self, tmp_path, capsys):
+        # eigvalsh of this A itself gives -inf and inf; its unit does not
+        a = 1.7e308 * np.array([[1.0, 0.0, -1.0], [0.0, -1.0, 1.0], [-1.0, 1.0, 0.0]])
+        doc = {"A": a.tolist(), "B": np.eye(3).tolist()}
+        assert main(["cluster", write_json(tmp_path, doc), "--trials", "8"]) == 2
+        assert "not positive semidefinite" in capsys.readouterr().err
+
     def test_one_configuration_per_command(self, tmp_path):
         # the hardness block is always in the cluster report, and selftest
         # always runs the whole suite: neither has a switch

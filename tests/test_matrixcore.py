@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from gramclust import (
     NotPSD,
     SymMatrix,
-    TooLarge,
+    analyze_b,
     gram_factorize,
     random_centered_psd,
     validate_centered,
@@ -39,8 +40,14 @@ class TestValidatePsd:
     @pytest.mark.parametrize("e", [-70, 0, 40])
     @pytest.mark.parametrize(
         "values",
-        [[[1, 0, -1], [0, -1, 1], [-1, 1, 0]], [[1, 2], [2, 1]]],
-        ids=["indefinite-3", "indefinite-2"],
+        [
+            [[1, 0, -1], [0, -1, 1], [-1, 1, 0]],
+            [[1, 2], [2, 1]],
+            # at e = 40 the entries reach 1.7e308, where eigvalsh of the
+            # matrix itself gives -inf and inf
+            np.ldexp(1.7e308 * np.array([[1, 0, -1], [0, -1, 1], [-1, 1, 0]]), -40),
+        ],
+        ids=["indefinite-3", "indefinite-2", "top-indefinite-3"],
     )
     def test_indefinite_rejected_at_any_scale(self, values, e):
         assert not validate_psd(sym(np.array(values) * 2.0 ** e))
@@ -62,6 +69,20 @@ class TestValidatePsd:
         assert validate_psd(m)
         assert validate_psd(m)
         assert len(calls) == 1
+
+
+class TestUnit:
+    @pytest.mark.parametrize("top", [5e-324, 1e-300, 0.5, 1.0, 3.999, 4.0, 1e300, 1.7e308])
+    def test_largest_entry_in_one_to_four(self, top):
+        m = sym([[top, -top / 3], [-top / 3, top / 2]])
+        unit, shift = m.unit
+        assert 1.0 <= np.max(np.abs(unit)) < 4.0
+        np.testing.assert_array_equal(np.ldexp(unit, 2 * shift), m.mat)
+
+    def test_no_copy_at_shift_zero(self):
+        for m in (sym(np.zeros((3, 3))), sym(3.0 * np.eye(3))):
+            unit, shift = m.unit
+            assert shift == 0 and unit is m.mat
 
 
 class TestValidateCentered:
@@ -175,13 +196,25 @@ class TestGramFactorize:
         assert gf.ambient_dim <= k
 
 
-    def test_eigenvalue_beyond_the_double_range_raises(self):
-        # every entry is finite, but the largest eigenvalue of B is not, so
-        # no eigenvalue passes the clamp band
+    def test_eigenvalue_beyond_the_double_range_factors(self):
+        # every entry is finite, but the largest eigenvalue of B is not; the
+        # factor of B / 4^s times 2^s is finite, and so is every number the
+        # B half reports, each at most the largest diagonal entry
         g = np.random.default_rng(1).standard_normal((3, 3))
         b = g @ g.T
-        with pytest.raises(TooLarge):
-            gram_factorize(sym(1.7e308 * (b / np.max(np.abs(b)))))
+        b = 1.7e308 * (b / np.max(np.abs(b)))
+        assert np.isinf(np.linalg.eigvalsh(b)[-1])
+        gf = gram_factorize(sym(b))
+        assert gf.ambient_dim == 3
+        v = np.ldexp(gf.vectors, -512)
+        err = np.max(np.abs(v @ v.T - np.ldexp(b, -1024)))
+        assert err <= 1e-9 * np.ldexp(np.max(b), -1024)
+
+        report = analyze_b(sym(b))
+        # json writes a non-finite float as Infinity or NaN
+        text = json.dumps(report)
+        assert "Infinity" not in text and "NaN" not in text
+        assert report["cb"]["c_estimate"] <= report["ball"]["r2"] <= np.max(np.diag(b))
 
 
 class TestRandomCenteredPsd:
@@ -231,6 +264,25 @@ class TestSymmetrization:
         merged = SymMatrix.from_array(skew).mat
         assert np.array_equal(merged, merged.T)
         np.testing.assert_array_equal(merged, (skew + skew.T) / 2.0)
+
+    def test_symmetric_input_skips_the_merge(self, monkeypatch):
+        def where(*args):
+            raise AssertionError("a symmetric matrix was merged")
+
+        m = np.array([[2.0, 5e-324], [5e-324, 1.0]])
+        monkeypatch.setattr(np, "where", where)
+        kept = SymMatrix(m)
+        assert kept.asymmetry == 0.0
+        np.testing.assert_array_equal(kept.mat, m)
+        # a copy: the caller's array stays writable
+        assert kept.mat is not m and m.flags.writeable
+
+    def test_asymmetric_input_keeps_equal_subnormal_entries(self):
+        # 0.5 * 5e-324 + 0.5 * 5e-324 is 0, so only unequal pairs are merged
+        m = np.array([[5e-324, 1.0, 0.0], [1.5, 0.0, 5e-324], [0.0, 5e-324, 0.0]])
+        merged = SymMatrix(m).mat
+        assert merged[0, 0] == merged[1, 2] == merged[2, 1] == 5e-324
+        assert merged[0, 1] == merged[1, 0] == 1.25
 
     def test_entries_immutable(self):
         m = SymMatrix.from_array(np.eye(2))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from gramclust import (
     random_centered_psd,
     search_cb,
 )
+from gramclust.oracle import GRID_CAP
 
 ANTIPODAL = SymMatrix.from_array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -133,6 +135,18 @@ class TestBruteForceC3:
             b = SymMatrix.from_array(m)
             search_val, _, _ = search_cb(b)
             assert search_val >= brute_force_c3(b, grid=grid) * (1.0 - 1e-9)
+
+    def test_memory_flat_at_the_grid_cap(self):
+        # the whole 1441 x 1441 grid at once peaked at 224 MB; one block of
+        # a1 rows at a time stays near 7 MB
+        tracemalloc.start()
+        try:
+            value = brute_force_c3(SymMatrix.from_array(np.eye(3)), grid=GRID_CAP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(9.0 / (8.0 * math.pi), abs=1e-6)
+        assert peak < 16e6
 
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError):

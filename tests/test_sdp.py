@@ -20,7 +20,6 @@ from gramclust import (
     validate_psd,
 )
 from gramclust import sdp
-from gramclust.matrixcore import unit_scaled
 from gramclust.sdp import _ascend, _normalize_columns, _plain_step
 
 ANTIPODAL = SymMatrix.from_array([[1.0, -1.0], [-1.0, 1.0]])
@@ -193,9 +192,10 @@ class TestSolveSdp:
         # multipliers leave diag(lambda) - A indefinite, 2 and 3 share a
         # tight certificate, and restart 1 ends lower with the tightest one
         n = 6
-        # largest |entry| in [1/2, 1): solve_sdp runs on A itself, unscaled,
-        # so the faked ends below are in A's units
-        a = SymMatrix(unit_scaled(random_centered_psd(n, np.random.default_rng(13)).mat)[0])
+        # largest |entry| in [1, 4): A is its own unit, so solve_sdp runs on
+        # A itself, unscaled, and the faked ends below are in A's units
+        a = SymMatrix(random_centered_psd(n, np.random.default_rng(13)).unit[0])
+        assert a.unit[1] == 0
         l_max = float(np.linalg.eigvalsh(a.mat)[-1])
         tight = np.full(n, 2.0 * l_max)
         wide = tight.copy()
