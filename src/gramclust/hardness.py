@@ -10,6 +10,7 @@ the (out-of-scope) soundness analysis runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +70,10 @@ def build_mu(ball: EnclosingBall, epsilon: float) -> LabelDistribution:
     if ball.radius <= 0.0:
         raise DegenerateB("R(B) = 0: the support distribution is undefined")
     k = ball.gram.k
-    beta = min(BETA_CAP, epsilon / (7.0 * r2))
+    # epsilon and R^2 divided by one power of 2 first, so 7 R^2 stays finite
+    # at the top of the double range and the quotient keeps every bit
+    shift = math.frexp(r2)[1]
+    beta = min(BETA_CAP, math.ldexp(epsilon, -shift) / (7.0 * math.ldexp(r2, -shift)))
     mu = (1.0 - beta) * ball.weights + beta / k
     spread = _spread(ball.gram.gram(), mu)
     if spread < r2 - epsilon - 1e-12 * r2:

@@ -23,7 +23,12 @@ r = min(n, isqrt(2n - 1) + 2), which has r(r + 1)/2 > n.  Above that
 bound the second-order critical points of the rank-r problem are
 generically global optima (Boumal, Voroninski & Bandeira 2016), and an
 ascent from a random start does not end at a saddle in practice, so
-there is no second-order step and no rank escalation.  Optimality is not
+there is no second-order step and no rank escalation.  The optima it
+reaches have a far lower rank, and every RANK_CHECK steps the ascent
+drops the directions of X whose eigenvalue of X X^T is below RANK_DROP of
+the largest, so most products run at about the solution's rank.  The
+value never decreases, but for a small dip at a rank drop, at most about
+||A||_2 times the dropped energy.  Optimality is not
 assumed but certified: for any lambda the dual matrix S = diag(lambda) - A
 gives SDP <= sum lambda_i + n max(0, -mu_min(S)) (``dual_upper``).  Its
 mu_min comes from one values-only eigvalsh, run only for the restarts
@@ -51,11 +56,15 @@ import numpy as np
 from .errors import NotConvergedWarning, NotPSD, TooLarge
 from .matrixcore import SymMatrix, validate_psd
 
-# ascent steps per restart, random restarts per solve, and the stopping
-# Riemannian gradient relative to ||A||_F; read at call time
+# ascent steps per restart, random restarts per solve, the stopping
+# Riemannian gradient relative to ||A||_F, and the steps between rank
+# checks and the eigenvalue share of X X^T below which a direction is
+# dropped; read at call time
 MAX_ITERS = 50_000
 RESTARTS = 4
 GRAD_TOL = 1e-7
+RANK_CHECK = 10
+RANK_DROP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -147,13 +156,25 @@ def _ascend(a, x, grad_tol, max_iters):
     objective from a point with columns of norm <= 1, then tries the
     extrapolation y = normalize(x_new + beta (x_new - x_prev)), with x_prev
     the iterate before X, and keeps y only if f(y) >= f(X), so the value
-    never decreases.  beta grows on an accepted step and halves on a
-    rejected one.  The product Y A of an accepted step, and its lambda,
-    serve the next step, the value and the stopping residual, so a step
-    costs one product (a rejected one two).  The value sums the per-point
-    lambda pairwise: the accept test compares values that differ at
-    rounding level near convergence, and a coarser sum upsets it.  Stops at
-    residual grad_tol / 10.  Returns X, X A, lambda and the step count.
+    never decreases but at a rank drop.  beta grows on an accepted step and
+    halves on a rejected one.  The product Y A of an accepted step, and its
+    lambda, serve the next step, the value and the stopping residual, so a
+    step costs one product (a rejected one two).  The value sums the
+    per-point lambda pairwise: the accept test compares values that differ
+    at rounding level near convergence, and a coarser sum upsets it.  Stops
+    at residual grad_tol / 10.
+
+    Every RANK_CHECK steps, when some eigenvalue of the (rank, rank) Gram
+    X X^T is below RANK_DROP of the largest (a singular value of X below
+    1e-4 of the top), X and x_prev are rotated onto the eigenvectors of the
+    others, the columns of X renormalized, the product, lambda and the
+    value recomputed once, and the ascent goes on at the lower rank.  The
+    optimum's rank is far below the start rank and the iterate's trailing
+    singular values decay geometrically, so the later products run at about
+    the solution's rank.  There the value can dip, by at most about
+    ||A||_2 times the dropped energy, the sum of the dropped eigenvalues,
+    below rank * RANK_DROP of ||X||_F^2 = n.  Returns X, X A, lambda and
+    the step count; X has the rank of the last drop, or the start rank.
     """
     diag = np.diag(a)
     tiny = 1e-14 * float(np.max(np.abs(a)))
@@ -189,6 +210,15 @@ def _ascend(a, x, grad_tol, max_iters):
         moved = math.sqrt(float(np.max(_dots(step, step))))
         if moved < 1e-16 or _residual(m, x, lam) <= 0.1 * grad_tol:
             break
+        if iters % RANK_CHECK == 0:
+            w, v = np.linalg.eigh(x @ x.T)
+            dropped = np.count_nonzero(w < RANK_DROP * w[-1])
+            if dropped:
+                kept = v[:, dropped:].T
+                x, x_prev = _normalize_columns(kept @ x), kept @ x_prev
+                m = x @ a
+                lam = _dots(m, x)
+                value = float(np.sum(lam))
     return x, m, lam, iters
 
 
@@ -221,13 +251,13 @@ def solve_sdp(a: SymMatrix, seed: int = 0) -> SdpSolution:
     """First-order stationary point of the sphere-constrained relaxation.
 
     RESTARTS random starts at rank min(n, isqrt(2n - 1) + 2), drawn from
-    ``seed``, each ascend in turn.  Only the restarts that reach the top
-    value exactly are certified, and the one with the smallest
-    (dual_upper, restart_index) is returned.  The products and the
-    eigvalsh run in the caller's BLAS threads, one in a CLI process.  If
-    MAX_ITERS is hit with the Riemannian gradient above tolerance the
-    result is returned flagged (converged False) and a NotConvergedWarning
-    is emitted.
+    ``seed``, each ascend in turn, dropping rank as they go.  Only the
+    restarts that reach the top value exactly are certified, and the one
+    with the smallest (dual_upper, restart_index) is returned.  The
+    products and the eigvalsh run in the caller's BLAS threads, one in a
+    CLI process.  If MAX_ITERS is hit with the Riemannian gradient above
+    tolerance the result is returned flagged (converged False) and a
+    NotConvergedWarning is emitted.
     """
     if not validate_psd(a):
         raise NotPSD("data matrix is not PSD")
@@ -270,8 +300,9 @@ def ascend_from(a: SymMatrix, vectors: np.ndarray) -> SdpSolution:
     random start.
 
     The Gram system of any clustering, (v_sigma(i) - w(B)) / R(B), is such
-    a start, and the ascent can only increase its value.  Runs at most
-    MAX_ITERS steps at the rank d.
+    a start, and the ascent can only increase its value, but for the dip
+    of a rank drop.  Runs at most MAX_ITERS steps from the rank d; the
+    solution's rank is that of its vectors, d or lower after a drop.
     """
     mat, shift = a.unit
     # do not pre-normalize: the first ascent step from the interior point

@@ -10,6 +10,7 @@ from gramclust import (
     LabelDistribution,
     SymMatrix,
     ZeroMass,
+    analyze_b,
     build_basis,
     build_mu,
     dictatorship_objective,
@@ -76,6 +77,15 @@ class TestBuildMu:
         monkeypatch.setattr(hardness, "_spread", lambda b, w: r2 - epsilon - 1e-9 * r2)
         with pytest.raises(Infeasible):
             build_mu(ball, epsilon)
+
+    def test_beta_at_the_top_of_the_double_range(self):
+        # 7 R^2 lies beyond the largest double here; beta stays the scale-1
+        # mu_epsilon / 7 up to the rounding of R^2
+        b = np.diag([1.0, 1.0, 0.25])
+        base = analyze_b(SymMatrix.from_array(b))["hardness"]["beta"]
+        top = analyze_b(SymMatrix.from_array(1.2e308 * b))["hardness"]["beta"]
+        assert base == 1e-4 / 7.0
+        assert top == pytest.approx(base, rel=1e-15)
 
     def test_weights_off_the_boundary_raise_infeasible(self):
         # Gram vectors (1, 0), (-1, 0) and the interior point (0, 0.1): all

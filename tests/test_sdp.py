@@ -31,6 +31,19 @@ def start(x0):
     return _normalize_columns(np.ascontiguousarray(x0.T))
 
 
+def spy_start_ranks(monkeypatch):
+    """The start rank of every sdp._ascent call made from now on."""
+    ranks = []
+    ascent = sdp._ascent
+
+    def spy(mat, x, grad_tol, restart_index=0):
+        ranks.append(len(x))
+        return ascent(mat, x, grad_tol, restart_index)
+
+    monkeypatch.setattr(sdp, "_ascent", spy)
+    return ranks
+
+
 def row_normalize(x):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
@@ -234,8 +247,12 @@ class TestSolveSdp:
             return sol, lam
 
         monkeypatch.setattr(sdp, "_ascent", below_trace)
+        starts = spy_start_ranks(monkeypatch)
         sol = solve_sdp(a, seed=14)
-        assert (sol.restart_index, sol.rank) == (sdp.RESTARTS, n)
+        # the fallback starts at rank n and may end lower
+        assert starts == [math.isqrt(2 * n - 1) + 2] * sdp.RESTARTS + [n]
+        assert sol.restart_index == sdp.RESTARTS
+        assert sol.rank == sol.vectors.shape[1] <= n
         assert sol.value >= float(np.trace(a.mat)) - 1e-9 * np.linalg.norm(a.mat)
         assert sol.dual_upper >= sol.value
 
@@ -320,15 +337,45 @@ class TestCertificate:
         assert (sol.value, sol.rank, sol.dual_upper) == (0.0, 6, 0.0)
 
     @pytest.mark.parametrize("name", sorted(START_RANK_CASES))
-    def test_start_rank_reaches_optimum(self, name):
+    def test_start_rank_reaches_optimum(self, monkeypatch, name):
         # r(r + 1)/2 > n at the start rank r, so an ascent there reaches the
-        # full-rank optimum and the dual certificate closes on it
+        # full-rank optimum and the dual certificate closes on it; the rank
+        # drop may end it at a lower rank
         mat = START_RANK_CASES[name]
         n = len(mat)
+        starts = spy_start_ranks(monkeypatch)
         sol = solve_sdp(SymMatrix.from_array(mat), seed=n)
         assert sol.value == pytest.approx(dense_reference(mat, 4, n + 1), rel=1e-9)
         assert sol.dual_upper - sol.value <= 1e-7 * sol.value
-        assert sol.rank == min(n, math.isqrt(2 * n - 1) + 2)
+        rank0 = min(n, math.isqrt(2 * n - 1) + 2)
+        assert starts == [rank0] * sdp.RESTARTS
+        assert sol.rank == sol.vectors.shape[1] <= rank0
+
+
+class TestRankDrop:
+    @pytest.mark.parametrize("name", ["wishart-200", "complete-30"])
+    def test_matches_ascent_without_rank_drop(self, monkeypatch, name):
+        # the CI's n = 200 Wishart A ends at a low rank from start rank 21;
+        # K_n's optima include configurations of every rank, and an ascent
+        # at its start rank keeps it
+        if name == "wishart-200":
+            u = np.random.default_rng(3).standard_normal((200, 200))
+            u -= u.mean(axis=0)
+            mat = u @ u.T
+        else:
+            mat = START_RANK_CASES[name]
+        a = SymMatrix.from_array(mat)
+        sol = solve_sdp(a, seed=0)
+        # RANK_DROP = 0 still drops the eigenvalues of X X^T that rounding
+        # leaves negative, so the reference never checks the rank
+        monkeypatch.setattr(sdp, "RANK_CHECK", sdp.MAX_ITERS + 1)
+        ref = solve_sdp(a, seed=0)
+        assert sol.value == pytest.approx(ref.value, rel=1e-12)
+        assert sol.dual_upper - sol.value <= 1e-7 * sol.value
+        assert ref.dual_upper - ref.value <= 1e-7 * ref.value
+        rank0 = math.isqrt(2 * len(mat) - 1) + 2
+        assert ref.rank == rank0
+        assert (sol.rank < rank0) == (name == "wishart-200")
 
 
 class TestAscent:
