@@ -397,6 +397,21 @@ def gadget_at_any_optimum(b, ball, beta):
     return spread - mean @ mean
 
 
+def ball_instance(name: str) -> tuple[np.ndarray, np.ndarray]:
+    """A B for the enclosing-ball checks, and for each Gram vector the
+    label of its distinct value."""
+    if name == "low-rank-64":
+        h = np.random.default_rng(64).standard_normal((64, 8))
+        return h @ h.T / 8, np.arange(64)
+    if name == "repeated-48":
+        labels = np.arange(48) % 10
+        v = np.random.default_rng(48).standard_normal((10, 10))[labels]
+        return v @ v.T / 10, labels
+    # four cospherical Gram vectors, whose optimal weights are not unique
+    v = KNOWN_RADII["square"][0]
+    return v @ v.T, np.arange(4)
+
+
 class TestActiveSetWeights:
     def test_weights_are_the_solves_own(self):
         for v, labels in labelled_sets(np.random.default_rng(31), 500):
@@ -462,6 +477,24 @@ class TestActiveSetWeights:
             ball = min_enclosing_ball(gram_factorize(SymMatrix.from_array(rows @ rows.T)))
             for g in range(r):
                 assert np.ptp(ball.weights[labels == g]) == 0.0
+
+    @pytest.mark.parametrize("name", ["low-rank-64", "repeated-48", "square"])
+    def test_weights_certify_r2_on_b(self, name):
+        # the ball block of an analyze-b or cluster report, checked on B's
+        # entries alone
+        b, labels = ball_instance(name)
+        ball = min_enclosing_ball(gram_factorize(SymMatrix.from_array(b)))
+        p, r2 = ball.weights, ball.r2
+        # squared distances to the center sum_j p_j v_j
+        d, bp = np.diag(b), b @ p
+        dist2 = d - 2.0 * bp + p @ bp
+        assert np.all(p >= 0.0) and abs(p.sum() - 1.0) <= 1e-12
+        assert np.max(dist2) <= r2 * (1.0 + 1e-9)
+        assert np.all(dist2[p > 0.0] >= r2 * (1.0 - 1e-9))
+        # the ball holds the farthest pair
+        assert r2 >= np.max(d[:, None] + d[None, :] - 2.0 * b) / 4.0 * (1.0 - 1e-9)
+        # copies of one Gram vector carry one weight
+        assert max(np.ptp(p[labels == g]) for g in np.unique(labels)) <= 1e-12
 
     def test_repeated_b_geometry_shape_dedups_exactly(self):
         rng = np.random.default_rng(17)

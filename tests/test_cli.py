@@ -19,7 +19,8 @@ from gramclust import (
     random_centered_psd,
     solve_sdp,
 )
-from gramclust import cli, pipeline, sdp
+from gramclust import acceptance, cli, pipeline, sdp
+from gramclust.conic import clear_search_cache
 from gramclust.cli import build_parser, main, run_analyze_b, run_cluster, run_oracle
 
 ANTIPODAL_DOC = {"A": [[1.0, -1.0], [-1.0, 1.0]], "B": [[1.0, 0.0], [0.0, 1.0]]}
@@ -33,6 +34,13 @@ def write_json(tmp_path, doc, name="input.json"):
 
 def parse(argv):
     return build_parser().parse_args(argv)
+
+
+def wishart_b(seed: int, k: int, dim: int) -> list:
+    """The k x k Wishart B ``g gᵀ / dim`` of a standard normal g of shape
+    (k, dim) drawn from ``default_rng(seed)``."""
+    g = np.random.default_rng(seed).standard_normal((k, dim))
+    return (g @ g.T / dim).tolist()
 
 
 class TestCluster:
@@ -58,11 +66,24 @@ class TestCluster:
         assert report["rounding"]["best_value"] == 0.0
         assert len(set(report["rounding"]["sigma"])) == 1
 
-    def test_deterministic_modulo_timestamp(self, tmp_path):
-        path = write_json(tmp_path, ANTIPODAL_DOC)
-        args = parse(["cluster", path, "--seed", "5", "--trials", "8"])
-        r1 = run_cluster(args)
-        r2 = run_cluster(parse(["cluster", path, "--seed", "5", "--trials", "8"]))
+    @pytest.mark.parametrize(
+        "command, doc, flags",
+        [
+            ("cluster", ANTIPODAL_DOC, ["--seed", "5", "--trials", "8"]),
+            # a 5 x 5 B reaches the quadruple seeds of the C(B) search
+            ("analyze-b", {"B": wishart_b(0, 5, 8)}, []),
+        ],
+        ids=["cluster", "analyze-b"],
+    )
+    def test_deterministic_modulo_timestamp(self, tmp_path, command, doc, flags):
+        path = write_json(tmp_path, doc)
+        run = {"cluster": run_cluster, "analyze-b": run_analyze_b}[command]
+        reports = []
+        for _ in range(2):
+            # as in two processes: the second search may not read the first
+            clear_search_cache()
+            reports.append(run(parse([command, path, *flags])))
+        r1, r2 = reports
         r1.pop("timestamp")
         r2.pop("timestamp")
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
@@ -483,6 +504,28 @@ class TestAnalyzeB:
         assert report["cb"]["c_estimate"] <= report["ball"]["r2"]
 
     @pytest.mark.parametrize(
+        "b, r2, c",
+        [
+            (np.eye(3), 2.0 / 3.0, 9.0 / (8.0 * math.pi)),
+            # C(I_4) = C(I_3): the fourth cell does not help
+            (np.eye(4), 3.0 / 4.0, 9.0 / (8.0 * math.pi)),
+            (np.diag([1.0, 1.0, 0.25]), 1.25 ** 2 / 3.0, 1.0 / math.pi),
+            (np.diag([1.0, 1.0, 2.0]), 0.9, 25.0 / (16.0 * math.pi)),
+            # every threshold of the B half is relative to B
+            (np.ldexp(np.eye(3), -70), math.ldexp(2.0 / 3.0, -70),
+             math.ldexp(9.0 / (8.0 * math.pi), -70)),
+        ],
+        ids=["identity-3", "identity-4", "diag-quarter", "diag-two", "tiny-identity-3"],
+    )
+    def test_closed_forms(self, tmp_path, b, r2, c):
+        # c_estimate is a lower bound on C(B): it may exceed it by rounding alone
+        report = run_analyze_b(parse(["analyze-b", write_json(tmp_path, {"B": b.tolist()})]))
+        assert report["degenerate"] is False
+        assert report["ball"]["weights_rule"] == "active-set"
+        assert report["ball"]["r2"] == pytest.approx(r2, rel=1e-12)
+        assert c * (1.0 - 1e-9) <= report["cb"]["c_estimate"] <= c * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize(
         "b, degenerate",
         [(np.diag([1.0, 1.0, 0.25]), False), (np.ones((2, 2)), True)],
         ids=["diag-quarter", "degenerate"],
@@ -511,6 +554,18 @@ class TestOracleCommand:
         }
         report = run_oracle(parse(["oracle", write_json(tmp_path, doc), "--grid", "240"]))
         assert report["c3_grid"] == pytest.approx(9.0 / (8.0 * math.pi), abs=1e-3)
+
+    def test_clust_inside_the_cluster_interval(self, tmp_path):
+        # 8 points and a 4 x 4 B: the C(B) search runs triples and quadruples
+        rng = np.random.default_rng(0)
+        u = rng.standard_normal((8, 3))
+        u -= u.mean(axis=0)
+        g = rng.standard_normal((4, 4))
+        path = write_json(tmp_path, {"A": (u @ u.T).tolist(), "B": (g @ g.T / 4).tolist()})
+        lo, hi = run_cluster(parse(["cluster", path, "--trials", "8"]))["certified_interval"]
+        clust = run_oracle(parse(["oracle", path]))["clust_value"]
+        slack = 1e-9 * abs(clust)
+        assert lo - slack <= clust <= hi + slack
 
 
 class TestImports:
@@ -568,8 +623,7 @@ class TestImports:
         a = random_centered_psd(6, np.random.default_rng(1))
         path = write_json(tmp_path, {"A": a.mat.tolist(), "B": np.eye(3).tolist()})
         # a 5 x 5 B reaches the quadruple seeds and the cells in cone dimension 3
-        g = np.random.default_rng(0).standard_normal((5, 8))
-        path5 = write_json(tmp_path, {"B": (g @ g.T / 8).tolist()}, "b5.json")
+        path5 = write_json(tmp_path, {"B": wishart_b(0, 5, 8)}, "b5.json")
         # n = 8 with a 4 x 4 B runs the triple and quadruple fixed points
         # inside a whole cluster run
         a8 = random_centered_psd(8, np.random.default_rng(2))
@@ -653,6 +707,14 @@ class TestLazyPackage:
         assert proc.stdout.strip() == "[]"
 
 
+def wishart_a_doc(n: int) -> dict:
+    """A centered Wishart A of n points in R^n, drawn from
+    ``default_rng(3)``, and B = I_3."""
+    u = np.random.default_rng(3).standard_normal((n, n))
+    u -= u.mean(axis=0)
+    return {"A": (u @ u.T).tolist(), "B": np.eye(3).tolist()}
+
+
 def noise_b_doc(n: int) -> dict:
     """A full-rank centered Wishart A of n points in R^n and a 3 x 3
     Wishart B, drawn with numpy alone."""
@@ -665,22 +727,31 @@ def noise_b_doc(n: int) -> dict:
 
 
 class TestProcess:
-    def test_report_independent_of_blas_threads(self, tmp_path):
-        # on this A the SDP ascent took 220 steps at one OpenBLAS thread
+    @pytest.mark.parametrize(
+        "make_doc, n", [(noise_b_doc, 300), (wishart_a_doc, 200)],
+        ids=["noise-300", "wishart-200"],
+    )
+    def test_report_independent_of_blas_threads(self, tmp_path, make_doc, n):
+        # on the noise A the SDP ascent took 220 steps at one OpenBLAS thread
         # and 212 at two while the caller's setting reached BLAS
-        path = write_json(tmp_path, noise_b_doc(300))
+        path = write_json(tmp_path, make_doc(n))
         texts = []
         for threads in ("1", "2"):
             out = tmp_path / f"blas{threads}.json"
             proc = subprocess.run(
                 [sys.executable, "-m", "gramclust.cli", "cluster", path,
-                 "--trials", "8", "--out", str(out)],
+                 "--out", str(out)],
                 capture_output=True, text=True, timeout=300,
                 env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
             )
             assert proc.returncode == 0, proc.stderr
             texts.append([ln for ln in out.read_text().splitlines() if '"timestamp"' not in ln])
         assert texts[0] == texts[1]
+        # the ascent converges, below its start rank
+        report = json.loads(out.read_text())
+        lo, hi = report["certified_interval"]
+        assert report["sdp"]["converged"] and lo <= hi
+        assert report["sdp"]["rank"] < math.isqrt(2 * n - 1) + 2
 
     @pytest.mark.parametrize("entry", ["module", "console-script"])
     def test_piped_report_complete(self, tmp_path, entry):
@@ -724,3 +795,12 @@ class TestSelftest:
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "PASS" in proc.stdout
+
+    def test_failing_criterion_exit_4(self, monkeypatch, capsys):
+        def failing(shared):
+            row = {"check": "stub", "measured": 1, "expected": 0, "ok": False}
+            return acceptance.CriterionResult("stub", 0.0, 1.0, [row])
+
+        monkeypatch.setattr(acceptance, "ALL_CRITERIA", [failing])
+        assert main(["selftest"]) == 4
+        assert capsys.readouterr().out.splitlines()[-1] == "result: FAIL"

@@ -355,9 +355,9 @@ class TestCertificate:
 class TestRankDrop:
     @pytest.mark.parametrize("name", ["wishart-200", "complete-30"])
     def test_matches_ascent_without_rank_drop(self, monkeypatch, name):
-        # the CI's n = 200 Wishart A ends at a low rank from start rank 21;
-        # K_n's optima include configurations of every rank, and an ascent
-        # at its start rank keeps it
+        # the n = 200 Wishart A of test_cli's wishart_a_doc ends at a low
+        # rank from start rank 21; K_n's optima include configurations of
+        # every rank, and an ascent at its start rank keeps it
         if name == "wishart-200":
             u = np.random.default_rng(3).standard_normal((200, 200))
             u -= u.mean(axis=0)
