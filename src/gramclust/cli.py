@@ -5,9 +5,9 @@ each: ``cluster`` reports ``analyze-b``'s blocks, hardness included, and
 ``selftest`` runs the whole suite.  Exit codes: 0 ok, 2 parse/validation
 error, 3 numerical failure, 4 selftest failure.  Reports are
 deterministic, the timestamp field aside, in the inputs and the flags but
---threads.  The solvers have no other tunables: the C(B) search and the
-SDP run on their modules' constants, and --seed drives only the SDP
-starts and the rounding trials.
+--threads.  The solvers have no other tunables: the C(B) search, the SDP,
+the hardness gadget and the oracles run on their modules' constants, and
+--seed drives only the SDP starts and the rounding trials.
 ``cluster`` still accepts and validates --threads, an integer of at least
 1, and ignores it.
 
@@ -27,7 +27,6 @@ import hashlib
 import io
 import itertools
 import json
-import math
 import os
 import sys
 import time
@@ -45,38 +44,29 @@ import numpy as np
 from . import __version__, pipeline
 from .errors import GramclustError, NotCentered, NotPSD, ParseError
 from .matrixcore import SymMatrix
-from .oracle import GRID_CAP, brute_force_c3, brute_force_clust
+from .oracle import brute_force_c3, brute_force_clust
 
 ASYMMETRY_CUTOFF = 1e-9
 
 
 def _json_numbers(raw) -> bool:
-    """True when every leaf of nested JSON lists is an int or a float.
+    """True when a JSON value is a list of rows, each a list of ints and
+    floats, in one C-level type scan.
 
-    numpy would cast the strings "2" and "nan" and the booleans to floats.
-    A list of lists of numbers, the usual matrix, passes one C-level type
-    scan; anything else takes the walk.
+    numpy would cast the strings "2" and "nan" and the booleans to floats;
+    a scalar, a flat list or a deeper nesting is no matrix either.
     """
-    if (
+    return (
         type(raw) is list
         and all(type(row) is list for row in raw)
         and set(map(type, itertools.chain.from_iterable(raw))) <= {int, float}
-    ):
-        return True
-    stack = [raw]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, list):
-            stack.extend(item)
-        elif isinstance(item, bool) or not isinstance(item, (int, float)):
-            return False
-    return True
+    )
 
 
 def _ingest(raw, name: str) -> SymMatrix:
     try:
         if not isinstance(raw, np.ndarray) and not _json_numbers(raw):
-            raise ValueError("an entry is not a number")
+            raise ValueError("not a list of rows of numbers")
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         # non-numeric entries, ragged rows, objects or integers beyond the
@@ -182,27 +172,25 @@ def run_cluster(args) -> dict:
     a, b, digest = _load_inputs(args)
     report = _base_report(digest, a, b)
     report["seed"] = args.seed
-    report.update(pipeline.cluster(
-        a, b, trials=args.trials, seed=args.seed, mu_epsilon=args.mu_epsilon
-    ))
+    report.update(pipeline.cluster(a, b, trials=args.trials, seed=args.seed))
     return report
 
 
 def run_analyze_b(args) -> dict:
     _, b, digest = _load_inputs(args, need_a=False)
     report = _base_report(digest, None, b)
-    report.update(pipeline.analyze_b(b, args.mu_epsilon))
+    report.update(pipeline.analyze_b(b))
     return report
 
 
 def run_oracle(args) -> dict:
     a, b, digest = _load_inputs(args)
     report = _base_report(digest, a, b)
-    value, sigma = brute_force_clust(a, b, max_states=args.max_states)
+    value, sigma = brute_force_clust(a, b)
     report["clust_value"] = value
     report["sigma"] = sigma.tolist()
     if b.dim == 3:
-        report["c3_grid"] = brute_force_c3(b, grid=args.grid)
+        report["c3_grid"] = brute_force_c3(b)
     return report
 
 
@@ -230,24 +218,14 @@ def run_selftest(args) -> int:
     return 4 if failed else 0
 
 
-def _int_at_least(low: int, high: int | None = None):
+def _int_at_least(low: int):
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        if high is not None and value > high:
-            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return integer
-
-
-def _positive_float(text: str) -> float:
-    """A finite float above 0; rejects nan."""
-    value = float(text)
-    if not math.isfinite(value) or value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be finite and above 0, got {value}")
-    return value
 
 
 def _add_inputs(p: argparse.ArgumentParser, with_a: bool = True) -> None:
@@ -256,13 +234,6 @@ def _add_inputs(p: argparse.ArgumentParser, with_a: bool = True) -> None:
         p.add_argument("--a", help="CSV file with matrix A")
     p.add_argument("--b", help="CSV file with matrix B")
     p.add_argument("--out", help="write the JSON report here instead of stdout")
-
-
-def _add_b_options(p: argparse.ArgumentParser) -> None:
-    """Flags of the part that reads B alone: the hardness gadget."""
-    p.add_argument("--mu-epsilon", type=_positive_float, default=1e-4,
-                   help="epsilon of the perturbed support distribution, "
-                        "as a share of R(B)^2")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -274,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     cluster = sub.add_parser("cluster", help="full pipeline on (A, B)")
     _add_inputs(cluster)
-    _add_b_options(cluster)
     cluster.add_argument("--seed", type=_int_at_least(0), default=0,
                          help="seed of the SDP starts and the rounding trials")
     cluster.add_argument("--threads", type=_int_at_least(1), default=1,
@@ -284,14 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = sub.add_parser("analyze-b", help="per-B constants and gadgets")
     _add_inputs(analyze, with_a=False)
-    _add_b_options(analyze)
     analyze.set_defaults(fn=lambda a: (_emit(run_analyze_b(a), a), 0)[1])
 
     oracle = sub.add_parser("oracle", help="exact desk-scale ground truth")
     _add_inputs(oracle)
-    oracle.add_argument("--grid", type=_int_at_least(180, GRID_CAP), default=360,
-                        help=f"steps of the k = 3 planar grid, 180 to {GRID_CAP}")
-    oracle.add_argument("--max-states", type=_int_at_least(1), default=50_000_000)
     oracle.set_defaults(fn=lambda a: (_emit(run_oracle(a), a), 0)[1])
 
     selftest = sub.add_parser("selftest", help="run the acceptance suite")

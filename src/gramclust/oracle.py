@@ -24,15 +24,14 @@ STATE_CAP = 50_000_000
 GRID_CAP = 1440
 
 
-def brute_force_clust(
-    a: SymMatrix, b: SymMatrix, max_states: int = STATE_CAP
-) -> tuple[float, np.ndarray]:
-    """Exact max of sum a_ij b_{sigma(i) sigma(j)} over all k^n assignments."""
+def brute_force_clust(a: SymMatrix, b: SymMatrix) -> tuple[float, np.ndarray]:
+    """Exact max of sum a_ij b_{sigma(i) sigma(j)} over all k^n <= STATE_CAP
+    assignments."""
     n = a.dim
     k = b.dim
     states = k ** n
-    if states > max_states:
-        raise TooLarge(f"{k}^{n} = {states} assignments exceed the cap {max_states}")
+    if states > STATE_CAP:
+        raise TooLarge(f"{k}^{n} = {states} assignments exceed the cap {STATE_CAP}")
     if k == 1:
         sigma = np.zeros(n, dtype=int)
         return clustering_value(a, b, sigma), sigma

@@ -1,7 +1,8 @@
 """The algorithm as one chain: R(B), C(B), the SDP and the Gaussian rounding.
 
 :func:`analyze_b` runs the half that reads B alone: the Gram factor, the
-enclosing ball, the C(B) search and the hardness gadget.
+enclosing ball, the C(B) search and the hardness gadget at
+:data:`MU_EPSILON`.
 :func:`cluster` validates A, runs the same half, then solves the SDP,
 rounds it and checks the certified interval, whose upper end is R(B)^2
 times the one certificate that :func:`gramclust.sdp.solve_sdp` returns.
@@ -20,10 +21,11 @@ from .matrixcore import SymMatrix, gram_factorize, validate_centered, validate_p
 from .rounding import estimate_expectation, round_best_of
 from .sdp import solve_sdp
 
+# the hardness gadget's epsilon, as a share of R(B)^2
+MU_EPSILON = 1e-4
 
-def _b_half(
-    b: SymMatrix, mu_epsilon: float
-) -> tuple[dict, EnclosingBall, ConicalPartition | None]:
+
+def _b_half(b: SymMatrix) -> tuple[dict, EnclosingBall, ConicalPartition | None]:
     """The blocks that depend on B alone, the ball, and the C(B) partition
     (None when B is degenerate)."""
     if not validate_psd(b):
@@ -55,12 +57,12 @@ def _b_half(
         "mc_stderr": value.mc_stderr,
     }
     report["approx_ratio"] = r2 / c_est if c_est > 0 else None
-    # mu_epsilon is a share of R(B)^2.  Below the normal range the product
-    # loses precision and the floor keeps an underflowed one positive:
-    # there the gadget is not scale-free
-    dist = build_mu(ball, max(mu_epsilon * r2, math.ulp(0.0)))
+    # Below the normal range MU_EPSILON * R(B)^2 loses precision and the
+    # floor keeps an underflowed one positive: there the gadget is not
+    # scale-free
+    dist = build_mu(ball, max(MU_EPSILON * r2, math.ulp(0.0)))
     report["hardness"] = {
-        "epsilon": mu_epsilon,
+        "epsilon": MU_EPSILON,
         "beta": dist.beta,
         "p": dist.p.tolist(),
         "mu": dist.mu.tolist(),
@@ -69,21 +71,14 @@ def _b_half(
     return report, ball, partition
 
 
-def analyze_b(b: SymMatrix, mu_epsilon: float = 1e-4) -> dict:
+def analyze_b(b: SymMatrix) -> dict:
     """R(B)^2 and the ball, C(B) and its partition, the approximation ratio
-    R(B)^2 / C(B), and the hardness gadget at ``mu_epsilon`` times R(B)^2
-    (left out when B is degenerate).  Deterministic in B and
-    ``mu_epsilon``."""
-    return _b_half(b, mu_epsilon)[0]
+    R(B)^2 / C(B), and the hardness gadget at :data:`MU_EPSILON` times
+    R(B)^2 (left out when B is degenerate).  Deterministic in B."""
+    return _b_half(b)[0]
 
 
-def cluster(
-    a: SymMatrix,
-    b: SymMatrix,
-    trials: int = 100,
-    seed: int = 0,
-    mu_epsilon: float = 1e-4,
-) -> dict:
+def cluster(a: SymMatrix, b: SymMatrix, trials: int = 100, seed: int = 0) -> dict:
     """The whole pipeline on a centered PSD A and a PSD B.
 
     ``seed`` drives the SDP starts and the rounding trials, which run
@@ -98,7 +93,7 @@ def cluster(
         raise NotPSD("A is not positive semidefinite (within 1e-9)")
     if not validate_centered(a):
         raise NotCentered("A is not centered: entries must sum to zero")
-    report, ball, partition = _b_half(b, mu_epsilon)
+    report, ball, partition = _b_half(b)
     if partition is None:
         # all Gram vectors coincide: every clustering of a centered matrix
         # has value 0, so report the trivial certified answer

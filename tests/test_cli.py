@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -125,12 +126,11 @@ class TestCluster:
 
     def test_hardness_block_matches_analyze_b(self, tmp_path):
         path = write_json(tmp_path, ANTIPODAL_DOC)
-        for argv in ([], ["--mu-epsilon", "0.01"]):
-            report = run_cluster(parse(["cluster", path, *argv]))
-            analyzed = run_analyze_b(parse(["analyze-b", path, *argv]))
-            assert report["hardness"] == analyzed["hardness"]
-            assert report["hardness"]["dictatorship_objective"] == pytest.approx(0.5)
-        assert report["hardness"]["epsilon"] == 0.01
+        report = run_cluster(parse(["cluster", path]))
+        analyzed = run_analyze_b(parse(["analyze-b", path]))
+        assert report["hardness"] == analyzed["hardness"]
+        assert report["hardness"]["dictatorship_objective"] == pytest.approx(0.5)
+        assert report["hardness"]["epsilon"] == 1e-4
 
     @pytest.mark.parametrize("command", ["cluster", "analyze-b"])
     def test_one_by_one_b_is_degenerate(self, tmp_path, command):
@@ -239,22 +239,34 @@ class TestValidationErrors:
 
     @pytest.mark.parametrize("command", ["cluster", "analyze-b"])
     @pytest.mark.parametrize(
-        "matrix",
+        "matrix, rows_of_numbers",
         [
-            [["x"]],
-            [[1.0, 2.0], [3.0]],
-            {"a": 1},
-            [[1.0, 0.0], [0.0, "2"]],
-            [[1.0, 0.0], [0.0, True]],
-            [[1.0, 0.0], [0.0, 10 ** 400]],
+            ([["x"]], False),
+            ([[1.0, 2.0], [3.0]], True),
+            ({"a": 1}, False),
+            ([[1.0, 0.0], [0.0, "2"]], False),
+            ([[1.0, 0.0], [0.0, True]], False),
+            ([[1.0, 0.0], [0.0, 10 ** 400]], True),
+            ([1.0, 2.0], False),
+            (2.0, False),
+            ([[[1.0]], [[2.0]]], False),
+            ([[1.0], 3], False),
         ],
-        ids=["string", "ragged", "object", "digit-string", "boolean", "huge-integer"],
+        ids=[
+            "string", "ragged", "object", "digit-string", "boolean", "huge-integer",
+            "flat-list", "scalar", "nested", "row-and-scalar",
+        ],
     )
-    def test_non_numeric_json_matrix_exit_2(self, tmp_path, capsys, command, matrix):
-        # numpy would read "2" as 2.0 and true as 1.0
+    def test_non_numeric_json_matrix_exit_2(
+        self, tmp_path, capsys, command, matrix, rows_of_numbers
+    ):
+        # numpy would read "2" as 2.0 and true as 1.0; a scalar, a flat list
+        # and a deeper nesting fail the type scan, not the square-shape check
         doc = {"A": ANTIPODAL_DOC["A"], "B": matrix}
         assert main([command, write_json(tmp_path, doc)]) == 2
-        assert "matrix B is not a numeric matrix" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "matrix B is not a numeric matrix" in err
+        assert ("not a list of rows of numbers" in err) is not rows_of_numbers
 
     @pytest.mark.parametrize(
         "text",
@@ -284,15 +296,13 @@ class TestValidationErrors:
     )
     def test_json_numbers_matches_walk(self, text):
         def walk(raw):
-            # the leaf-by-leaf check that the one-pass type scan short-cuts
-            stack = [raw]
-            while stack:
-                item = stack.pop()
-                if isinstance(item, list):
-                    stack.extend(item)
-                elif isinstance(item, bool) or not isinstance(item, (int, float)):
-                    return False
-            return True
+            # the one rule, row by row: a list of rows, each a list of ints
+            # and floats; a bool is an int to isinstance but not a number here
+            return isinstance(raw, list) and all(
+                isinstance(row, list)
+                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in row)
+                for row in raw
+            )
 
         raw = json.loads(text)
         assert cli._json_numbers(raw) == walk(raw)
@@ -364,38 +374,44 @@ class TestValidationErrors:
         for value in ("0", "-1"):
             assert self.exit_code(["cluster", path, "--trials", value]) == 2
 
-    def test_nonpositive_mu_epsilon_exit_2(self, tmp_path):
-        path = write_json(tmp_path, ANTIPODAL_DOC)
-        for value in ("0", "-1"):
-            assert self.exit_code(["analyze-b", path, "--mu-epsilon", value]) == 2
-            assert self.exit_code(["cluster", path, "--mu-epsilon", value]) == 2
-
     @pytest.mark.parametrize(
         "command, flag, values",
-        [
-            pytest.param(command, flag, values, id=flag[2:])
-            for command, flag, values in (
-                ("cluster", "--threads", ("0", "-2", "abc")),
-                ("oracle", "--max-states", ("0", "-5")),
-            )
-        ],
+        [pytest.param("cluster", "--threads", ("0", "-2", "abc"), id="threads")],
     )
     def test_numeric_flag_limits_exit_2(self, tmp_path, command, flag, values):
         path = write_json(tmp_path, ANTIPODAL_DOC)
         for value in values:
             assert self.exit_code([command, path, flag, value]) == 2, value
 
-    @pytest.mark.parametrize("command", ["cluster", "analyze-b"])
     @pytest.mark.parametrize(
-        "flag",
+        "command, flag",
         [
-            "--epsilon", "--net-delta-override", "--fp-tol", "--max-iters",
-            "--sdp-rank0", "--sdp-grad-tol", "--sdp-max-iters", "--sdp-restarts",
+            pytest.param(command, flag, id=f"{flag}-{command}")
+            for flags, commands in (
+                (
+                    (
+                        "--epsilon", "--net-delta-override", "--fp-tol", "--max-iters",
+                        "--sdp-rank0", "--sdp-grad-tol", "--sdp-max-iters",
+                        "--sdp-restarts", "--mu-epsilon",
+                    ),
+                    ("cluster", "analyze-b"),
+                ),
+                (("--grid", "--max-states"), ("oracle",)),
+            )
+            for flag in flags
+            for command in commands
         ],
     )
-    def test_removed_search_flags_rejected(self, tmp_path, capsys, command, flag):
-        # the C(B) search and the SDP have fixed constants; cluster's --seed
-        # drives the SDP starts and the rounding alone
+    def test_removed_search_flags_rejected(self, tmp_path, capsys, monkeypatch, command, flag):
+        # the C(B) search, the SDP, the hardness gadget and the oracles have
+        # fixed constants; cluster's --seed drives the SDP starts and the
+        # rounding alone.  The flag is rejected before any work
+        def forbidden(*args, **kwargs):
+            raise AssertionError("ran before the flag was rejected")
+
+        monkeypatch.setattr(pipeline, "cluster", forbidden)
+        monkeypatch.setattr(pipeline, "analyze_b", forbidden)
+        monkeypatch.setattr(cli, "brute_force_clust", forbidden)
         path = write_json(tmp_path, ANTIPODAL_DOC)
         assert self.exit_code([command, path, flag, "1"]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
@@ -423,23 +439,6 @@ class TestValidationErrors:
         assert main([command, path, "--out", str(out)]) == 0
         assert "seed" not in json.loads(out.read_text())
 
-    def test_coarse_oracle_grid_exit_2(self, tmp_path):
-        path = write_json(tmp_path, ANTIPODAL_DOC)
-        assert self.exit_code(["oracle", path, "--grid", "179"]) == 2
-
-    def test_oracle_grid_above_the_cap_exit_2(self, tmp_path, monkeypatch, capsys):
-        # the grid's arrays grow as grid^2: the cap is rejected before any work
-        def no_work(*args, **kwargs):
-            raise AssertionError("the oracle ran")
-
-        monkeypatch.setattr(cli, "brute_force_clust", no_work)
-        monkeypatch.setattr(cli, "brute_force_c3", no_work)
-        path = write_json(tmp_path, ANTIPODAL_DOC)
-        assert parse(["oracle", path, "--grid", str(cli.GRID_CAP)]).grid == cli.GRID_CAP
-        for grid in (cli.GRID_CAP + 1, 10_000):
-            assert self.exit_code(["oracle", path, "--grid", str(grid)]) == 2
-            assert f"must be at most {cli.GRID_CAP}" in capsys.readouterr().err
-
     @pytest.mark.parametrize("c", [1.2e308, 1.7e308])
     def test_a_beyond_the_double_range_exit_3(self, tmp_path, capsys, c):
         # SDP(c A0) is about 10 c, beyond the largest double
@@ -463,6 +462,29 @@ class TestValidationErrors:
         path = write_json(tmp_path, ANTIPODAL_DOC)
         assert self.exit_code(["cluster", path, "--with-hardness"]) == 2
         assert self.exit_code(["selftest", "--quick"]) == 2
+
+    def test_option_inventory(self):
+        # every option of every command: a new flag changes this test and
+        # the README's flag list together
+        (commands,) = [
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        options = {
+            name: sorted(
+                option
+                for action in sub._actions
+                if not isinstance(action, argparse._HelpAction)
+                for option in action.option_strings or [action.dest]
+            )
+            for name, sub in commands.choices.items()
+        }
+        assert options == {
+            "cluster": ["--a", "--b", "--out", "--seed", "--threads", "--trials", "input"],
+            "analyze-b": ["--b", "--out", "input"],
+            "oracle": ["--a", "--b", "--out", "input"],
+            "selftest": [],
+        }
 
 
 class TestAnalyzeB:
@@ -552,7 +574,7 @@ class TestOracleCommand:
             "A": [[1.0, -1.0], [-1.0, 1.0]],
             "B": np.diag([1.0, 1.0, 1.0]).tolist(),
         }
-        report = run_oracle(parse(["oracle", write_json(tmp_path, doc), "--grid", "240"]))
+        report = run_oracle(parse(["oracle", write_json(tmp_path, doc)]))
         assert report["c3_grid"] == pytest.approx(9.0 / (8.0 * math.pi), abs=1e-3)
 
     def test_clust_inside_the_cluster_interval(self, tmp_path):

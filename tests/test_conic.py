@@ -701,14 +701,14 @@ class TestSearchCb:
         assert scaled["cb"]["c_estimate"] == math.ldexp(base["cb"]["c_estimate"], 2 * e)
         assert scaled["ball"]["support"] == base["ball"]["support"]
         assert scaled["cb"]["active"] == base["cb"]["active"]
-        # --mu-epsilon is a share of R(B)^2, so the hardness gadget scales too
+        # MU_EPSILON is a share of R(B)^2, so the hardness gadget scales too
         assert scaled["hardness"]["beta"] == base["hardness"]["beta"]
         assert scaled["hardness"]["dictatorship_objective"] == math.ldexp(
             base["hardness"]["dictatorship_objective"], 2 * e
         )
 
     def test_hardness_at_subnormal_scale(self):
-        # mu_epsilon * R(B)^2 underflows to 0 here; the gadget still builds,
+        # MU_EPSILON * R(B)^2 underflows to 0 here; the gadget still builds,
         # at epsilon = the smallest positive double instead of 1e-4 R(B)^2
         b = np.eye(3) * 1e-320
         report = analyze_b(SymMatrix(b))

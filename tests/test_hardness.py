@@ -80,7 +80,7 @@ class TestBuildMu:
 
     def test_beta_at_the_top_of_the_double_range(self):
         # 7 R^2 lies beyond the largest double here; beta stays the scale-1
-        # mu_epsilon / 7 up to the rounding of R^2
+        # MU_EPSILON / 7 up to the rounding of R^2
         b = np.diag([1.0, 1.0, 0.25])
         base = analyze_b(SymMatrix.from_array(b))["hardness"]["beta"]
         top = analyze_b(SymMatrix.from_array(1.2e308 * b))["hardness"]["beta"]

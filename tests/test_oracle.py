@@ -17,7 +17,8 @@ from gramclust import (
     random_centered_psd,
     search_cb,
 )
-from gramclust.oracle import GRID_CAP
+from gramclust import oracle
+from gramclust.oracle import GRID_CAP, STATE_CAP
 
 ANTIPODAL = SymMatrix.from_array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -83,10 +84,16 @@ class TestBruteForceClust:
         value_perm, _ = brute_force_clust(a_perm, b)
         assert value_perm == pytest.approx(value, rel=1e-12)
 
-    def test_state_cap(self):
-        a = random_centered_psd(10, np.random.default_rng(0))
-        with pytest.raises(TooLarge):
-            brute_force_clust(a, SymMatrix.from_array(np.eye(3)), max_states=100)
+    def test_state_cap(self, monkeypatch):
+        # 3^17 = 1.3e8 assignments: the cap is checked before the first is scored
+        def no_work(*args, **kwargs):
+            raise AssertionError("the enumeration started")
+
+        monkeypatch.setattr(oracle, "clustering_value", no_work)
+        a = random_centered_psd(17, np.random.default_rng(0))
+        assert 3 ** 17 > STATE_CAP
+        with pytest.raises(TooLarge, match="exceed the cap"):
+            brute_force_clust(a, SymMatrix.from_array(np.eye(3)))
 
 
 class TestBruteForceC3:
@@ -153,6 +160,8 @@ class TestBruteForceC3:
             brute_force_c3(SymMatrix.from_array(np.eye(2)))
         with pytest.raises(ValueError):
             brute_force_c3(SymMatrix.from_array(np.eye(3)), grid=10)
+        with pytest.raises(ValueError):
+            brute_force_c3(SymMatrix.from_array(np.eye(3)), grid=GRID_CAP + 1)
 
     def test_rejects_indefinite(self):
         b = SymMatrix.from_array([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
